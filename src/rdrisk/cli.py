@@ -3,8 +3,8 @@ and emit CSV/JSON risk curves.
 
 Exit codes: 0 success, 1 usage or domain error, 2 comparison violation.
 Outputs carry a metadata header (CSV comment lines / JSON object) and are
-byte-identical for a fixed (seed, trials, chunks) at any thread count; no
-timestamps are written.
+byte-identical for a fixed (seed, trials, chunks, sampler_version) at any
+thread count; no timestamps are written.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import __version__, categorical, gaussian, knn, multinomial, zero_error
 from .categorical import DirichletPrior
 from .errors import DomainError
+from .mc import SAMPLER_VERSION
 from .multinomial import MultinomialFamily
 
 COLUMNS = ("n", "rd_lower_risk", "printed_bound", "simulated_mean",
@@ -86,6 +87,25 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
     return gamma
 
 
+def _parse_count(name: str, value) -> int:
+    """A whole number >= 1; text such as '1e5' is accepted for --trials."""
+    try:
+        count = float(value)
+    except ValueError:
+        raise UsageError(f"invalid --{name}: {value!r}") from None
+    if not (math.isfinite(count) and count >= 1 and count.is_integer()):
+        raise UsageError(f"--{name} must be a whole number >= 1, got {value!r}")
+    return int(count)
+
+
+def _mc_options(args) -> tuple[int, int, int]:
+    """Validated (trials, chunks, threads) of a simulating command."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    return (_parse_count("trials", args.trials), _parse_count("chunks", args.chunks),
+            _parse_count("threads", args.threads))
+
+
 @dataclass
 class RunConfig:
     family: str
@@ -109,11 +129,11 @@ def _config(args) -> RunConfig:
     if args.n_grid is None and getattr(args, "n", None) is None:
         raise UsageError("one of --n-grid or --n is required")
     cfg.n_grid = _parse_n_grid(args.n_grid if args.n_grid is not None else args.n)
-    for name in ("d", "k", "seed", "chunks", "threads", "test_points"):
+    for name in ("d", "k", "seed", "test_points"):
         if getattr(args, name, None) is not None:
             setattr(cfg, name, int(getattr(args, name)))
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = int(float(args.trials))
+    if hasattr(args, "trials"):
+        cfg.trials, cfg.chunks, cfg.threads = _mc_options(args)
     if getattr(args, "sigma2", None) is not None:
         cfg.sigma2 = float(args.sigma2)
     if getattr(args, "gamma", None) is not None:
@@ -155,6 +175,8 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
         "trials": cfg.trials,
         "chunks": cfg.chunks,
     }
+    if command != "bounds":
+        meta["sampler_version"] = SAMPLER_VERSION
     if cfg.gamma is not None:
         meta["gamma"] = ",".join(repr(g) for g in cfg.gamma)
     if cfg.d is not None:
@@ -341,6 +363,7 @@ def _cmd_compare(args) -> int:
 def _cmd_mi(args) -> int:
     family = args.family
     n = int(args.n)
+    trials, chunks, threads = _mc_options(args)
     method = args.method
     if method is None:
         method = "exact" if family in ("gaussian", "zero-error") else "clarke-barron"
@@ -361,11 +384,10 @@ def _cmd_mi(args) -> int:
             payload = {"value": zero_error.mutual_information_exact(n),
                        "method": "exact"}
         elif method == "monte-carlo":
-            est = zero_error.mi_monte_carlo(n, int(float(args.trials)), int(args.seed),
-                                            chunks=int(args.chunks),
-                                            threads=int(args.threads))
+            est = zero_error.mi_monte_carlo(n, trials, int(args.seed),
+                                            chunks=chunks, threads=threads)
             payload = {"value": est.mean, "method": "monte_carlo",
-                       "stderr": est.stderr}
+                       "stderr": est.stderr, "sampler_version": SAMPLER_VERSION}
         else:
             raise UsageError("zero-error mi supports exact or monte-carlo")
     elif family == "categorical":

@@ -162,10 +162,14 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     """Simulated L1 risk of the conjugate posterior-mean plug-in rule.
 
     Per trial: theta ~ N(0, I/d); labels y_i uniform with sign s_i = 3-2y_i
-    and x_i ~ N(s_i theta, sigma2 I); T_i = s_i x_i gives the posterior mean
-    theta_hat = (sum T_i / sigma2) / (d + n / sigma2); the loss averages
-    2 |W(X; theta) - W(X; theta_hat)| over fresh test draws X from the true
-    marginal (uniform label, then the class conditional).
+    and x_i ~ N(s_i theta, sigma2 I).  The rule sees the training set only
+    through the sufficient statistic sum_i s_i x_i = n theta + sum_i s_i
+    eps_i, and s_i eps_i are i.i.d. N(0, sigma2 I) whatever the signs, so it
+    is drawn exactly as n theta + sigma sqrt(n) Z with Z ~ N(0, I) in O(d)
+    per trial.  The posterior mean is theta_hat = (sum / sigma2) /
+    (d + n / sigma2); the loss averages 2 |W(X; theta) - W(X; theta_hat)|
+    over fresh test draws X from the true marginal (uniform label, then
+    the class conditional).
     """
     if trials < 100:
         raise DomainError(f"trials must be >= 100, got {trials}")
@@ -177,14 +181,8 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
 
     def sampler(rng, count):
         theta = rng.normal(0.0, math.sqrt(1.0 / d), size=(count, d))
-        if n > 0:
-            s = (3 - 2 * rng.integers(1, 3, size=(count, n))).astype(float)
-            x = s[:, :, None] * theta[:, None, :] \
-                + sigma * rng.normal(size=(count, n, d))
-            t_sum = (s[:, :, None] * x).sum(axis=1)
-            theta_hat = (t_sum / sigma2) / (d + n / sigma2)
-        else:
-            theta_hat = np.zeros_like(theta)
+        t_sum = n * theta + sigma * math.sqrt(n) * rng.normal(size=(count, d))
+        theta_hat = (t_sum / sigma2) / (d + n / sigma2)
         st = (3 - 2 * rng.integers(1, 3, size=(count, test_points))).astype(float)
         xt = st[:, :, None] * theta[:, None, :] \
             + sigma * rng.normal(size=(count, test_points, d))

@@ -21,6 +21,11 @@ LossOrder = float
 
 EULER_GAMMA = 0.5772156649015329
 
+# harmonic() sums exactly up to this n and uses the asymptotic series above
+# it; both branches are within an ulp of H_n there, and the series' first
+# omitted term, 1/(252 n^6), is below 1e-32.
+_HARMONIC_EXACT_MAX = 100_000
+
 
 def validate_loss_order(p: LossOrder) -> float:
     """Return ``p`` as a float after checking ``p >= 1`` (inf allowed)."""
@@ -57,15 +62,22 @@ def log_beta_multivariate(gamma: Iterable[float]) -> float:
 def harmonic(n: int) -> float:
     """n-th harmonic number, sum_{i=1}^{n} 1/i; 0 for n = 0.
 
-    Terms are accumulated from i = n down to 1 (ascending magnitude) so the
-    small terms are not absorbed by an already-large partial sum.
+    Up to n = 100000 the terms are accumulated from i = n down to 1
+    (ascending magnitude) so the small terms are not absorbed by an
+    already-large partial sum.  Above that the Euler-Maclaurin series
+    ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4) is used, so time and
+    memory stay bounded for any n.
     """
     if n < 0 or n != int(n):
         raise DomainError(f"harmonic requires a nonnegative integer, got {n}")
     n = int(n)
     if n == 0:
         return 0.0
-    return float(np.sum(1.0 / np.arange(n, 0, -1, dtype=float)))
+    if n <= _HARMONIC_EXACT_MAX:
+        return float(np.sum(1.0 / np.arange(n, 0, -1, dtype=float)))
+    inv = 1.0 / n
+    inv2 = inv * inv
+    return math.log(n) + EULER_GAMMA + inv / 2.0 - inv2 / 12.0 + inv2 * inv2 / 120.0
 
 
 def cp_constant(p: LossOrder, m: int) -> Nats:

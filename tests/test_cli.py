@@ -62,6 +62,7 @@ def test_bounds_categorical_fixture(capsys):
     meta, rows = parse_csv(out)
     assert meta["family"] == "categorical"
     assert meta["mi_method"] == "clarke_barron_asymptotic"
+    assert "sampler_version" not in meta
     assert len(rows) == 1
     assert float(rows[0]["rd_lower_risk"]) == pytest.approx(0.04610685044478946, rel=1e-15)
     assert float(rows[0]["mi"]) == pytest.approx(1.383646559789373, rel=1e-15)
@@ -144,10 +145,22 @@ def test_simulate_zero_error_estimator_value(capsys):
     assert abs(mean - 1.0 / 6.0) < 3 * stderr
 
 
-def test_simulate_rejects_small_trials(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--family", "zero-error",
-                           "--n-grid", "1", "--trials", "10")
+MC_COMMANDS = {
+    "simulate": ("simulate", "--family", "zero-error", "--n-grid", "1"),
+    "compare": ("compare", "--family", "zero-error", "--n-grid", "1"),
+    "mi": ("mi", "--family", "zero-error", "--n", "1", "--method", "monte-carlo"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+@pytest.mark.parametrize("option,value", [
+    ("trials", "10"), ("trials", "nan"), ("trials", "inf"), ("trials", "2500.5"),
+    ("chunks", "0"), ("chunks", "-3"), ("threads", "0"), ("seed", "-1")])
+def test_rejects_bad_mc_options(capsys, command, option, value):
+    code, out, err = run_cli(capsys, *MC_COMMANDS[command], f"--{option}", value)
     assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and option in err
 
 
 def test_compare_ok_and_negative_control(capsys):
@@ -194,6 +207,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
+    assert payload["metadata"]["sampler_version"] == 2
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -214,7 +228,20 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
+    assert payload["sampler_version"] == 2
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "zero-error", "--n", "1000000000"),
+    ("bounds", "--family", "zero-error", "--n-grid", "1000000000", "--format", "json")])
+def test_zero_error_exact_mi_at_huge_n(capsys, argv):
+    # H_{n+1} - 1 in bounded memory: an O(n) harmonic sum would need 16 GB
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    value = payload["value"] if argv[0] == "mi" else payload["rows"][0]["mi"]
+    assert value == pytest.approx(20.300481503347942, rel=1e-15)
 
 
 def test_mi_rejects_exact_for_categorical(capsys):

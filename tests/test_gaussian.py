@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rdrisk.errors import DomainError
 from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_nu,
@@ -9,7 +10,7 @@ from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_
                              mutual_information_exact, posterior, rd_bounds_l1,
                              sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
-from rdrisk.mc import rng_stream
+from rdrisk.mc import mc_mean, rng_stream
 from rdrisk.rdcore import InterpolationSpec, rd_lower_average
 from rdrisk.specfun import EULER_GAMMA
 
@@ -194,3 +195,32 @@ def test_simulator_sqrt_n_scaling():
         simulate_bayes_risk(10, 1, 1.0, trials=10, test_points=400, seed=0)
     with pytest.raises(DomainError):
         simulate_bayes_risk(10, 1, 1.0, trials=400, test_points=10, seed=0)
+
+
+def reference_bayes_risk(n, d, sigma2, trials, test_points, seed):
+    """The plug-in rule's risk from all n training points (O(n d) per trial)."""
+    sigma = math.sqrt(sigma2)
+
+    def sampler(rng, count):
+        theta = rng.normal(0.0, math.sqrt(1.0 / d), size=(count, d))
+        s = (3 - 2 * rng.integers(1, 3, size=(count, n))).astype(float)
+        x = s[:, :, None] * theta[:, None, :] + sigma * rng.normal(size=(count, n, d))
+        t_sum = (s[:, :, None] * x).sum(axis=1)
+        theta_hat = (t_sum / sigma2) / (d + n / sigma2)
+        st = (3 - 2 * rng.integers(1, 3, size=(count, test_points))).astype(float)
+        xt = st[:, :, None] * theta[:, None, :] \
+            + sigma * rng.normal(size=(count, test_points, d))
+        w_true = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta) / sigma2)
+        w_hat = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta_hat) / sigma2)
+        return (2.0 * np.abs(w_true - w_hat)).mean(axis=1)
+
+    return mc_mean(sampler, trials, seed)
+
+
+@pytest.mark.parametrize("n,d", [(10, 1), (100, 4)])
+def test_simulator_matches_brute_force_reference(n, d):
+    # the sufficient-statistic draw n theta + sigma sqrt(n) Z against the
+    # construction from n labeled points
+    est = simulate_bayes_risk(n, d, 1.0, trials=4000, test_points=200, seed=608)
+    ref = reference_bayes_risk(n, d, 1.0, trials=4000, test_points=200, seed=609)
+    assert abs(est.mean - ref.mean) < 4 * math.hypot(est.stderr, ref.stderr)

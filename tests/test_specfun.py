@@ -3,8 +3,9 @@ import math
 import pytest
 
 from rdrisk.errors import DomainError
-from rdrisk.specfun import (EULER_GAMMA, cp_constant, digamma, harmonic,
-                            log_beta_multivariate, log_gamma, validate_loss_order)
+from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, cp_constant, digamma,
+                            harmonic, log_beta_multivariate, log_gamma,
+                            validate_loss_order)
 
 
 def test_log_gamma_known_values():
@@ -67,6 +68,21 @@ def test_harmonic_asymptote():
     n = 10 ** 6
     gap = harmonic(n) - (math.log(n) + EULER_GAMMA)
     assert abs(gap) < 1e-6 + 1.0 / (2 * n)
+
+
+def test_harmonic_large_n():
+    # H_{10^9} to 40 digits: 21.300481502347944016685101848908...
+    assert harmonic(10 ** 9) == pytest.approx(21.300481502347944, rel=1e-15)
+
+
+def test_harmonic_branches_agree_at_cutoff():
+    cutoff = _HARMONIC_EXACT_MAX
+    for n in (cutoff, cutoff + 1):
+        series = math.log(n) + EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n ** 2) \
+            + 1.0 / (120 * n ** 4)
+        exact = math.fsum(1.0 / i for i in range(1, n + 1))
+        for value in (harmonic(n), series):
+            assert abs(value - exact) <= 4 * math.ulp(exact)
 
 
 def test_harmonic_domain():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rdrisk.errors import ContradictionError, DomainError
 from rdrisk.mc import rng_stream
 from rdrisk.specfun import EULER_GAMMA, harmonic
-from rdrisk.zero_error import (ZeroErrorSample, estimator_risk_exact,
+from rdrisk.zero_error import (ZeroErrorSample, _interval_widths, estimator_risk_exact,
                                estimator_risk_rederived, interval, label,
                                mi_monte_carlo, midpoint_estimator,
                                mutual_information_exact, rd_lower,
@@ -111,17 +112,46 @@ def test_estimator_risk_rederived_values():
     assert estimator_risk_rederived(99) == pytest.approx((1.0 / 202.0, 1.0 / 101.0), rel=1e-15)
 
 
+def reference_interval(rng, n, count):
+    """Brute-force (theta, theta_l, theta_r): draws all n training points."""
+    theta = rng.uniform(size=count)
+    x = rng.uniform(size=(count, n))
+    right = x >= theta[:, None]
+    theta_r = np.where(right, x, 1.0).min(axis=1)
+    theta_l = np.where(~right, x, 0.0).max(axis=1)
+    return theta, theta_l, theta_r
+
+
 def test_simulated_width_is_size_biased():
     # E[theta_r - theta_l] = 2/(n+2), not the unweighted spacing 1/(n+1)
     n = 9
-    rng = rng_stream(703, 0)
-    theta = rng.uniform(size=200_000)
-    x = rng.uniform(size=(200_000, n))
-    right = x >= theta[:, None]
-    width = np.where(right, x, 1.0).min(axis=1) - np.where(~right, x, 0.0).max(axis=1)
+    _, theta_l, theta_r = reference_interval(rng_stream(703, 0), n, 200_000)
+    width = theta_r - theta_l
     stderr = width.std(ddof=1) / math.sqrt(width.size)
     assert abs(width.mean() - 2.0 / (n + 2)) < 3 * stderr
     assert abs(width.mean() - 1.0 / (n + 1)) > 30 * stderr
+
+
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_widths_match_brute_force_reference(n):
+    # the exact Beta(2, n) width law against the O(n) construction, and
+    # theta at a uniform fraction of the interval, independent of its width
+    theta, theta_l, theta_r = reference_interval(rng_stream(710, n), n, 20_000)
+    width = theta_r - theta_l
+    drawn = _interval_widths(rng_stream(711, n), n, 20_000)
+    assert stats.ks_2samp(drawn, width).pvalue > 1e-3
+    fraction = (theta - theta_l) / width
+    assert stats.kstest(fraction, "uniform").pvalue > 1e-3
+    assert abs(stats.spearmanr(fraction, width).statistic) < 4.0 / math.sqrt(width.size)
+
+
+def test_laws_at_a_million_points():
+    # O(1)-in-n samplers make n = 10^6 as cheap as n = 1
+    n = 10 ** 6
+    risk = simulate_estimator_risk(n, trials=10 ** 6, seed=712)
+    assert abs(risk.mean - 1.0 / (2.0 * (n + 2))) < 4 * risk.stderr
+    mi = mi_monte_carlo(n, trials=10 ** 6, seed=713)
+    assert abs(mi.mean - (harmonic(n + 1) - 1.0)) < 4 * mi.stderr
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 99])
