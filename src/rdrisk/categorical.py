@@ -24,15 +24,15 @@ from .specfun import LossOrder, Nats, digamma, log_beta_multivariate, validate_l
 
 @dataclass(frozen=True)
 class DirichletPrior:
-    """Positive concentration vector with cached total gamma0."""
+    """Positive, finite concentration vector with cached total gamma0."""
 
     gamma: tuple[float, ...]
     gamma0: float = field(init=False)
 
     def __post_init__(self):
         g = tuple(float(v) for v in self.gamma)
-        if len(g) < 2 or any(v <= 0.0 for v in g):
-            raise DomainError("gamma must hold >= 2 positive components")
+        if len(g) < 2 or not all(0.0 < v < math.inf for v in g):
+            raise DomainError("gamma must hold >= 2 positive finite components")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "gamma0", math.fsum(g))
 

@@ -102,8 +102,10 @@ def _mc_options(args) -> tuple[int, int, int]:
     """Validated (trials, chunks, threads) of a simulating command."""
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    return (_parse_count("trials", args.trials), _parse_count("chunks", args.chunks),
-            _parse_count("threads", args.threads))
+    trials, chunks = _parse_count("trials", args.trials), _parse_count("chunks", args.chunks)
+    if chunks > trials:
+        raise UsageError(f"--chunks must not exceed --trials, got {chunks} > {trials}")
+    return trials, chunks, _parse_count("threads", args.threads)
 
 
 @dataclass

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate, mc_mean
 from .rdcore import InterpolationSpec, rd_lower_average, rd_upper, risk_lower_from_mi
-from .specfun import Nats, digamma, log_gamma
+from .specfun import Nats, digamma, expit, log_gamma
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import special as _special
-from scipy.spatial import cKDTree
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate
+from .specfun import digamma
 
 JITTER = 1e-12
 
@@ -37,6 +36,9 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _log_eps(x: np.ndarray, k: int) -> np.ndarray:
+    # Imported here so that only the k-NN estimator loads scipy.
+    from scipy.spatial import cKDTree
+
     n, d = x.shape
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -61,10 +63,7 @@ def knn_entropy(samples, k: int = 4) -> float:
     ``samples`` is (N, d) or (N,); ``k`` defaults to 4, a common
     bias/variance compromise.
     """
-    x = _as_matrix(samples)
-    n, d = x.shape
-    log_eps = _log_eps(x, k)
-    return float(_special.psi(n) - _special.psi(k) + d * log_eps.mean())
+    return knn_entropy_detail(samples, k).mean
 
 
 def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
@@ -77,7 +76,7 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
     x = _as_matrix(samples)
     n, d = x.shape
     log_eps = _log_eps(x, k)
-    value = float(_special.psi(n) - _special.psi(k) + d * log_eps.mean())
+    value = digamma(n) - digamma(k) + float(d * log_eps.mean())
     stderr = float(d * log_eps.std(ddof=1) / np.sqrt(n))
     return MonteCarloEstimate(mean=value, stderr=stderr, trials=n, seed=0)
 

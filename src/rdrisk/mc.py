@@ -94,6 +94,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
         if values.shape != (size,):
             raise DomainError(
                 f"sampler returned shape {values.shape}, expected ({size},)")
+        if not np.isfinite(values).all():
+            raise DomainError(f"sampler returned non-finite values in chunk {idx}")
         mean = float(values.mean())
         m2 = float(((values - mean) ** 2).sum())
         return size, mean, m2

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .categorical import DirichletPrior
 from .errors import DomainError
@@ -24,7 +23,7 @@ from .mc import MonteCarloEstimate, mc_mean
 from .rdcore import (FisherSummary, InterpolationSpec, mi_clarke_barron,
                      rd_lower_pointwise, rd_upper, risk_lower_from_mi)
 from .sim_common import sample_dirichlet, sample_multinomial
-from .specfun import LossOrder, Nats, digamma, log_beta_multivariate
+from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,35 @@ Every entropy/information value in this package is in nats; ``Nats`` is a
 documentation alias for ``float``.  The loss order ``p`` is a float ``>= 1``
 and may be ``math.inf``, which selects the exact limiting form of each
 formula rather than a large-float approximation.
+
+Everything here is the standard library plus numpy, so importing the
+package loads no scipy module:
+
+* ``log_gamma`` is ``ln(math.gamma(x))`` below 10 and ``math.lgamma``
+  above; ``log_beta_multivariate`` adds those values with ``math.fsum``.
+* ``digamma`` is ``H_{n-1} - gamma`` at the integers n <= 10.  Elsewhere
+  the recurrence psi(x) = psi(x + 1) - 1/x (Abramowitz & Stegun 6.3.5)
+  shifts x to at least 10, where the asymptotic series (A&S 6.3.18,
+  Bernoulli terms to B_16) is used; the shift terms and the series are added with one
+  ``math.fsum``.
+* ``expit`` is the logistic ``1/(1 + exp(-x))``, elementwise, with the
+  overflow of ``exp`` at large ``-x`` ignored, so it returns exactly 0 and
+  1 in the limits.
+
+Measured against 40-digit mpmath on the grid of ``tests/test_specfun.py``
+(0.05 <= x <= 1e9), ``log_gamma`` and ``digamma`` are within 3 units of
+``ulp(max(|f|, 1))``.  ``log_beta_multivariate`` is a difference of ln Gamma
+values, so its error is counted in ulps of its largest term (or of
+``max(|f|, 1)`` if that is larger): within 7.5 on the same grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import DomainError
 
@@ -25,6 +45,20 @@ EULER_GAMMA = 0.5772156649015329
 # it; both branches are within an ulp of H_n there, and the series' first
 # omitted term, 1/(252 n^6), is below 1e-32.
 _HARMONIC_EXACT_MAX = 100_000
+
+# log_gamma uses ln(math.gamma(x)) for x below this (and above the smallest
+# normal float, where gamma stays finite): CPython's lgamma is up to ~5 ulp
+# off in (0, 3), gamma about 1 ulp.
+_LOG_GAMMA_DIRECT_MAX = 10.0
+
+# digamma shifts x to at least this before the asymptotic series.  At 10
+# the first omitted term, B_18/(18 x^18), is 3e-18, far below an ulp of
+# psi(10) = 2.25.
+_DIGAMMA_SHIFT = 10.0
+
+# B_{2k}/(2k), k = 1..8, for psi(x) ~ ln x - 1/(2x) - sum_k B_{2k}/(2k x^{2k}).
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
+                   -3617 / 8160)
 
 
 def validate_loss_order(p: LossOrder) -> float:
@@ -39,24 +73,45 @@ def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(_special.gammaln(x))
+    x = float(x)
+    if sys.float_info.min <= x < _LOG_GAMMA_DIRECT_MAX:
+        return math.log(math.gamma(x))
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    return float(_special.psi(x))
+    x = float(x)
+    if x <= _DIGAMMA_SHIFT and x.is_integer():
+        return math.fsum(1.0 / i for i in range(1, int(x))) - EULER_GAMMA
+    terms = []
+    while x < _DIGAMMA_SHIFT:
+        terms.append(-1.0 / x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = c + z * series
+    terms += (math.log(x), -0.5 / x, -z * series)
+    return math.fsum(terms)
+
+
+def expit(x):
+    """Logistic 1/(1 + exp(-x)), elementwise; exactly 0 and 1 in the limits."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def log_beta_multivariate(gamma: Iterable[float]) -> float:
     """ln B(gamma) = sum_i ln Gamma(gamma_i) - ln Gamma(sum_i gamma_i)."""
-    g = np.asarray(list(gamma), dtype=float)
-    if g.size < 2:
+    g = [float(v) for v in gamma]
+    if len(g) < 2:
         raise DomainError("log_beta_multivariate needs at least 2 components")
-    if not np.all(g > 0.0):
-        raise DomainError("log_beta_multivariate requires positive components")
-    return float(_special.gammaln(g).sum() - _special.gammaln(g.sum()))
+    if not all(0.0 < v < math.inf for v in g):
+        raise DomainError("log_beta_multivariate requires positive finite components")
+    return math.fsum(log_gamma(v) for v in g) - log_gamma(math.fsum(g))
 
 
 def harmonic(n: int) -> float:

@@ -27,6 +27,12 @@ def test_prior_validation_and_cache():
     assert fam.spec.num_classes == 3
 
 
+@pytest.mark.parametrize("gamma", [(1.0, math.inf), (math.nan, 1.0), (2.0, 1.0, -math.inf)])
+def test_prior_rejects_non_finite(gamma):
+    with pytest.raises(DomainError, match="finite"):
+        DirichletPrior(gamma)
+
+
 def test_posterior_entropy_values():
     assert posterior_entropy(UNIFORM2) == pytest.approx(0.0, abs=1e-14)
     assert posterior_entropy(DirichletPrior((1.0, 1.0, 1.0))) == pytest.approx(

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdrisk
 from rdrisk.cli import _parse_n_grid, _parse_p, main
 from rdrisk.mc import rng_stream
 
@@ -98,6 +104,22 @@ def test_bounds_missing_family_param(capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--family", "categorical", "--n-grid", "10"),
+    ("simulate", "--family", "categorical", "--n-grid", "10", "--trials", "1000"),
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--n-grid", "10"),
+    ("mi", "--family", "categorical", "--n", "10"),
+])
+@pytest.mark.parametrize("gamma", ["1,inf", "nan,1"])
+def test_rejects_non_finite_gamma(capsys, argv, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--gamma", gamma)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1 and "finite" in err
+
+
 def test_bounds_usage_error_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "bounds", "--family", "categorical",
                            "--gamma", "1,1", "--n-grid", "100", "--bogus")
@@ -155,7 +177,8 @@ MC_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(MC_COMMANDS))
 @pytest.mark.parametrize("option,value", [
     ("trials", "10"), ("trials", "nan"), ("trials", "inf"), ("trials", "2500.5"),
-    ("chunks", "0"), ("chunks", "-3"), ("threads", "0"), ("seed", "-1")])
+    ("chunks", "0"), ("chunks", "-3"), ("chunks", "2000000"), ("threads", "0"),
+    ("seed", "-1")])
 def test_rejects_bad_mc_options(capsys, command, option, value):
     code, out, err = run_cli(capsys, *MC_COMMANDS[command], f"--{option}", value)
     assert code == 1
@@ -274,3 +297,12 @@ def test_csv_float_full_precision(capsys):
     from rdrisk.categorical import DirichletPrior, bayes_risk_lower
 
     assert float(text) == bayes_risk_lower(100, DirichletPrior((1.0, 1.0)), 1.0)
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, rdrisk.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "[]"

@@ -70,6 +70,18 @@ def test_mc_mean_rejects_tiny_trials():
         mc_mean(lambda rng, m: np.zeros(m), trials=1, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mc_mean_rejects_non_finite_chunk(bad):
+    def sampler(rng, m):
+        values = rng.uniform(size=m)
+        if m == 250:  # chunk sizes are 251, 251, 251, 250
+            values[7] = bad
+        return values
+
+    with pytest.raises(DomainError, match="non-finite values in chunk 3"):
+        mc_mean(sampler, trials=1003, seed=0, chunks=4)
+
+
 def test_estimate_invariants():
     with pytest.raises(DomainError):
         MonteCarloEstimate(mean=0.0, stderr=-1.0, trials=10, seed=0)

@@ -1,11 +1,25 @@
 import math
+import warnings
 
+import mpmath
+import numpy as np
 import pytest
 
 from rdrisk.errors import DomainError
 from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, cp_constant, digamma,
-                            harmonic, log_beta_multivariate, log_gamma,
+                            expit, harmonic, log_beta_multivariate, log_gamma,
                             validate_loss_order)
+
+# Accuracy grid: (0.05, 3), (3, 50), 50 to 1e9 and the half-integers to 60.
+ACCURACY_GRID = [float(x) for x in np.concatenate([
+    np.linspace(0.05, 3.0, 120), np.linspace(3.0, 50.0, 95),
+    np.geomspace(50.0, 1e9, 80), np.arange(0.5, 60.0, 1.0)])]
+MAX_ULPS = 8.0
+
+
+def _ulps(value, exact, scale):
+    """|value - exact| in units of ulp(max(scale, 1))."""
+    return abs(value - float(exact)) / math.ulp(max(abs(float(scale)), 1.0))
 
 
 def test_log_gamma_known_values():
@@ -17,6 +31,12 @@ def test_log_gamma_known_values():
 @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 3.7, 100.0, 1e6])
 def test_log_gamma_recurrence(x):
     assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_log_gamma_subnormal(x):
+    # gamma(x) overflows below the smallest normal float; lgamma does not.
+    assert log_gamma(x) == math.lgamma(x)
 
 
 def test_log_gamma_domain():
@@ -114,3 +134,52 @@ def test_validate_loss_order():
     assert math.isinf(validate_loss_order(math.inf))
     with pytest.raises(DomainError):
         validate_loss_order(0.99)
+
+
+@pytest.mark.parametrize("name,fn,exact", [
+    ("digamma", digamma, mpmath.digamma),
+    ("log_gamma", log_gamma, mpmath.loggamma),
+])
+def test_accuracy_against_mpmath(name, fn, exact):
+    with mpmath.workdps(40):
+        worst = max((_ulps(fn(x), exact(x), exact(x)), x) for x in ACCURACY_GRID)
+    assert worst[0] <= MAX_ULPS, f"{name} off by {worst[0]} ulp at x={worst[1]}"
+
+
+@pytest.mark.parametrize("shape", [
+    lambda x: (x, x), lambda x: (x, 1.0), lambda x: (x, 0.5, 2.0), lambda x: (x, x, x)],
+    ids=["x,x", "x,1", "x,0.5,2", "x,x,x"])
+def test_log_beta_multivariate_accuracy_against_mpmath(shape):
+    # A difference of ln Gamma values: the unit is the ulp of its largest
+    # term (or of max(|f|, 1)), since the terms' own rounding sets the floor.
+    def error(x):
+        gamma = shape(x)
+        terms = [mpmath.loggamma(g) for g in gamma]
+        total = mpmath.loggamma(mpmath.fsum(gamma))
+        exact = mpmath.fsum(terms) - total
+        scale = max(abs(t) for t in terms + [total, exact])
+        return _ulps(log_beta_multivariate(gamma), exact, scale)
+
+    with mpmath.workdps(40):
+        worst = max((error(x), x) for x in ACCURACY_GRID)
+    assert worst[0] <= MAX_ULPS, f"off by {worst[0]} ulp at x={worst[1]}"
+
+
+def test_expit_limits_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(-1000.0) == 0.0
+        assert expit(1000.0) == 1.0
+        assert expit(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]
+
+
+def test_expit_matches_scipy():
+    from scipy.special import expit as scipy_expit
+
+    # Unit: ulp(max(|f|, 1)) = ulp(1), as for the functions above.  numpy's
+    # vectorised exp and the C library's exp round apart on a few percent
+    # of arguments, which moves expit by up to 2 ulp of a value below 1.
+    x = np.random.default_rng(20260).normal(scale=15.0, size=100_000)
+    ours, ref = expit(x), scipy_expit(x)
+    assert np.max(np.abs(ours - ref)) <= math.ulp(1.0)
+    assert float(expit(0.75)) == pytest.approx(float(scipy_expit(0.75)), abs=math.ulp(1.0))
