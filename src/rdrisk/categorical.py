@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .mc import MonteCarloEstimate, mc_mean
+from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import inner_loss, outer_risk, outer_stderr, sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, digamma, log_beta_multivariate, validate_loss_order
@@ -50,11 +50,6 @@ class CategoricalFamily:
         spec = InterpolationSpec(d_star=1, d_interp=1,
                                  num_classes=self.prior.num_classes, coverage=1.0)
         object.__setattr__(self, "spec", spec)
-
-
-def _spec(prior: DirichletPrior) -> InterpolationSpec:
-    return InterpolationSpec(d_star=1, d_interp=1,
-                             num_classes=prior.num_classes, coverage=1.0)
 
 
 def posterior_entropy(prior: DirichletPrior) -> Nats:
@@ -99,7 +94,7 @@ def bayes_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     """
     mi = mutual_information(n, prior)
     h = posterior_entropy(prior)
-    return risk_lower_from_mi(mi, h, _spec(prior), p, coverage=1.0)
+    return risk_lower_from_mi(mi, h, CategoricalFamily(prior).spec, p, coverage=1.0)
 
 
 def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
@@ -166,10 +161,7 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     sim_common.inner_loss.  The outer 1/p exponent and a delta-method
     stderr are applied to the Monte-Carlo mean.
     """
-    if trials < 100:
-        raise DomainError(f"trials must be >= 100, got {trials}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_simulation(n, trials)
     p = validate_loss_order(p)
     gamma = np.asarray(prior.gamma)
     g0 = prior.gamma0

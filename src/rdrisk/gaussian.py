@@ -17,9 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .mc import MonteCarloEstimate, mc_mean
-from .rdcore import InterpolationSpec, rd_lower_average, rd_upper, risk_lower_from_mi
+from .mc import MonteCarloEstimate, check_simulation, mc_mean
+from .rdcore import InterpolationSpec, RdBounds, rd_lower_average, rd_upper, risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma
+
+
+def _check_params(d: int, sigma2: float) -> None:
+    if d < 1:
+        raise DomainError(f"feature dimension must be >= 1, got {d}")
+    if not 0.0 < sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +36,7 @@ class GaussianFamily:
     spec: InterpolationSpec = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"feature dimension must be >= 1, got {self.d}")
-        if not self.sigma2 > 0.0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        _check_params(self.d, self.sigma2)
         spec = InterpolationSpec(d_star=self.d, d_interp=self.d,
                                  num_classes=2, coverage=1.0)
         object.__setattr__(self, "spec", spec)
@@ -64,8 +68,7 @@ def entropy_lower_nu(d: int, sigma2: float) -> EntropyLowerBound:
     and nu = total / d.  Valid but loose: the gap to the true entropy can
     exceed 2 ln 2 per coordinate.
     """
-    if d < 1 or not sigma2 > 0.0:
-        raise DomainError("need d >= 1 and sigma2 > 0")
+    _check_params(d, sigma2)
     q = 1.0 / (d * sigma2) + 1.0
     gamma_ratio = math.exp(log_gamma((d + 1) / 2.0) - log_gamma(d / 2.0))
     nu = 0.5 * digamma(d / 2.0) \
@@ -79,6 +82,7 @@ def mutual_information_exact(n: int, d: int, sigma2: float) -> Nats:
     """Exact I(Z^n; theta) = (d/2) ln(1 + n / (d sigma2)); 0 at n = 0."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    _check_params(d, sigma2)
     return (d / 2.0) * math.log1p(n / (d * sigma2))
 
 
@@ -86,17 +90,13 @@ def mutual_information_cb(n: int, d: int, sigma2: float) -> Nats:
     """Asymptotic I(Z^n; theta) = (d/2) ln(n / (d sigma2))."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_params(d, sigma2)
     return (d / 2.0) * math.log(n / (d * sigma2))
-
-
-class RdBounds(NamedTuple):
-    lower: float
-    upper: float
 
 
 def rd_bounds_l1(distortion: float, d: int, sigma2: float) -> RdBounds:
     """L1 rate-distortion bracket: [total - d ln(2 e D)]^+ and -d ln(min{D,1})."""
-    spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2, coverage=1.0)
+    spec = GaussianFamily(d, sigma2).spec
     total = entropy_lower_nu(d, sigma2).total
     return RdBounds(lower=rd_lower_average(total, spec, 1.0, distortion),
                     upper=rd_upper(spec, distortion))
@@ -121,7 +121,7 @@ def bayes_risk_lower_l1(n: int, d: int, sigma2: float) -> L1RiskBound:
         raise DomainError(f"n must be >= 0, got {n}")
     nu = entropy_lower_nu(d, sigma2).per_coord
     printed = math.sqrt(sigma2 * d / (sigma2 * d + n)) * math.exp(nu - 1.0)
-    spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2, coverage=1.0)
+    spec = GaussianFamily(d, sigma2).spec
     pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2),
                                   d * nu, spec, 1.0, coverage=1.0)
     return L1RiskBound(printed=printed, pipeline=pipeline)
@@ -133,8 +133,7 @@ def interpolation_scale(d: int, sigma2: float) -> float:
     The marginal of X is N(0, (1/d + sigma2) I); interpolation sets used in
     entropy cross-checks are orthogonal bases scaled to this mean norm.
     """
-    if d < 1 or not sigma2 > 0.0:
-        raise DomainError("need d >= 1 and sigma2 > 0")
+    _check_params(d, sigma2)
     mean_chi = math.sqrt(2.0) * math.exp(log_gamma((d + 1) / 2.0) - log_gamma(d / 2.0))
     return math.sqrt(1.0 / d + sigma2) * mean_chi
 
@@ -170,12 +169,9 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     over fresh test draws X from the true marginal (uniform label, then
     the class conditional).
     """
-    if trials < 100:
-        raise DomainError(f"trials must be >= 100, got {trials}")
+    check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
     sigma = math.sqrt(sigma2)
 
     def sampler(rng, count):

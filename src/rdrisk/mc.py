@@ -45,6 +45,14 @@ class MonteCarloEstimate:
             raise DomainError("an estimate needs at least 2 trials")
 
 
+def check_simulation(n: int, trials: int, min_trials: int = 100) -> None:
+    """Reject a simulator's sample count n < 0 or trials below its floor."""
+    if trials < min_trials:
+        raise DomainError(f"trials must be >= {min_trials}, got {trials}")
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+
+
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent generator for (seed, stream_id).
 

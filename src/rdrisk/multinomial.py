@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .categorical import DirichletPrior
 from .errors import DomainError
-from .mc import MonteCarloEstimate, mc_mean
-from .rdcore import (FisherSummary, InterpolationSpec, mi_clarke_barron,
+from .mc import MonteCarloEstimate, check_simulation, mc_mean
+from .rdcore import (FisherSummary, InterpolationSpec, RdBounds, mi_clarke_barron,
                      rd_lower_pointwise, rd_upper, risk_lower_from_mi)
 from .sim_common import sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
@@ -138,11 +137,6 @@ def mutual_information(n: int, family: MultinomialFamily) -> Nats:
     return mi_clarke_barron(n, fisher_summary(family))
 
 
-class RdBounds(NamedTuple):
-    lower: float
-    upper: float
-
-
 def rd_bounds(distortion: float, p: LossOrder, family: MultinomialFamily) -> RdBounds:
     """Worst-case rate-distortion bracket at distortion D.
 
@@ -201,10 +195,7 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     Max over the interpolation set under-covers the sup over all test
     points, so this is one-sided ordering evidence only.
     """
-    if trials < 100:
-        raise DomainError(f"trials must be >= 100, got {trials}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_simulation(n, trials)
     gamma = np.asarray(family.prior.gamma)
     g0 = family.prior.gamma0
     d, k = family.d, family.k

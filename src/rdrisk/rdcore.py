@@ -15,7 +15,7 @@ all family modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -72,11 +72,11 @@ class FisherSummary:
                 raise DomainError(f"{name} must be finite")
 
 
-class BoundValue(NamedTuple):
-    """A tagged bound for reporting (kind: rd_lower | rd_upper | risk_lower | mi)."""
+class RdBounds(NamedTuple):
+    """A rate-distortion bracket at one distortion, in nats."""
 
-    value: float
-    kind: str
+    lower: float
+    upper: float
 
 
 def _check_distortion(distortion: float) -> float:
@@ -89,12 +89,10 @@ def rd_lower_pointwise(h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
                        distortion: float) -> Nats:
     """Worst-case-over-test-points rate-distortion lower bound.
 
-    [h_ws - d_star (M-1) (ln D + C_p)]^+ with D = ``distortion``.
+    [h_ws - d_star (M-1) (ln D + C_p)]^+ with D = ``distortion``: the
+    average bound at coverage 1.
     """
-    d = _check_distortion(distortion)
-    m = spec.num_classes
-    bracket = h_ws - spec.d_star * (m - 1) * (math.log(d) + cp_constant(p, m))
-    return max(bracket, 0.0)
+    return rd_lower_average(h_ws, replace(spec, coverage=1.0), p, distortion)
 
 
 def rd_upper(spec: InterpolationSpec, distortion: float) -> Nats:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ContradictionError, DomainError
-from .mc import MonteCarloEstimate, mc_mean
+from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, log_gamma, validate_loss_order
 
 
@@ -83,10 +83,7 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     intervals have probability zero; if floating point ever produces one,
     those trials are redrawn with a warning.
     """
-    if trials < 1000:
-        raise DomainError(f"trials must be >= 1000, got {trials}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
         widths = _interval_widths(rng, n, count)
@@ -102,12 +99,7 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
 
-def rd_lower(distortion: float, p: LossOrder) -> Nats:
-    """Published rate-distortion lower bound for the threshold posterior.
-
-    [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+.  See
-    rd_lower_rederived for the variant carrying the extra (1/p) ln 2.
-    """
+def _rd_lower(distortion: float, p: LossOrder, rederived: bool) -> Nats:
     p = validate_loss_order(p)
     if math.isinf(p):
         raise DomainError("the closed form is stated for finite p only")
@@ -115,7 +107,18 @@ def rd_lower(distortion: float, p: LossOrder) -> Nats:
         raise DomainError(f"distortion must be positive, got {distortion}")
     value = -math.log(2.0) - log_gamma(1.0 + 1.0 / p) \
         - math.log(p * math.e) / p - math.log(distortion)
+    if rederived:
+        value += math.log(2.0) / p
     return max(value, 0.0)
+
+
+def rd_lower(distortion: float, p: LossOrder) -> Nats:
+    """Published rate-distortion lower bound for the threshold posterior.
+
+    [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+.  See
+    rd_lower_rederived for the variant carrying the extra (1/p) ln 2.
+    """
+    return _rd_lower(distortion, p, rederived=False)
 
 
 def rd_lower_rederived(distortion: float, p: LossOrder) -> Nats:
@@ -125,14 +128,7 @@ def rd_lower_rederived(distortion: float, p: LossOrder) -> Nats:
     positive part; the published one is primary for reproducing the
     sample-complexity chain.
     """
-    p = validate_loss_order(p)
-    if math.isinf(p):
-        raise DomainError("the closed form is stated for finite p only")
-    if not distortion > 0.0:
-        raise DomainError(f"distortion must be positive, got {distortion}")
-    value = -math.log(2.0) - log_gamma(1.0 + 1.0 / p) \
-        - math.log(p * math.e) / p - math.log(distortion) + math.log(2.0) / p
-    return max(value, 0.0)
+    return _rd_lower(distortion, p, rederived=True)
 
 
 def risk_lower_l1(n: int) -> float:
@@ -194,10 +190,7 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
     result converges to estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
-    if trials < 1000:
-        raise DomainError(f"trials must be >= 1000, got {trials}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
         widths = _interval_widths(rng, n, count)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk.cli import _parse_n_grid, _parse_p, main
+from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
 from rdrisk.mc import rng_stream
 
 
@@ -306,3 +309,140 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env)
     assert done.stdout.strip() == "[]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                 st.text(alphabet="0123456789.-+eEinfaINFoO ", max_size=8)))
+def test_parse_p_property(text):
+    try:
+        p = _parse_p(text)
+    except UsageError:
+        return
+    assert p >= 1.0  # never nan, never below 1
+    if math.isfinite(p):
+        assert p == float(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 200))
+def test_parse_n_grid_log_property(start, span, count):
+    stop = start + span
+    grid = _parse_n_grid(f"{start}:{stop}:{count}log")
+    assert grid[0] == start and grid[-1] == (stop if count > 1 else start)
+    assert 1 <= len(grid) <= count
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 10**9), min_size=1, max_size=20))
+def test_parse_n_grid_list_property(values):
+    text = ",".join(str(v) for v in values)
+    if all(v >= 1 for v in values) and all(b > a for a, b in zip(values, values[1:])):
+        assert _parse_n_grid(text) == values
+    else:
+        with pytest.raises(UsageError):
+            _parse_n_grid(text)
+
+
+def test_grid_count_is_capped(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--family", "zero-error",
+                             "--n-grid", f"1:100:{MAX_GRID_COUNT + 1}log")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1
+    assert len(_parse_n_grid(f"1:100000:{MAX_GRID_COUNT}log")) > 1
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "mi"])
+@pytest.mark.parametrize("d,sigma2", [("0", "1"), ("2", "0"), ("2", "-1"), ("2", "inf"),
+                                      ("2", "nan")])
+def test_gaussian_parameters_exit_cleanly(capsys, command, d, sigma2):
+    argv = [command, "--family", "gaussian", "--d", d, "--sigma2", sigma2, "--n", "10"]
+    if command == "simulate":
+        argv += ["--trials", "200", "--test-points", "100"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_compare_rejects_bad_inflate_bound(capsys, value):
+    code, out, err = run_cli(capsys, "compare", "--family", "zero-error", "--n-grid", "2",
+                             "--trials", "2000", "--inflate-bound", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and "inflate-bound" in err
+
+
+FAMILY_ARGS = {
+    "categorical": ("--gamma", "1,2"),
+    "multinomial": ("--d", "3", "--k", "2", "--gamma", "1,1,1"),
+    "gaussian": ("--d", "2", "--sigma2", "1"),
+    "zero-error": (),
+}
+SIMULATE_ARGS = {
+    "categorical": ("--trials", "1000", "--chunks", "4"),
+    "multinomial": ("--trials", "1000", "--chunks", "4"),
+    "gaussian": ("--trials", "200", "--chunks", "4", "--test-points", "100"),
+    "zero-error": ("--trials", "1000", "--chunks", "4"),
+}
+HEADER_KEYS = {
+    "categorical": ["gamma", "mi_method", "bound_variants"],
+    "multinomial": ["gamma", "d", "k", "mi_method", "bound_variants", "entropy_lower",
+                    "entropy_lower_printed"],
+    "gaussian": ["d", "sigma2", "test_points", "mi_method", "bound_variants"],
+    "zero-error": ["mi_method", "simulated_units", "reference_upper"],
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+def test_header_key_order(capsys, family, command):
+    argv = [command, "--family", family, *FAMILY_ARGS[family], "--n-grid", "1,5"]
+    if command == "simulate":
+        argv += SIMULATE_ARGS[family]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    keys = [line[2:].partition("=")[0] for line in out.splitlines() if line.startswith("# ")]
+    common = ["tool", "version", "command", "family", "p", "n_grid", "seed", "trials",
+              "chunks"]
+    if command == "simulate":
+        common.append("sampler_version")
+    assert keys == common + HEADER_KEYS[family]
+
+
+# Attributes of each family module that the per-layer trace (bench/layers.py)
+# wraps: the bound function called once per curve row, and the simulator.
+ROW_FUNCTIONS = {"categorical": "bayes_risk_lower", "multinomial": "xbayes_risk_lower",
+                 "gaussian": "bayes_risk_lower_l1", "zero-error": "risk_lower_l1"}
+SIMULATORS = {"categorical": "simulate_bayes_risk",
+              "multinomial": "simulate_interpolation_risk",
+              "gaussian": "simulate_bayes_risk", "zero-error": "simulate_estimator_risk"}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+def test_module_functions_called_once_per_row(capsys, monkeypatch, family, command):
+    module = importlib.import_module("rdrisk." + family.replace("-", "_"))
+    calls = {}
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(ROW_FUNCTIONS[family])
+    counting(SIMULATORS[family])
+    argv = [command, "--family", family, *FAMILY_ARGS[family], "--n-grid", "1,5,20"]
+    if command == "simulate":
+        argv += SIMULATE_ARGS[family]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = 3
+    assert calls.get(ROW_FUNCTIONS[family]) == rows
+    assert calls.get(SIMULATORS[family], 0) == (0 if command == "bounds" else rows)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
-from rdrisk.rdcore import (BoundValue, FisherSummary, InterpolationSpec,
+from rdrisk.rdcore import (FisherSummary, InterpolationSpec,
                            generalized_gaussian_entropy, generalized_gaussian_sample,
                            mi_clarke_barron, posterior_entropy_change_of_var,
                            posterior_entropy_upper, ratio_coordinates,
@@ -17,11 +17,6 @@ from rdrisk.rdcore import (BoundValue, FisherSummary, InterpolationSpec,
 from rdrisk.specfun import cp_constant
 
 SPEC_1_2 = InterpolationSpec(d_star=1, d_interp=1, num_classes=2)
-
-
-def test_bound_value_tagging():
-    tagged = BoundValue(value=1.25, kind="rd_lower")
-    assert tagged.value == 1.25 and tagged.kind == "rd_lower"
 
 
 def test_spec_validation():
