@@ -163,26 +163,53 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     and x_i ~ N(s_i theta, sigma2 I).  The rule sees the training set only
     through the sufficient statistic sum_i s_i x_i = n theta + sum_i s_i
     eps_i, and s_i eps_i are i.i.d. N(0, sigma2 I) whatever the signs, so it
-    is drawn exactly as n theta + sigma sqrt(n) Z with Z ~ N(0, I) in O(d)
-    per trial.  The posterior mean is theta_hat = (sum / sigma2) /
-    (d + n / sigma2); the loss averages 2 |W(X; theta) - W(X; theta_hat)|
-    over fresh test draws X from the true marginal (uniform label, then
-    the class conditional).
+    equals n theta + sigma sqrt(n) Z with Z ~ N(0, I).  The posterior mean
+    is theta_hat = c (n theta + sigma sqrt(n) Z) with c = 1 / (sigma2 d + n).
+    The loss averages 2 |W(X; theta) - W(X; theta_hat)| over fresh test
+    draws X from the true marginal (uniform label, then the class
+    conditional).
+
+    Everything above is rotation invariant, so a trial is drawn in O(1) in
+    n and d.  Put theta on the first axis: |theta|^2 = r = chi2_d / d, and Z
+    splits into a ~ N(0, 1) along theta and a rest of squared norm
+    b ~ chi2_{d-1} (b = 0 at d = 1).  Then theta_hat has the component
+    h_par = c (n sqrt(r) + sigma sqrt(n) a) along theta and h_perp =
+    c sigma sqrt(n b) across it, so theta.theta_hat = sqrt(r) h_par.  A
+    test label of sign -1 maps (x.theta, x.theta_hat) to its negative and
+    leaves |W - W_hat| unchanged, so every test point takes sign +1 and
+    two normals g1, g2:
+        u = x.theta     = r + sigma sqrt(r) g1,
+        v = x.theta_hat = sqrt(r) h_par + sigma (h_par g1 + h_perp g2),
+    with W = expit(2 u / sigma2) and W_hat = expit(2 v / sigma2).  (h_par
+    and h_perp are |theta_hat| cos phi and |theta_hat| sin phi for the angle
+    phi between theta and theta_hat; at n = 0 both are 0 and W_hat = 1/2.)
     """
     check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")
     sigma = math.sqrt(sigma2)
+    c = 1.0 / (sigma2 * d + n)
 
     def sampler(rng, count):
-        theta = rng.normal(0.0, math.sqrt(1.0 / d), size=(count, d))
-        t_sum = n * theta + sigma * math.sqrt(n) * rng.normal(size=(count, d))
-        theta_hat = (t_sum / sigma2) / (d + n / sigma2)
-        st = (3 - 2 * rng.integers(1, 3, size=(count, test_points))).astype(float)
-        xt = st[:, :, None] * theta[:, None, :] \
-            + sigma * rng.normal(size=(count, test_points, d))
-        w_true = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta) / sigma2)
-        w_hat = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta_hat) / sigma2)
-        return (2.0 * np.abs(w_true - w_hat)).mean(axis=1)
+        r = rng.chisquare(d, size=count) / d
+        a = rng.normal(size=count)
+        b = rng.chisquare(d - 1, size=count) if d > 1 else np.zeros(count)
+        root_r = np.sqrt(r)
+        h_par = c * (n * root_r + sigma * math.sqrt(n) * a)
+        h_perp = c * sigma * np.sqrt(n * b)
+        g1 = rng.normal(size=(count, test_points))
+        g2 = rng.normal(size=(count, test_points))
+        # 2 |W - W_hat| = |tanh(u / sigma2) - tanh(v / sigma2)|; v / sigma2 is
+        # built in g2's buffer, then u / sigma2 in g1's.
+        v = g2
+        v *= (sigma * h_perp / sigma2)[:, None]
+        v += (sigma * h_par / sigma2)[:, None] * g1
+        v += (root_r * h_par / sigma2)[:, None]
+        u = g1
+        u *= (sigma * root_r / sigma2)[:, None]
+        u += (r / sigma2)[:, None]
+        np.tanh(u, out=u)
+        u -= np.tanh(v, out=v)
+        return np.abs(u, out=u).mean(axis=1)
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)

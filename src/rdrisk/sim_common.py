@@ -31,29 +31,20 @@ def sample_dirichlet(gamma, rng: np.random.Generator, size: int | None = None) -
 
 
 def sample_multinomial(n, theta, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts by sequential binomial decomposition.
+    """Multinomial counts, one row per probability row.
 
     ``n`` may be a scalar or a per-row array; ``theta`` is (M,) or (rows, M).
-    Counts sum to ``n`` exactly.
+    Row r is Multinomial(n_r, theta_r): E c_i = n theta_i, Var c_i =
+    n theta_i (1 - theta_i), Cov(c_i, c_j) = -n theta_i theta_j, and the
+    counts sum to ``n`` exactly.  The draws are numpy's own
+    ``Generator.multinomial``, which runs outside the interpreter lock.
     """
     th = np.atleast_2d(np.asarray(theta, dtype=float))
-    rows, m = th.shape
-    n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), (rows,)).copy()
+    n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), th.shape[:1])
     if np.any(n_arr < 0):
         raise DomainError("trial counts must be nonnegative")
-    counts = np.zeros((rows, m), dtype=np.int64)
-    remaining = n_arr
-    rem_prob = np.ones(rows)
-    for j in range(m - 1):
-        pj = np.where(rem_prob > 0.0, th[:, j] / np.maximum(rem_prob, 1e-300), 1.0)
-        pj = np.clip(pj, 0.0, 1.0)
-        c = rng.binomial(remaining, pj)
-        counts[:, j] = c
-        remaining = remaining - c
-        rem_prob = rem_prob - th[:, j]
-    counts[:, m - 1] = remaining
-    out = counts if np.ndim(theta) == 2 else counts[0]
-    return out
+    counts = rng.multinomial(n_arr, th)
+    return counts if np.ndim(theta) == 2 else counts[0]
 
 
 def inner_loss(p: LossOrder, w_true, w_hat) -> np.ndarray | float:

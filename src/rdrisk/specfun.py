@@ -139,11 +139,12 @@ def cp_constant(p: LossOrder, m: int) -> Nats:
     """Per-coordinate distortion penalty C_p for an M-class problem.
 
     C_p = ln(2 Gamma(1 + 1/p)) + (1/p) ln(p e / (M - 1)) for finite p;
-    the p -> inf limit is ln 2.
+    the p -> inf limit is ln 2.  The last term is summed as
+    (ln p + 1 - ln(M - 1)) / p, because p e overflows for p above ~6.6e307.
     """
     p = validate_loss_order(p)
     if m < 2:
         raise DomainError(f"class count must be >= 2, got {m}")
     if math.isinf(p):
         return math.log(2.0)
-    return log_gamma(1.0 + 1.0 / p) + math.log(2.0) + (math.log(p * math.e / (m - 1))) / p
+    return log_gamma(1.0 + 1.0 / p) + math.log(2.0) + (math.log(p) + 1.0 - math.log(m - 1)) / p

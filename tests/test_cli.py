@@ -209,6 +209,20 @@ def test_bounds_categorical_p_inf(capsys):
         float(rows[0]["rd_lower_risk"]), rel=1e-14)
 
 
+def test_bounds_categorical_huge_finite_p(capsys):
+    # p e overflows above about 6.6e307; C_p must not, so the bound at
+    # p = 7e307 stays positive, between its neighbours at 1e307 and inf
+    def risk(p):
+        code, out, _ = run_cli(capsys, "bounds", "--family", "categorical",
+                               "--gamma", "1,1", "--n-grid", "10", "--p", p)
+        assert code == 0
+        return float(parse_csv(out)[1][0]["rd_lower_risk"])
+
+    low, huge, limit = risk("1e307"), risk("7e307"), risk("inf")
+    assert huge > 0.0
+    assert min(low, limit) <= huge <= max(low, limit)
+
+
 def test_simulate_multinomial_requires_l1(capsys):
     code, _, err = run_cli(capsys, "simulate", "--family", "multinomial",
                            "--d", "2", "--k", "1", "--gamma", "1,1",
@@ -233,7 +247,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 2
+    assert payload["metadata"]["sampler_version"] == 3
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -254,7 +268,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 2
+    assert payload["sampler_version"] == 3
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import expit
 
 from rdrisk.errors import DomainError
@@ -207,20 +208,69 @@ def reference_bayes_risk(n, d, sigma2, trials, test_points, seed):
         x = s[:, :, None] * theta[:, None, :] + sigma * rng.normal(size=(count, n, d))
         t_sum = (s[:, :, None] * x).sum(axis=1)
         theta_hat = (t_sum / sigma2) / (d + n / sigma2)
-        st = (3 - 2 * rng.integers(1, 3, size=(count, test_points))).astype(float)
-        xt = st[:, :, None] * theta[:, None, :] \
-            + sigma * rng.normal(size=(count, test_points, d))
-        w_true = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta) / sigma2)
-        w_hat = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta_hat) / sigma2)
-        return (2.0 * np.abs(w_true - w_hat)).mean(axis=1)
+        return _test_point_loss(rng, theta, theta_hat, sigma2, test_points)
 
     return mc_mean(sampler, trials, seed)
 
 
-@pytest.mark.parametrize("n,d", [(10, 1), (100, 4)])
+def v2_bayes_risk(n, d, sigma2, trials, test_points, seed):
+    """The version-2 sampler: the statistic drawn as n theta + sigma sqrt(n) Z
+    (O(d) per trial), then every test point drawn in R^d."""
+    sigma = math.sqrt(sigma2)
+
+    def sampler(rng, count):
+        theta = rng.normal(0.0, math.sqrt(1.0 / d), size=(count, d))
+        t_sum = n * theta + sigma * math.sqrt(n) * rng.normal(size=(count, d))
+        theta_hat = (t_sum / sigma2) / (d + n / sigma2)
+        return _test_point_loss(rng, theta, theta_hat, sigma2, test_points)
+
+    return mc_mean(sampler, trials, seed)
+
+
+def _test_point_loss(rng, theta, theta_hat, sigma2, test_points):
+    # 2 |W(X; theta) - W(X; theta_hat)| averaged over labeled test draws in R^d
+    count, d = theta.shape
+    st = (3 - 2 * rng.integers(1, 3, size=(count, test_points))).astype(float)
+    xt = st[:, :, None] * theta[:, None, :] \
+        + math.sqrt(sigma2) * rng.normal(size=(count, test_points, d))
+    w_true = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta) / sigma2)
+    w_hat = expit(2.0 * np.einsum("ctd,cd->ct", xt, theta_hat) / sigma2)
+    return (2.0 * np.abs(w_true - w_hat)).mean(axis=1)
+
+
+@pytest.mark.parametrize("n,d", [(10, 1), (100, 4), (10, 16)])
 def test_simulator_matches_brute_force_reference(n, d):
-    # the sufficient-statistic draw n theta + sigma sqrt(n) Z against the
-    # construction from n labeled points
+    # the reduced (u, v) draw against the construction from n labeled points
+    # and test points in R^d; d = 1 has no component of Z across theta
     est = simulate_bayes_risk(n, d, 1.0, trials=4000, test_points=200, seed=608)
     ref = reference_bayes_risk(n, d, 1.0, trials=4000, test_points=200, seed=609)
     assert abs(est.mean - ref.mean) < 4 * math.hypot(est.stderr, ref.stderr)
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_simulator_matches_v2_reference(n):
+    # at d = 64 the version-2 sampler draws 64 normals per test point
+    est = simulate_bayes_risk(n, 64, 0.5, trials=3000, test_points=200, seed=610)
+    ref = v2_bayes_risk(n, 64, 0.5, trials=3000, test_points=200, seed=611)
+    assert abs(est.mean - ref.mean) < 4 * math.hypot(est.stderr, ref.stderr)
+
+
+@pytest.mark.parametrize("d,s2", [(1, 1.0), (4, 0.5)])
+def test_simulator_n0_matches_quadrature(d, s2):
+    # n = 0 gives theta_hat = 0 and What = 1/2, so the risk is 2 E|W - 1/2|
+    # with W = expit(2 u / sigma2), u = r + sigma sqrt(r) g, r = s^2 / d and
+    # s = sqrt(d) |theta| ~ chi_d; the kink of |W - 1/2| splits the g integral
+    sigma, k = math.sqrt(s2), 2.0 / s2
+
+    def given_s(s):
+        r = s * s / d
+        kink = -math.sqrt(r) / sigma
+        f = lambda g: abs(expit(k * (r + sigma * math.sqrt(r) * g)) - 0.5) \
+            * math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi)
+        return quad(f, -math.inf, kink)[0] + quad(f, kink, math.inf)[0]
+
+    chi_density = lambda s: s ** (d - 1) * math.exp(-0.5 * s * s) \
+        / (2.0 ** (d / 2.0 - 1.0) * math.gamma(d / 2.0))
+    exact = 2.0 * quad(lambda s: given_s(s) * chi_density(s), 0.0, math.inf)[0]
+    est = simulate_bayes_risk(0, d, s2, trials=4000, test_points=200, seed=612)
+    assert abs(est.mean - exact) < 4 * est.stderr

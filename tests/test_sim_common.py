@@ -67,6 +67,26 @@ def test_multinomial_per_row_trials():
     assert np.array_equal(counts.sum(axis=1), n)
 
 
+def test_multinomial_covariance_law():
+    # rows alternate between two (n, theta) laws; within each law
+    # Var(c_i) = n theta_i (1 - theta_i) and Cov(c_i, c_j) = -n theta_i theta_j
+    laws = [(50, np.array([0.2, 0.5, 0.3, 0.0])), (7, np.array([0.05, 0.15, 0.6, 0.2]))]
+    rows = 40_000
+    n = np.tile([laws[0][0], laws[1][0]], rows)
+    theta = np.tile(np.stack([laws[0][1], laws[1][1]]), (rows, 1))
+    counts = sample_multinomial(n, theta, rng_stream(308, 0))
+    assert counts.shape == theta.shape
+    assert np.array_equal(counts.sum(axis=1), n)
+    for k, (trials, th) in enumerate(laws):
+        dev = counts[k::2] - trials * th
+        for i in range(th.size):
+            for j in range(i, th.size):
+                law = trials * th[i] * ((1.0 - th[i]) if i == j else -th[j])
+                prod = dev[:, i] * dev[:, j]
+                stderr = prod.std(ddof=1) / math.sqrt(prod.size)
+                assert abs(prod.mean() - law) <= 4 * stderr
+
+
 def test_inner_loss_values():
     assert inner_loss(1.0, [0.3, 0.7], [0.3, 0.7]) == 0.0
     # both coordinates of a binary vector differ by the same delta
