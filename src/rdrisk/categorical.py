@@ -33,8 +33,12 @@ class DirichletPrior:
         g = tuple(float(v) for v in self.gamma)
         if len(g) < 2 or not all(0.0 < v < math.inf for v in g):
             raise DomainError("gamma must hold >= 2 positive finite components")
+        try:
+            gamma0 = math.fsum(g)
+        except OverflowError:
+            raise DomainError("gamma components must have a finite sum") from None
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "gamma0", math.fsum(g))
+        object.__setattr__(self, "gamma0", gamma0)
 
     @property
     def num_classes(self) -> int:
@@ -80,8 +84,6 @@ def mutual_information(n: int, prior: DirichletPrior) -> Nats:
     (M-1)/2 ln(n / 2 pi e) + (M-1)/2 psi(gamma0) - 1/2 sum_{i<M} psi(gamma_i)
     + h(theta_1 .. theta_{M-1}); the o(1) remainder is dropped.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     return mi_clarke_barron(n, fisher_summary(prior))
 
 
@@ -94,7 +96,7 @@ def bayes_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     """
     mi = mutual_information(n, prior)
     h = posterior_entropy(prior)
-    return risk_lower_from_mi(mi, h, CategoricalFamily(prior).spec, p, coverage=1.0)
+    return risk_lower_from_mi(mi, h, CategoricalFamily(prior).spec, p)
 
 
 def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
@@ -175,4 +177,4 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     est = mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
     return MonteCarloEstimate(mean=outer_risk(p, est.mean),
                               stderr=outer_stderr(p, est.mean, est.stderr),
-                              trials=est.trials, seed=est.seed)
+                              trials=est.trials)

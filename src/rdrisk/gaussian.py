@@ -1,7 +1,6 @@
 """Binary Gaussian classifier with antipodal means: logistic posterior,
 posterior-entropy lower bound nu(d, sigma2), exact and asymptotic mutual
-information, L1 rate-distortion and risk bounds, and a conjugate plug-in
-simulator.
+information, L1 Bayes-risk bounds, and a conjugate plug-in simulator.
 
 Model: theta ~ N(0, I/d); class y in {1, 2} has x | y ~ N(+-theta, sigma2 I)
 with uniform labels (sign s = 3 - 2y).  Any orthogonal basis of R^d is a
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import InterpolationSpec, RdBounds, rd_lower_average, rd_upper, risk_lower_from_mi
+from .rdcore import InterpolationSpec, risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma
 
 
@@ -75,6 +74,9 @@ def entropy_lower_nu(d: int, sigma2: float) -> EntropyLowerBound:
         + 0.5 * math.log(16.0 * math.pi * q / (d * sigma2)) \
         - gamma_ratio * math.sqrt(4.0 * q / (math.pi * d * sigma2)) \
         - 1.5 - 2.0 * math.log(2.0)
+    if not math.isfinite(nu):
+        raise DomainError(f"the entropy bound nu is not finite at d={d}, sigma2={sigma2}; "
+                          "d * sigma2 is too small")
     return EntropyLowerBound(total=d * nu, per_coord=nu)
 
 
@@ -83,7 +85,7 @@ def mutual_information_exact(n: int, d: int, sigma2: float) -> Nats:
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     _check_params(d, sigma2)
-    return (d / 2.0) * math.log1p(n / (d * sigma2))
+    return (d / 2.0) * _log_snr(n, d, sigma2, math.log1p)
 
 
 def mutual_information_cb(n: int, d: int, sigma2: float) -> Nats:
@@ -91,15 +93,14 @@ def mutual_information_cb(n: int, d: int, sigma2: float) -> Nats:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     _check_params(d, sigma2)
-    return (d / 2.0) * math.log(n / (d * sigma2))
+    return (d / 2.0) * _log_snr(n, d, sigma2, math.log)
 
 
-def rd_bounds_l1(distortion: float, d: int, sigma2: float) -> RdBounds:
-    """L1 rate-distortion bracket: [total - d ln(2 e D)]^+ and -d ln(min{D,1})."""
-    spec = GaussianFamily(d, sigma2).spec
-    total = entropy_lower_nu(d, sigma2).total
-    return RdBounds(lower=rd_lower_average(total, spec, 1.0, distortion),
-                    upper=rd_upper(spec, distortion))
+def _log_snr(n: int, d: int, sigma2: float, log) -> float:
+    # log(n / (d sigma2)) by ``log`` (math.log or math.log1p).  The quotient
+    # overflows only where log and log1p agree, and is then taken apart.
+    snr = n / (d * sigma2)
+    return log(snr) if math.isfinite(snr) else math.log(n) - math.log(d * sigma2)
 
 
 class L1RiskBound(NamedTuple):
@@ -123,7 +124,7 @@ def bayes_risk_lower_l1(n: int, d: int, sigma2: float) -> L1RiskBound:
     printed = math.sqrt(sigma2 * d / (sigma2 * d + n)) * math.exp(nu - 1.0)
     spec = GaussianFamily(d, sigma2).spec
     pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2),
-                                  d * nu, spec, 1.0, coverage=1.0)
+                                  d * nu, spec, 1.0)
     return L1RiskBound(printed=printed, pipeline=pipeline)
 
 

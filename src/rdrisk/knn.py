@@ -78,7 +78,7 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
     log_eps = _log_eps(x, k)
     value = digamma(n) - digamma(k) + float(d * log_eps.mean())
     stderr = float(d * log_eps.std(ddof=1) / np.sqrt(n))
-    return MonteCarloEstimate(mean=value, stderr=stderr, trials=n, seed=0)
+    return MonteCarloEstimate(mean=value, stderr=stderr, trials=n)
 
 
 def load_samples_csv(path, header: bool = False) -> np.ndarray:

@@ -30,13 +30,11 @@ class MonteCarloEstimate:
     """Mean and standard error of a simulated quantity.
 
     ``stderr`` is the sample standard deviation divided by sqrt(trials).
-    ``seed`` is 0 when the samples were supplied externally.
     """
 
     mean: float
     stderr: float
     trials: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.stderr < 0.0:
@@ -120,5 +118,4 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
         total = _merge(total, part)
     n, mean, m2 = total
     stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
-    return MonteCarloEstimate(mean=float(mean), stderr=stderr,
-                              trials=trials, seed=int(seed))
+    return MonteCarloEstimate(mean=float(mean), stderr=stderr, trials=trials)

@@ -1,6 +1,6 @@
 """Binary multinomial classifier: log-space posterior, posterior-entropy
-lower bound, mutual information, worst-case rate-distortion and risk
-bounds, and an interpolation-point simulator.
+lower bound, mutual information, worst-case Bayes-risk bounds, and an
+interpolation-point simulator.
 
 Observations are count vectors of k trials over d categories; the class-2
 category probabilities theta follow Dir(gamma) and class 1 uses the
@@ -19,8 +19,7 @@ import numpy as np
 from .categorical import DirichletPrior
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import (FisherSummary, InterpolationSpec, RdBounds, mi_clarke_barron,
-                     rd_lower_pointwise, rd_upper, risk_lower_from_mi)
+from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
 
@@ -132,26 +131,13 @@ def fisher_summary(family: MultinomialFamily) -> FisherSummary:
 
 def mutual_information(n: int, family: MultinomialFamily) -> Nats:
     """Asymptotic I(Z^n; theta); o(1) remainder dropped."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     return mi_clarke_barron(n, fisher_summary(family))
-
-
-def rd_bounds(distortion: float, p: LossOrder, family: MultinomialFamily) -> RdBounds:
-    """Worst-case rate-distortion bracket at distortion D.
-
-    lower = [entropy_lower - (d-1)(ln D + ln(2 Gamma(1+1/p)) + ln(pe)/p)]^+,
-    upper = -(d-1) ln(min{D, 1}).
-    """
-    lower = rd_lower_pointwise(entropy_lower(family), family.spec, p, distortion)
-    upper = rd_upper(family.spec, distortion)
-    return RdBounds(lower=lower, upper=upper)
 
 
 def xbayes_risk_lower(n: int, family: MultinomialFamily, p: LossOrder) -> float:
     """Worst-case-over-test-points L_p risk lower bound via the pipeline."""
     mi = mutual_information(n, family)
-    return risk_lower_from_mi(mi, entropy_lower(family), family.spec, p, coverage=1.0)
+    return risk_lower_from_mi(mi, entropy_lower(family), family.spec, p)
 
 
 def reference_risk_lower(n: int, family: MultinomialFamily) -> float:

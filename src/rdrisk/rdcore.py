@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,13 +71,6 @@ class FisherSummary:
                 raise DomainError(f"{name} must be finite")
 
 
-class RdBounds(NamedTuple):
-    """A rate-distortion bracket at one distortion, in nats."""
-
-    lower: float
-    upper: float
-
-
 def _check_distortion(distortion: float) -> float:
     if not distortion > 0.0:
         raise DomainError(f"distortion must be positive, got {distortion}")
@@ -117,10 +109,10 @@ def rd_lower_average(e_h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
 
 
 def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
-                       p: LossOrder, coverage: float = 1.0) -> float:
+                       p: LossOrder) -> float:
     """Smallest Bayes risk consistent with a mutual-information budget.
 
-    D_min = coverage * exp((h_ws - mi) / (d_star (M-1)) - C_p), the exact
+    D_min = spec.coverage * exp((h_ws - mi) / (d_star (M-1)) - C_p), the exact
     algebraic inverse of rd_lower_average at an active bracket.  The result
     may exceed 1; callers clamp for reporting if they wish.  Negative mi
     (an asymptotic expansion evaluated at small n) is accepted; the inverse
@@ -128,7 +120,7 @@ def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
     """
     m = spec.num_classes
     expo = (h_ws - mi) / (spec.d_star * (m - 1)) - cp_constant(p, m)
-    return coverage * math.exp(expo)
+    return spec.coverage * math.exp(expo)
 
 
 def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
@@ -142,22 +134,6 @@ def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
     t = fisher.dim
     return (t / 2.0) * math.log(n / (2.0 * math.pi * math.e)) \
         + fisher.mean_log_sqrt_det + fisher.entropy
-
-
-def risk_lower_generic(n: int, t: int, c1: float, c2: float,
-                       spec: InterpolationSpec, p: LossOrder) -> float:
-    """Sample-complexity risk bound from Fisher/entropy constants.
-
-    exp((c2 - c1) / (d_star (M-1))) / c3p * (2 pi e / n)^(t / (2 d_star (M-1)))
-    with c3p = exp(C_p).
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    m = spec.num_classes
-    denom = spec.d_star * (m - 1)
-    c3p = math.exp(cp_constant(p, m))
-    return math.exp((c2 - c1) / denom) / c3p \
-        * (2.0 * math.pi * math.e / n) ** (t / (2.0 * denom))
 
 
 def posterior_entropy_upper(spec: InterpolationSpec) -> Nats:
@@ -217,8 +193,7 @@ def posterior_entropy_change_of_var(w_samples, h_n: Nats) -> MonteCarloEstimate:
         raise DomainError("need at least 2 samples")
     terms = -log_jac
     stderr = float(terms.std(ddof=1) / np.sqrt(n))
-    return MonteCarloEstimate(mean=float(terms.mean() + h_n), stderr=stderr,
-                              trials=n, seed=0)
+    return MonteCarloEstimate(mean=float(terms.mean() + h_n), stderr=stderr, trials=n)
 
 
 def generalized_gaussian_entropy(p: LossOrder, moment: float) -> Nats:
@@ -235,24 +210,3 @@ def generalized_gaussian_entropy(p: LossOrder, moment: float) -> Nats:
         raise DomainError(f"moment must be positive, got {moment}")
     return log_gamma(1.0 + 1.0 / p) + math.log(2.0) \
         + math.log(p * math.e * moment) / p
-
-
-def generalized_gaussian_sample(p: LossOrder, lam: float,
-                                rng: np.random.Generator, size=None):
-    """Draw from the density lambda^(1/p) / (2 Gamma(1+1/p)) exp(-lambda |u|^p).
-
-    Uses the Gamma representation |U|^p ~ Gamma(1/p) / lambda with a random
-    sign, so the empirical E|U|^p converges to 1 / (p lambda).  Returns a
-    scalar when ``size`` is None.
-    """
-    p = validate_loss_order(p)
-    if math.isinf(p):
-        raise DomainError("p = inf is not supported by this sampler")
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    scalar = size is None
-    n = 1 if scalar else size
-    g = rng.gamma(1.0 / p, size=n)
-    sign = rng.integers(0, 2, size=n) * 2 - 1
-    u = sign * (g / lam) ** (1.0 / p)
-    return float(u[0]) if scalar else u

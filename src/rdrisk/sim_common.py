@@ -20,14 +20,20 @@ def sample_dirichlet(gamma, rng: np.random.Generator, size: int | None = None) -
     """Dirichlet draws by normalized Gamma variates.
 
     Returns shape (M,) for size=None, else (size, M).  Marginals are
-    Beta(gamma_i, gamma0 - gamma_i).
+    Beta(gamma_i, gamma0 - gamma_i).  A row whose Gamma draws all underflow
+    to 0 (possible at tiny concentrations) has no normalisation and raises
+    DomainError.
     """
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(g > 0.0):
         raise DomainError("gamma must be a vector of >= 2 positive reals")
     shape = (g.size,) if size is None else (int(size), g.size)
     raw = rng.gamma(g, size=shape)
-    return raw / raw.sum(axis=-1, keepdims=True)
+    total = raw.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise DomainError("every Gamma draw of a Dirichlet row underflowed to 0; "
+                          "gamma is too small to simulate")
+    return raw / total
 
 
 def sample_multinomial(n, theta, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ContradictionError, DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, log_gamma, validate_loss_order
+from .rdcore import InterpolationSpec, rd_lower_pointwise
+from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, validate_loss_order
 
 
 class ZeroErrorSample(NamedTuple):
@@ -99,26 +100,25 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
 
-def _rd_lower(distortion: float, p: LossOrder, rederived: bool) -> Nats:
+# One interpolation point (theta itself), two classes.
+_SPEC = InterpolationSpec(d_star=1, d_interp=1, num_classes=2)
+
+
+def _finite_p(p: LossOrder) -> float:
     p = validate_loss_order(p)
     if math.isinf(p):
         raise DomainError("the closed form is stated for finite p only")
-    if not distortion > 0.0:
-        raise DomainError(f"distortion must be positive, got {distortion}")
-    value = -math.log(2.0) - log_gamma(1.0 + 1.0 / p) \
-        - math.log(p * math.e) / p - math.log(distortion)
-    if rederived:
-        value += math.log(2.0) / p
-    return max(value, 0.0)
+    return p
 
 
 def rd_lower(distortion: float, p: LossOrder) -> Nats:
     """Published rate-distortion lower bound for the threshold posterior.
 
-    [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+.  See
-    rd_lower_rederived for the variant carrying the extra (1/p) ln 2.
+    [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+, the pointwise bound at
+    posterior entropy 0 and M = 2.  See rd_lower_rederived for the variant
+    carrying the extra (1/p) ln 2.
     """
-    return _rd_lower(distortion, p, rederived=False)
+    return rd_lower_pointwise(0.0, _SPEC, _finite_p(p), distortion)
 
 
 def rd_lower_rederived(distortion: float, p: LossOrder) -> Nats:
@@ -128,7 +128,8 @@ def rd_lower_rederived(distortion: float, p: LossOrder) -> Nats:
     positive part; the published one is primary for reproducing the
     sample-complexity chain.
     """
-    return _rd_lower(distortion, p, rederived=True)
+    p = _finite_p(p)
+    return rd_lower_pointwise(math.log(2.0) / p, _SPEC, p, distortion)
 
 
 def risk_lower_l1(n: int) -> float:

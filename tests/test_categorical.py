@@ -33,6 +33,13 @@ def test_prior_rejects_non_finite(gamma):
         DirichletPrior(gamma)
 
 
+def test_prior_rejects_overflowing_sum():
+    # each component is finite, but gamma0 is not
+    with pytest.raises(DomainError, match="finite sum"):
+        DirichletPrior((1e308, 1e308))
+    assert DirichletPrior((1e308, 1.0)).gamma0 == 1e308
+
+
 def test_posterior_entropy_values():
     assert posterior_entropy(UNIFORM2) == pytest.approx(0.0, abs=1e-14)
     assert posterior_entropy(DirichletPrior((1.0, 1.0, 1.0))) == pytest.approx(

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -113,7 +115,7 @@ def test_bounds_missing_family_param(capsys):
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--n-grid", "10"),
     ("mi", "--family", "categorical", "--n", "10"),
 ])
-@pytest.mark.parametrize("gamma", ["1,inf", "nan,1"])
+@pytest.mark.parametrize("gamma", ["1,inf", "nan,1", "1e308,1e308"])
 def test_rejects_non_finite_gamma(capsys, argv, gamma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -379,6 +381,77 @@ def test_gaussian_parameters_exit_cleanly(capsys, command, d, sigma2):
     assert code == 1
     assert out == ""
     assert err.startswith("rdrisk: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # every Gamma draw of some Dirichlet row underflows to 0
+    ("simulate", "--family", "categorical", "--gamma", "1e-6,1e-6", "--n-grid", "10",
+     "--trials", "1000"),
+    ("compare", "--family", "categorical", "--gamma", "1e-3,1e-3", "--n-grid", "10",
+     "--trials", "1000"),
+    # the Gaussian entropy bound nu overflows to NaN
+    ("bounds", "--family", "gaussian", "--d", "1", "--sigma2", "1e-160", "--n-grid", "10"),
+    ("compare", "--family", "gaussian", "--d", "1", "--sigma2", "1e-160", "--n-grid", "10",
+     "--trials", "200", "--test-points", "100"),
+])
+def test_extreme_parameters_exit_with_one_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: domain error: ") and err.count("\n") == 1
+
+
+EDGE_GAMMAS = ("1,1", "1e-6,1e-6", "1e-3,1e-3", "0.01,0.01", "1e308,1e308", "1e-300,1")
+EDGE_SIGMA2 = ("1", "1e-160", "1e-300", "5e-324")
+
+
+@st.composite
+def command_lines(draw):
+    """bounds, mi and small compare command lines at edge parameters."""
+    command = draw(st.sampled_from(["bounds", "mi", "compare"]))
+    family = draw(st.sampled_from(sorted(FAMILY_ARGS)))
+    argv = [command, "--family", family]
+    if family == "categorical":
+        argv += ["--gamma", draw(st.sampled_from(EDGE_GAMMAS))]
+    elif family == "multinomial":
+        argv += ["--d", "2", "--k", draw(st.sampled_from(["1", "3"])),
+                 "--gamma", draw(st.sampled_from(EDGE_GAMMAS))]
+    elif family == "gaussian":
+        argv += ["--d", draw(st.sampled_from(["1", "3"])),
+                 "--sigma2", draw(st.sampled_from(EDGE_SIGMA2))]
+    p = draw(st.sampled_from(["1", "2", "inf"]))
+    if command == "bounds":
+        argv += ["--n-grid", str(draw(st.integers(1, 10 ** 9))), "--p", p]
+    elif command == "mi":
+        argv += ["--n", str(draw(st.integers(1, 10 ** 9))), "--trials", "1000",
+                 "--method", draw(st.sampled_from(["exact", "clarke-barron", "monte-carlo"]))]
+    else:
+        argv += ["--n-grid", str(draw(st.integers(1, 1000))), "--p", p,
+                 "--trials", draw(st.sampled_from(["100", "200"])), "--chunks", "4",
+                 "--test-points", "100"]
+    return command, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_exit_code_contract(command_line):
+    # No exception escapes main; bad input exits 1 with one message, and a
+    # successful run prints only finite numbers (a CSV cell may be empty).
+    command, argv = command_line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in ((0, 1, 2) if command == "compare" else (0, 1))
+    if code == 1:
+        assert out == ""
+        assert err.startswith("rdrisk: ") and err.count("\n") == 1
+        return
+    if command == "mi":
+        values = [v for v in json.loads(out).values() if isinstance(v, float)]
+    else:
+        values = [float(cell) for row in parse_csv(out)[1] for cell in row.values() if cell]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])

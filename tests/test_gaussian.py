@@ -8,11 +8,11 @@ from scipy.special import expit
 from rdrisk.errors import DomainError
 from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_nu,
                              interpolation_scale, mutual_information_cb,
-                             mutual_information_exact, posterior, rd_bounds_l1,
+                             mutual_information_exact, posterior,
                              sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
 from rdrisk.mc import mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, rd_lower_average
+from rdrisk.rdcore import InterpolationSpec, rd_lower_average, rd_upper
 from rdrisk.specfun import EULER_GAMMA
 
 
@@ -65,6 +65,24 @@ def test_entropy_lower_nu_structure():
     assert entropy_lower_nu(1, 1e12).total < entropy_lower_nu(1, 1e8).total
 
 
+def test_entropy_lower_nu_rejects_overflow():
+    # 16 pi q / (d sigma2) overflows below d sigma2 ~ 3e-153, making nu NaN
+    assert math.isfinite(entropy_lower_nu(1, 1e-150).per_coord)
+    for d, s2 in [(1, 1e-160), (4, 1e-300), (1, 5e-324)]:
+        with pytest.raises(DomainError, match="not finite"):
+            entropy_lower_nu(d, s2)
+        with pytest.raises(DomainError, match="not finite"):
+            bayes_risk_lower_l1(10, d, s2)
+
+
+def test_mutual_information_where_snr_overflows():
+    # n / (d sigma2) overflows; both forms equal (d/2)(ln n - ln(d sigma2))
+    for n, d, s2 in [(10, 1, 5e-324), (10 ** 9, 3, 1e-300)]:
+        expected = (d / 2.0) * (math.log(n) - math.log(d * s2))
+        assert mutual_information_exact(n, d, s2) == pytest.approx(expected, rel=1e-15)
+        assert mutual_information_cb(n, d, s2) == pytest.approx(expected, rel=1e-15)
+
+
 def test_mutual_information_values():
     assert mutual_information_exact(0, 3, 1.0) == 0.0
     assert mutual_information_exact(100, 2, 1.0) == pytest.approx(
@@ -114,18 +132,20 @@ def test_exact_vs_asymptotic_gap():
     assert mutual_information_exact(4, 4, 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
 
-def test_rd_bounds_l1():
+def test_rd_bracket_l1():
+    # the L1 bracket is the rdcore bracket at the family's spec and nu total
     d, s2 = 2, 0.5
-    lower, upper = rd_bounds_l1(0.04, d, s2)
-    spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
-    assert lower == pytest.approx(
-        rd_lower_average(entropy_lower_nu(d, s2).total, spec, 1.0, 0.04), abs=1e-12)
-    assert rd_bounds_l1(1.0, d, s2).upper == 0.0
-    assert rd_bounds_l1(3.0, d, s2).upper == 0.0
-    assert upper == pytest.approx(-d * math.log(0.04), rel=1e-13)
+    spec = GaussianFamily(d, s2).spec
+    total = entropy_lower_nu(d, s2).total
+    assert spec == InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
+    assert rd_lower_average(total, spec, 1.0, 0.04) == pytest.approx(
+        max(total - d * math.log(2 * math.e * 0.04), 0.0), abs=1e-12)
+    assert rd_upper(spec, 1.0) == 0.0
+    assert rd_upper(spec, 3.0) == 0.0
+    assert rd_upper(spec, 0.04) == pytest.approx(-d * math.log(0.04), rel=1e-13)
     # halving D adds d ln 2 before the clamp whenever the bracket is active
-    lo_fine = rd_bounds_l1(1e-6, d, s2).lower
-    lo_coarse = rd_bounds_l1(2e-6, d, s2).lower
+    lo_fine = rd_lower_average(total, spec, 1.0, 1e-6)
+    lo_coarse = rd_lower_average(total, spec, 1.0, 2e-6)
     assert lo_fine - lo_coarse == pytest.approx(d * math.log(2.0), abs=1e-10)
 
 

@@ -84,4 +84,4 @@ def test_mc_mean_rejects_non_finite_chunk(bad):
 
 def test_estimate_invariants():
     with pytest.raises(DomainError):
-        MonteCarloEstimate(mean=0.0, stderr=-1.0, trials=10, seed=0)
+        MonteCarloEstimate(mean=0.0, stderr=-1.0, trials=10)

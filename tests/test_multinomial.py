@@ -8,11 +8,11 @@ from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy, knn_entropy_detail
 from rdrisk.mc import rng_stream
 from rdrisk.multinomial import (MultinomialFamily, entropy_lower, fisher_summary,
-                                mutual_information, posterior, rd_bounds,
+                                mutual_information, posterior,
                                 reference_entropy_lower_printed, reference_risk_lower,
                                 scalar_entropy_chain, simulate_interpolation_risk,
                                 xbayes_risk_lower)
-from rdrisk.rdcore import mi_clarke_barron
+from rdrisk.rdcore import mi_clarke_barron, rd_lower_pointwise, rd_upper
 from rdrisk.specfun import digamma
 
 
@@ -162,21 +162,23 @@ def test_mutual_information_is_clarke_barron_composition():
                 mi_clarke_barron(n, fisher_summary(f)), abs=1e-12)
 
 
-def test_rd_bounds():
+def test_rd_bracket():
+    # the worst-case bracket is the rdcore bracket at the family's spec
     f = fam(3, 2, (1.0, 1.0, 1.0))
-    lower, upper = rd_bounds(0.05, 1.0, f)
+    lower = rd_lower_pointwise(entropy_lower(f), f.spec, 1.0, 0.05)
     # p = 1 reduces to entropy_lower - (d-1) ln(2 e D) before the clamp
     expected = entropy_lower(f) - (f.d - 1) * math.log(2 * math.e * 0.05)
     assert lower == pytest.approx(max(expected, 0.0), abs=1e-12)
-    assert rd_bounds(1.0, 1.0, f).upper == 0.0
-    assert rd_bounds(2.0, 1.0, f).upper == 0.0
+    assert rd_upper(f.spec, 1.0) == 0.0
+    assert rd_upper(f.spec, 2.0) == 0.0
     # halving D raises the lower bound by (d-1) ln 2 while the bracket is active
-    lo1 = rd_bounds(0.01, 1.0, FAM211).lower
-    lo2 = rd_bounds(0.02, 1.0, FAM211).lower
+    h = entropy_lower(FAM211)
+    lo1 = rd_lower_pointwise(h, FAM211.spec, 1.0, 0.01)
+    lo2 = rd_lower_pointwise(h, FAM211.spec, 1.0, 0.02)
     assert lo1 > 0.0 and lo2 > 0.0
     assert lo1 - lo2 == pytest.approx((FAM211.d - 1) * math.log(2.0), abs=1e-12)
     with pytest.raises(DomainError):
-        rd_bounds(0.0, 1.0, f)
+        rd_lower_pointwise(entropy_lower(f), f.spec, 1.0, 0.0)
 
 
 def test_xbayes_risk_lower_fixture_and_scaling():

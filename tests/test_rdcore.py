@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
-from rdrisk.rdcore import (FisherSummary, InterpolationSpec,
-                           generalized_gaussian_entropy, generalized_gaussian_sample,
+from rdrisk.rdcore import (FisherSummary, InterpolationSpec, generalized_gaussian_entropy,
                            mi_clarke_barron, posterior_entropy_change_of_var,
                            posterior_entropy_upper, ratio_coordinates,
                            ratio_log_jacobian, rd_lower_average, rd_lower_pointwise,
-                           rd_upper, risk_lower_from_mi, risk_lower_generic)
+                           rd_upper, risk_lower_from_mi)
 from rdrisk.specfun import cp_constant
 
 SPEC_1_2 = InterpolationSpec(d_star=1, d_interp=1, num_classes=2)
@@ -119,7 +118,7 @@ def test_risk_lower_from_mi_monotone_limit():
 def test_inversion_round_trip(h, mi, d_star, m, p, coverage):
     spec = InterpolationSpec(d_star=d_star, d_interp=d_star, num_classes=m,
                              coverage=coverage)
-    dmin = risk_lower_from_mi(mi, h, spec, p, coverage=coverage)
+    dmin = risk_lower_from_mi(mi, h, spec, p)
     assert rd_lower_average(h, spec, p, dmin) == pytest.approx(mi, abs=1e-10)
 
 
@@ -134,15 +133,22 @@ def test_mi_clarke_barron_examples():
         mi_clarke_barron(0, f)
 
 
-def test_risk_lower_generic():
+def _risk_at_clarke_barron_mi(n, t, c1, c2, spec, p):
+    # The sample-complexity bound: risk_lower_from_mi at the asymptotic MI
+    # with E log|Fisher|^(1/2) = c1 and entropy term 0, posterior entropy c2.
+    mi = mi_clarke_barron(n, FisherSummary(dim=t, mean_log_sqrt_det=c1, entropy=0.0))
+    return risk_lower_from_mi(mi, c2, spec, p)
+
+
+def test_risk_lower_at_clarke_barron_mi():
     # c1 = c2, t = d_star (M-1), p = 1, M = 2 collapses to (1/2e) sqrt(2 pi e / n)
     for n in (10, 100, 1000):
-        got = risk_lower_generic(n, 1, 0.7, 0.7, SPEC_1_2, 1.0)
+        got = _risk_at_clarke_barron_mi(n, 1, 0.7, 0.7, SPEC_1_2, 1.0)
         assert got == pytest.approx(math.sqrt(2 * math.pi * math.e / n) / (2 * math.e), rel=1e-13)
     # doubling n scales by 2^{-t/(2 d_star (M-1))}
     spec = InterpolationSpec(d_star=2, d_interp=2, num_classes=3)
-    r1 = risk_lower_generic(50, 3, 0.2, -0.4, spec, 2.0)
-    r2 = risk_lower_generic(100, 3, 0.2, -0.4, spec, 2.0)
+    r1 = _risk_at_clarke_barron_mi(50, 3, 0.2, -0.4, spec, 2.0)
+    r2 = _risk_at_clarke_barron_mi(100, 3, 0.2, -0.4, spec, 2.0)
     assert r2 / r1 == pytest.approx(2 ** (-3 / (2 * 2 * 2)), rel=1e-12)
 
 
@@ -204,27 +210,6 @@ def test_entropy_identity_with_cp_constant():
         dist = float(rng.uniform(1e-3, 2.0))
         h = generalized_gaussian_entropy(p, dist ** p / (m - 1))
         assert h == pytest.approx(math.log(dist) + cp_constant(p, m), abs=1e-12)
-
-
-@pytest.mark.parametrize("p,lam", [(1.0, 0.8), (2.0, 1.5), (4.0, 0.5)])
-def test_generalized_gaussian_sample_moment(p, lam):
-    rng = rng_stream(205, 0)
-    u = generalized_gaussian_sample(p, lam, rng, size=10 ** 6)
-    mom = np.abs(u) ** p
-    stderr = mom.std(ddof=1) / math.sqrt(mom.size)
-    assert abs(mom.mean() - 1.0 / (p * lam)) < 3 * stderr
-
-
-def test_generalized_gaussian_sample_matches_named_laws():
-    rng = rng_stream(206, 0)
-    # p = 2 with rate lam is N(0, 1/(2 lam)); p = 1 is Laplace with scale 1/lam
-    u2 = generalized_gaussian_sample(2.0, 1.5, rng, size=200_000)
-    assert np.var(u2) == pytest.approx(1.0 / 3.0, rel=0.02)
-    assert abs(knn_entropy(u2) - 0.5 * math.log(2 * math.pi * math.e / 3.0)) < 0.03
-    u1 = generalized_gaussian_sample(1.0, 2.0, rng, size=200_000)
-    assert np.mean(np.abs(u1)) == pytest.approx(0.5, rel=0.02)
-    assert abs(knn_entropy(u1) - math.log(2 * math.e / 2.0)) < 0.03
-    assert isinstance(generalized_gaussian_sample(2.0, 1.0, rng), float)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])

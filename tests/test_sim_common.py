@@ -40,6 +40,16 @@ def test_dirichlet_validation():
         sample_dirichlet((1.0, -1.0), rng_stream(0, 0))
 
 
+def test_dirichlet_rejects_underflowed_rows():
+    # at gamma = 1e-6 every Gamma draw of a row is 0 with high probability,
+    # which leaves the row without a normalisation
+    with pytest.raises(DomainError, match="underflowed"):
+        sample_dirichlet((1e-6, 1e-6), rng_stream(305, 0), size=1000)
+    # rows with a surviving draw are kept: (0, 1) is a valid point of the simplex
+    draws = sample_dirichlet((1e-300, 1.0), rng_stream(305, 1), size=1000)
+    assert np.all(np.isfinite(draws)) and np.allclose(draws.sum(axis=1), 1.0)
+
+
 def test_multinomial_edges():
     rng = rng_stream(304, 0)
     assert np.array_equal(sample_multinomial(0, (0.3, 0.7), rng), [0, 0])

@@ -72,6 +72,14 @@ def test_rd_lower_values():
         rd_lower(0.1, math.inf)
 
 
+def test_rd_lower_at_huge_finite_p():
+    # p e overflows above about 6.6e307; the bound must not collapse to 0
+    at_1e307 = rd_lower(1e-3, 1e307)
+    assert rd_lower(1e-3, 7e307) == pytest.approx(at_1e307, rel=1e-15)
+    assert at_1e307 == pytest.approx(-math.log(2e-3), rel=1e-12)
+    assert rd_lower_rederived(1e-3, 7e307) == pytest.approx(at_1e307, rel=1e-15)
+
+
 def test_rd_lower_rederived_offset():
     # the entropy-maximizing route adds exactly (1/p) ln 2 pre-clamp
     for p in (1.0, 2.0, 4.0):
