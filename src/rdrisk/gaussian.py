@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import InterpolationSpec, risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_params(d: int, sigma2: float) -> None:
@@ -43,6 +44,8 @@ class GaussianFamily:
 
 def posterior(x, theta, sigma2: float) -> float:
     """W(y=1 | x, theta) = logistic(2 x.theta / sigma2), overflow-safe."""
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     th = np.asarray(theta, dtype=float)
     if xv.shape != th.shape:
@@ -185,6 +188,8 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     and h_perp are |theta_hat| cos phi and |theta_hat| sin phi for the angle
     phi between theta and theta_hat; at n = 0 both are 0 and W_hat = 1/2.)
     """
+    import numpy as np
+
     check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")

@@ -14,17 +14,21 @@ documented deterministic jitter of 1e-12 * (sample index + 1).
 from __future__ import annotations
 
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate
 from .specfun import digamma
 
+if TYPE_CHECKING:
+    import numpy as np
+
 JITTER = 1e-12
 
 
 def _as_matrix(samples) -> np.ndarray:
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -36,7 +40,8 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _log_eps(x: np.ndarray, k: int) -> np.ndarray:
-    # Imported here so that only the k-NN estimator loads scipy.
+    # Imported here so that only the k-NN estimator loads numpy and scipy.
+    import numpy as np
     from scipy.spatial import cKDTree
 
     n, d = x.shape
@@ -73,6 +78,8 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
     between neighbor distances and is meant for ordering checks with
     few-stderr slack, not for tight confidence intervals.
     """
+    import numpy as np
+
     x = _as_matrix(samples)
     n, d = x.shape
     log_eps = _log_eps(x, k)
@@ -83,5 +90,7 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
 
 def load_samples_csv(path, header: bool = False) -> np.ndarray:
     """Load a sample matrix from CSV, one row per sample."""
+    import numpy as np
+
     x = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     return np.asarray(x, dtype=float)

@@ -9,15 +9,15 @@ samplers draw the same way (see SAMPLER_VERSION).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError
 
-Sampler = Callable[[np.random.Generator, int], np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
@@ -58,6 +58,8 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     ``SeedSequence(seed, spawn_key=(stream_id,))``, so distinct stream ids
     under one seed are statistically independent and reproducible.
     """
+    import numpy as np
+
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -88,6 +90,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     ``threads`` workers; the reduction is always performed in chunk order,
     so the output is reproducible bit-for-bit.
     """
+    import numpy as np
+
     trials = int(trials)
     if trials < 2:
         raise DomainError(f"mc_mean requires trials >= 2, got {trials}")
@@ -108,6 +112,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
 
     jobs = list(enumerate(sizes))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             parts = list(pool.map(run_chunk, jobs))
     else:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .categorical import DirichletPrior
 from .errors import DomainError
@@ -22,6 +21,9 @@ from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class MultinomialFamily:
 
 def posterior(family: MultinomialFamily, x, theta) -> float:
     """P(y=1 | x, theta) = 1 / (1 + prod_i R_i^{x_i}), computed in log space."""
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     th = np.asarray(theta, dtype=float)
     if xv.shape != (family.d,) or th.shape != (family.d,):
@@ -164,7 +168,12 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
 def _interpolation_regression(theta_cols: np.ndarray, psi_cols: np.ndarray,
                               k: int) -> np.ndarray:
     # W(k e_i) rows for per-trial class parameter matrices (rows, d-1 slices).
-    log_ratio = k * (np.log(theta_cols) - np.log(psi_cols))
+    # A component that is exactly 0 (tiny concentrations) has log -inf, so W
+    # is exactly 0 or 1; theta and psi are never 0 together.
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        log_ratio = k * (np.log(theta_cols) - np.log(psi_cols))
     return expit(-log_ratio)
 
 
@@ -181,6 +190,8 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     Max over the interpolation set under-covers the sup over all test
     points, so this is one-sided ordering evidence only.
     """
+    import numpy as np
+
     check_simulation(n, trials)
     gamma = np.asarray(family.prior.gamma)
     g0 = family.prior.gamma0

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .mc import MonteCarloEstimate
 from .specfun import LossOrder, Nats, cp_constant, log_gamma, validate_loss_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ def posterior_entropy_upper(spec: InterpolationSpec) -> Nats:
 
 
 def _as_sample_cube(w_samples) -> np.ndarray:
+    import numpy as np
+
     w = np.asarray(w_samples, dtype=float)
     if w.ndim == 1:
         w = w[:, None, None]
@@ -171,6 +175,8 @@ def ratio_coordinates(w_samples) -> np.ndarray:
 
 def ratio_log_jacobian(w_samples) -> np.ndarray:
     """Per-sample ln |J| of the regression-to-coordinates map."""
+    import numpy as np
+
     w = _as_sample_cube(w_samples)
     n, d_i, m_minus_1 = w.shape
     s = w.sum(axis=2)
@@ -187,6 +193,8 @@ def posterior_entropy_change_of_var(w_samples, h_n: Nats) -> MonteCarloEstimate:
     Returns the estimate with the standard error of the sampled term;
     at least ~1000 samples are needed for a stable value.
     """
+    import numpy as np
+
     log_jac = ratio_log_jacobian(w_samples)
     n = log_jac.shape[0]
     if n < 2:
@@ -201,6 +209,8 @@ def generalized_gaussian_entropy(p: LossOrder, moment: float) -> Nats:
 
     ln(2 Gamma(1 + 1/p)) + (1/p) ln(p e moment) with moment = E|U|^p > 0.
     Finite p only; the p = inf maximizer is uniform, handled elsewhere.
+    The last term is summed as (ln p + 1 + ln moment) / p, because
+    p e moment overflows for large p or moment.
     """
     p = validate_loss_order(p)
     if math.isinf(p):
@@ -209,4 +219,4 @@ def generalized_gaussian_entropy(p: LossOrder, moment: float) -> Nats:
     if not moment > 0.0:
         raise DomainError(f"moment must be positive, got {moment}")
     return log_gamma(1.0 + 1.0 / p) + math.log(2.0) \
-        + math.log(p * math.e * moment) / p
+        + (math.log(p) + 1.0 + math.log(moment)) / p

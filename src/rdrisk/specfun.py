@@ -5,8 +5,9 @@ documentation alias for ``float``.  The loss order ``p`` is a float ``>= 1``
 and may be ``math.inf``, which selects the exact limiting form of each
 formula rather than a large-float approximation.
 
-Everything here is the standard library plus numpy, so importing the
-package loads no scipy module:
+Everything here is the standard library, except ``expit``, which is the
+only function that uses numpy and imports it when first called; importing
+the package therefore loads neither numpy nor scipy:
 
 * ``log_gamma`` is ``ln(math.gamma(x))`` below 10 and ``math.lgamma``
   above; ``log_beta_multivariate`` adds those values with ``math.fsum``.
@@ -15,6 +16,9 @@ package loads no scipy module:
   shifts x to at least 10, where the asymptotic series (A&S 6.3.18,
   Bernoulli terms to B_16) is used; the shift terms and the series are added with one
   ``math.fsum``.
+* ``harmonic`` is the ``math.fsum`` of the float terms 1/i up to n = 1e5,
+  so it is the correctly rounded sum of those terms, and the
+  Euler-Maclaurin series above that.
 * ``expit`` is the logistic ``1/(1 + exp(-x))``, elementwise, with the
   overflow of ``exp`` at large ``-x`` ignored, so it returns exactly 0 and
   1 in the limits.
@@ -31,8 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import Iterable
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -100,6 +102,8 @@ def digamma(x: float) -> float:
 
 def expit(x):
     """Logistic 1/(1 + exp(-x)), elementwise; exactly 0 and 1 in the limits."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
@@ -117,9 +121,8 @@ def log_beta_multivariate(gamma: Iterable[float]) -> float:
 def harmonic(n: int) -> float:
     """n-th harmonic number, sum_{i=1}^{n} 1/i; 0 for n = 0.
 
-    Up to n = 100000 the terms are accumulated from i = n down to 1
-    (ascending magnitude) so the small terms are not absorbed by an
-    already-large partial sum.  Above that the Euler-Maclaurin series
+    Up to n = 100000 the float terms 1.0 / i are added by ``math.fsum``,
+    which rounds their exact sum once.  Above that the Euler-Maclaurin series
     ln n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4) is used, so time and
     memory stay bounded for any n.
     """
@@ -129,7 +132,7 @@ def harmonic(n: int) -> float:
     if n == 0:
         return 0.0
     if n <= _HARMONIC_EXACT_MAX:
-        return float(np.sum(1.0 / np.arange(n, 0, -1, dtype=float)))
+        return math.fsum(1.0 / i for i in range(n, 0, -1))
     inv = 1.0 / n
     inv2 = inv * inv
     return math.log(n) + EULER_GAMMA + inv / 2.0 - inv2 / 12.0 + inv2 * inv2 / 120.0

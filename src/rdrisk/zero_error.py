@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ContradictionError, DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import InterpolationSpec, rd_lower_pointwise
 from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, validate_loss_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ZeroErrorSample(NamedTuple):
@@ -70,6 +71,8 @@ def _interval_widths(rng: np.random.Generator, n: int, count: int) -> np.ndarray
     spacings are Dirichlet(1, ..., 1) and the interval is the two spacings
     next to theta: its width is Beta(2, n) (1 at n = 0).
     """
+    import numpy as np
+
     if n == 0:
         return np.ones(count)
     return rng.beta(2.0, n, size=count)
@@ -84,6 +87,8 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     intervals have probability zero; if floating point ever produces one,
     those trials are redrawn with a warning.
     """
+    import numpy as np
+
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
@@ -191,6 +196,8 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
     result converges to estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
+    import numpy as np
+
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):

@@ -327,6 +327,47 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_numpy_loaded_only_by_commands_that_build_arrays():
+    # In one fresh interpreter: --version, bounds of every family and the
+    # exact and Clarke-Barron mi leave numpy unloaded; a simulate loads it.
+    scalar = [["--version"]]
+    scalar += [["bounds", "--family", f, *FAMILY_ARGS[f], "--n-grid", "1,5"] for f in FAMILY_ARGS]
+    scalar += [["mi", "--family", f, *FAMILY_ARGS[f], "--n", "10", "--method", method]
+               for f, methods in (("categorical", ["clarke-barron"]),
+                                  ("multinomial", ["clarke-barron"]),
+                                  ("gaussian", ["exact", "clarke-barron"]),
+                                  ("zero-error", ["exact"]))
+               for method in methods]
+    simulate = ["simulate", "--family", "zero-error", "--n-grid", "1,10", "--trials", "1000"]
+    code = ("import contextlib, io, json, sys\n"
+            "from rdrisk.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            status = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            status = exc.code\n"
+            "    seen.append([status, 'numpy' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(scalar + [simulate])],
+                          capture_output=True, text=True, check=True, env=env)
+    assert json.loads(done.stdout) == [[0, False]] * len(scalar) + [[0, True]]
+
+
+def test_multinomial_compare_zero_components_warn_nothing():
+    # gamma 0.01 draws components that are exactly 0 or 1; under -W error a
+    # log(0) warning would end the run with a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "rdrisk.cli", "compare",
+                           "--family", "multinomial", "--d", "2", "--k", "3",
+                           "--gamma", "0.01,0.01", "--n-grid", "10,100", "--trials", "1000",
+                           "--seed", "1"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert "Warning" not in done.stderr
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                  st.text(alphabet="0123456789.-+eEinfaINFoO ", max_size=8)))

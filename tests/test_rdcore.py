@@ -201,6 +201,12 @@ def test_generalized_gaussian_entropy_known():
         generalized_gaussian_entropy(2.0, 0.0)
 
 
+def test_generalized_gaussian_entropy_huge_arguments():
+    # p e moment overflows above ~6.6e307; the value must not jump to inf.
+    assert generalized_gaussian_entropy(7e307, 1.0) == generalized_gaussian_entropy(1e307, 1.0)
+    assert math.isfinite(generalized_gaussian_entropy(2.0, 1e308))
+
+
 def test_entropy_identity_with_cp_constant():
     # moment D^p/(M-1) makes the per-coordinate entropy ln D + C_p exactly
     rng = rng_stream(204, 0)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -103,6 +104,15 @@ def test_harmonic_branches_agree_at_cutoff():
         exact = math.fsum(1.0 / i for i in range(1, n + 1))
         for value in (harmonic(n), series):
             assert abs(value - exact) <= 4 * math.ulp(exact)
+
+
+def test_harmonic_is_the_correctly_rounded_sum_of_its_terms():
+    # Fraction(1.0 / i) is the float term exactly, so the running sum is the
+    # exact sum of the float terms and float() rounds it once.
+    exact = Fraction(0)
+    for n in range(1, 2001):
+        exact += Fraction(1.0 / n)
+        assert harmonic(n) == float(exact), n
 
 
 def test_harmonic_domain():
