@@ -40,8 +40,9 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _log_eps(x: np.ndarray, k: int) -> np.ndarray:
-    # Imported here so that only the k-NN estimator loads numpy and scipy.
     import numpy as np
+
+    # Imported here so that only the k-NN estimator loads scipy.
     from scipy.spatial import cKDTree
 
     n, d = x.shape
