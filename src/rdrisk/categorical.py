@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
@@ -161,8 +162,6 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     sim_common.inner_loss.  The outer 1/p exponent and a delta-method
     stderr are applied to the Monte-Carlo mean.
     """
-    import numpy as np
-
     check_simulation(n, trials)
     p = validate_loss_order(p)
     gamma = np.asarray(prior.gamma)

@@ -64,8 +64,7 @@ def _parse_n_grid(text: str) -> list[int]:
         if count > MAX_GRID_COUNT:
             raise UsageError(f"grid count must be <= {MAX_GRID_COUNT}: {text!r}")
         ratio = (stop / start) ** (1.0 / max(count - 1, 1))
-        values = sorted({int(round(start * ratio ** i)) for i in range(count)})
-        return [v for v in values if v >= 1]
+        return sorted({int(round(start * ratio ** i)) for i in range(count)})
     try:
         values = [int(v) for v in t.split(",") if v.strip()]
     except ValueError:

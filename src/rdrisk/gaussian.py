@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import InterpolationSpec, risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _check_params(d: int, sigma2: float) -> None:
@@ -44,8 +42,6 @@ class GaussianFamily:
 
 def posterior(x, theta, sigma2: float) -> float:
     """W(y=1 | x, theta) = logistic(2 x.theta / sigma2), overflow-safe."""
-    import numpy as np
-
     xv = np.asarray(x, dtype=float)
     th = np.asarray(theta, dtype=float)
     if xv.shape != th.shape:
@@ -143,17 +139,16 @@ def interpolation_scale(d: int, sigma2: float) -> float:
 
 
 def sample_regression_values(d: int, sigma2: float, draws: int,
-                             rng: np.random.Generator,
-                             scale: float | None = None) -> np.ndarray:
+                             rng: np.random.Generator) -> np.ndarray:
     """Draws of the d regression values on a fixed orthogonal basis.
 
-    The basis is scale * e_i (default scale: interpolation_scale); the
-    coordinates are independent logistics of N(0, 4 scale^2 / (sigma2^2 d)).
+    The basis is c * e_i with c = interpolation_scale(d, sigma2); the
+    coordinates are independent logistics of N(0, 4 c^2 / (sigma2^2 d)).
     Returns shape (draws, d).
     """
     if draws < 1:
         raise DomainError("need at least one draw")
-    c = interpolation_scale(d, sigma2) if scale is None else float(scale)
+    c = interpolation_scale(d, sigma2)
     theta = rng.normal(0.0, math.sqrt(1.0 / d), size=(draws, d))
     return expit(2.0 * c * theta / sigma2)
 
@@ -188,8 +183,6 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     and h_perp are |theta_hat| cos phi and |theta_hat| sin phi for the angle
     phi between theta and theta_hat; at n = 0 both are 0 and W_hat = 1/2.)
     """
-    import numpy as np
-
     check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")

@@ -14,21 +14,16 @@ documented deterministic jitter of 1e-12 * (sample index + 1).
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING
 
+from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate
 from .specfun import digamma
-
-if TYPE_CHECKING:
-    import numpy as np
 
 JITTER = 1e-12
 
 
 def _as_matrix(samples) -> np.ndarray:
-    import numpy as np
-
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -40,8 +35,6 @@ def _as_matrix(samples) -> np.ndarray:
 
 
 def _log_eps(x: np.ndarray, k: int) -> np.ndarray:
-    import numpy as np
-
     # Imported here so that only the k-NN estimator loads scipy.
     from scipy.spatial import cKDTree
 
@@ -79,8 +72,6 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
     between neighbor distances and is meant for ordering checks with
     few-stderr slack, not for tight confidence intervals.
     """
-    import numpy as np
-
     x = _as_matrix(samples)
     n, d = x.shape
     log_eps = _log_eps(x, k)
@@ -91,7 +82,5 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
 
 def load_samples_csv(path, header: bool = False) -> np.ndarray:
     """Load a sample matrix from CSV, one row per sample."""
-    import numpy as np
-
     x = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     return np.asarray(x, dtype=float)

@@ -10,12 +10,10 @@ samplers draw the same way (see SAMPLER_VERSION).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from ._numpy import np
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 
@@ -58,8 +56,6 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     ``SeedSequence(seed, spawn_key=(stream_id,))``, so distinct stream ids
     under one seed are statistically independent and reproducible.
     """
-    import numpy as np
-
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -90,8 +86,6 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     ``threads`` workers; the reduction is always performed in chunk order,
     so the output is reproducible bit-for-bit.
     """
-    import numpy as np
-
     trials = int(trials)
     if trials < 2:
         raise DomainError(f"mc_mean requires trials >= 2, got {trials}")
@@ -123,5 +117,5 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     for part in parts[1:]:
         total = _merge(total, part)
     n, mean, m2 = total
-    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
     return MonteCarloEstimate(mean=float(mean), stderr=stderr, trials=trials)

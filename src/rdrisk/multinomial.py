@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .categorical import DirichletPrior
+from ._numpy import np
+from .categorical import DirichletPrior, posterior_entropy
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,6 @@ class MultinomialFamily:
 
 def posterior(family: MultinomialFamily, x, theta) -> float:
     """P(y=1 | x, theta) = 1 / (1 + prod_i R_i^{x_i}), computed in log space."""
-    import numpy as np
-
     xv = np.asarray(x, dtype=float)
     th = np.asarray(theta, dtype=float)
     if xv.shape != (family.d,) or th.shape != (family.d,):
@@ -124,13 +119,11 @@ def fisher_summary(family: MultinomialFamily) -> FisherSummary:
     g = family.prior.gamma
     g0 = family.prior.gamma0
     d = family.d
-    h_alpha = log_beta_multivariate(g) - (d - g0) * digamma(g0) \
-        - math.fsum((gi - 1.0) * digamma(gi) for gi in g)
     mean_log_sqrt_det = (d - 1) / 2.0 * math.log(family.k / 2.0) \
         - 0.5 * math.fsum(digamma(g[i]) + digamma(g0 - g[i]) - 2.0 * digamma(g0)
                           for i in range(d - 1))
     return FisherSummary(dim=d - 1, mean_log_sqrt_det=mean_log_sqrt_det,
-                         entropy=h_alpha)
+                         entropy=posterior_entropy(family.prior))
 
 
 def mutual_information(n: int, family: MultinomialFamily) -> Nats:
@@ -170,8 +163,6 @@ def _interpolation_regression(theta_cols: np.ndarray, psi_cols: np.ndarray,
     # W(k e_i) rows for per-trial class parameter matrices (rows, d-1 slices).
     # A component that is exactly 0 (tiny concentrations) has log -inf, so W
     # is exactly 0 or 1; theta and psi are never 0 together.
-    import numpy as np
-
     with np.errstate(divide="ignore"):
         log_ratio = k * (np.log(theta_cols) - np.log(psi_cols))
     return expit(-log_ratio)
@@ -190,8 +181,6 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     Max over the interpolation set under-covers the sup over all test
     points, so this is one-sided ordering evidence only.
     """
-    import numpy as np
-
     check_simulation(n, trials)
     gamma = np.asarray(family.prior.gamma)
     g0 = family.prior.gamma0

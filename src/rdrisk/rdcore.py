@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
+from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate
 from .specfun import LossOrder, Nats, cp_constant, log_gamma, validate_loss_order
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,6 @@ def posterior_entropy_upper(spec: InterpolationSpec) -> Nats:
 
 
 def _as_sample_cube(w_samples) -> np.ndarray:
-    import numpy as np
-
     w = np.asarray(w_samples, dtype=float)
     if w.ndim == 1:
         w = w[:, None, None]
@@ -175,8 +170,6 @@ def ratio_coordinates(w_samples) -> np.ndarray:
 
 def ratio_log_jacobian(w_samples) -> np.ndarray:
     """Per-sample ln |J| of the regression-to-coordinates map."""
-    import numpy as np
-
     w = _as_sample_cube(w_samples)
     n, d_i, m_minus_1 = w.shape
     s = w.sum(axis=2)
@@ -193,8 +186,6 @@ def posterior_entropy_change_of_var(w_samples, h_n: Nats) -> MonteCarloEstimate:
     Returns the estimate with the standard error of the sampled term;
     at least ~1000 samples are needed for a stable value.
     """
-    import numpy as np
-
     log_jac = ratio_log_jacobian(w_samples)
     n = log_jac.shape[0]
     if n < 2:

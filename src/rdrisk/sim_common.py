@@ -9,13 +9,10 @@ no outer exponent is applied.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
+from ._numpy import np
 from .errors import DomainError
 from .specfun import LossOrder, validate_loss_order
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def sample_dirichlet(gamma, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -26,8 +23,6 @@ def sample_dirichlet(gamma, rng: np.random.Generator, size: int | None = None) -
     to 0 (possible at tiny concentrations) has no normalisation and raises
     DomainError.
     """
-    import numpy as np
-
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 1 or g.size < 2 or not np.all(g > 0.0):
         raise DomainError("gamma must be a vector of >= 2 positive reals")
@@ -49,8 +44,6 @@ def sample_multinomial(n, theta, rng: np.random.Generator) -> np.ndarray:
     counts sum to ``n`` exactly.  The draws are numpy's own
     ``Generator.multinomial``, which runs outside the interpreter lock.
     """
-    import numpy as np
-
     th = np.atleast_2d(np.asarray(theta, dtype=float))
     n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), th.shape[:1])
     if np.any(n_arr < 0):
@@ -65,8 +58,6 @@ def inner_loss(p: LossOrder, w_true, w_hat) -> np.ndarray | float:
     sum_y |w - what|^p for finite p, max_y |w - what| for p = inf;
     reduces over the last axis.
     """
-    import numpy as np
-
     p = validate_loss_order(p)
     a = np.asarray(w_true, dtype=float)
     b = np.asarray(w_hat, dtype=float)

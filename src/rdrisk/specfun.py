@@ -6,8 +6,9 @@ and may be ``math.inf``, which selects the exact limiting form of each
 formula rather than a large-float approximation.
 
 Everything here is the standard library, except ``expit``, which is the
-only function that uses numpy and imports it when first called; importing
-the package therefore loads neither numpy nor scipy:
+only function that uses numpy, through the ``rdrisk._numpy`` stand-in that
+imports it on first use; importing the package therefore loads neither
+numpy nor scipy:
 
 * ``log_gamma`` is ``ln(math.gamma(x))`` below 10 and ``math.lgamma``
   above; ``log_beta_multivariate`` adds those values with ``math.fsum``.
@@ -36,6 +37,7 @@ import math
 import sys
 from typing import Iterable
 
+from ._numpy import np
 from .errors import DomainError
 
 Nats = float
@@ -102,8 +104,6 @@ def digamma(x: float) -> float:
 
 def expit(x):
     """Logistic 1/(1 + exp(-x)), elementwise; exactly 0 and 1 in the limits."""
-    import numpy as np
-
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 

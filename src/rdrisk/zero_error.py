@@ -12,16 +12,13 @@ defaults when a side is empty.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
+from ._numpy import np
 from .errors import ContradictionError, DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import InterpolationSpec, rd_lower_pointwise
 from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, validate_loss_order
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ZeroErrorSample(NamedTuple):
@@ -71,8 +68,6 @@ def _interval_widths(rng: np.random.Generator, n: int, count: int) -> np.ndarray
     spacings are Dirichlet(1, ..., 1) and the interval is the two spacings
     next to theta: its width is Beta(2, n) (1 at n = 0).
     """
-    import numpy as np
-
     if n == 0:
         return np.ones(count)
     return rng.beta(2.0, n, size=count)
@@ -83,24 +78,12 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     """Monte-Carlo I(Z^n; theta) as E[-ln(theta_r - theta_l)].
 
     The width is Beta(2, n), whose E[-ln width] = psi(n + 2) - psi(2) is
-    mutual_information_exact(n); each trial costs O(1) in n.  Zero-width
-    intervals have probability zero; if floating point ever produces one,
-    those trials are redrawn with a warning.
+    mutual_information_exact(n); each trial costs O(1) in n.
     """
-    import numpy as np
-
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
-        widths = _interval_widths(rng, n, count)
-        for _ in range(100):
-            bad = widths <= 0.0
-            if not bad.any():
-                break
-            warnings.warn(f"resampling {int(bad.sum())} zero-width intervals",
-                          RuntimeWarning, stacklevel=2)
-            widths[bad] = _interval_widths(rng, n, int(bad.sum()))
-        return -np.log(widths)
+        return -np.log(_interval_widths(rng, n, count))
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
@@ -196,8 +179,6 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
     result converges to estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
-    import numpy as np
-
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):

@@ -55,6 +55,26 @@ def test_mi_monte_carlo_matches_exact():
         mi_monte_carlo(1, trials=10, seed=0)
 
 
+def test_mi_monte_carlo_zero_width_raises(monkeypatch):
+    # A zero width would give -ln 0 = inf; the run must fail, not redraw.
+    import rdrisk.zero_error as zero_error
+
+    real = zero_error._interval_widths
+    calls = []
+
+    def widths(rng, n, count):
+        w = real(rng, n, count)
+        if not calls:
+            w[0] = 0.0
+        calls.append(count)
+        return w
+
+    monkeypatch.setattr(zero_error, "_interval_widths", widths)
+    with np.errstate(divide="ignore"), \
+            pytest.raises(DomainError, match="non-finite values in chunk 0"):
+        mi_monte_carlo(10, trials=1000, seed=1)
+
+
 def test_mi_monte_carlo_stderr_scales():
     small = mi_monte_carlo(5, trials=10_000, seed=702)
     large = mi_monte_carlo(5, trials=160_000, seed=702)
