@@ -10,7 +10,6 @@ interpolation point, so d_star = d_interp = 1 and coverage = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._numpy import np
@@ -18,41 +17,24 @@ from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import inner_loss, outer_risk, outer_stderr, sample_dirichlet, sample_multinomial
-from .specfun import LossOrder, Nats, digamma, log_beta_multivariate, validate_loss_order
+from .specfun import (LossOrder, Nats, checked_fsum, digamma, log_beta_multivariate,
+                      validate_loss_order)
 
 
-@dataclass(frozen=True)
 class DirichletPrior:
-    """Positive, finite concentration vector with cached total gamma0."""
+    """Positive, finite concentration vector with cached total gamma0 and class count."""
 
-    gamma: tuple[float, ...]
-    gamma0: float = field(init=False)
+    __slots__ = ("gamma", "gamma0", "num_classes")
 
-    def __post_init__(self):
-        g = tuple(float(v) for v in self.gamma)
+    def __init__(self, gamma):
+        g = tuple(float(v) for v in gamma)
         if len(g) < 2 or not all(0.0 < v < math.inf for v in g):
             raise DomainError("gamma must hold >= 2 positive finite components")
         try:
-            gamma0 = math.fsum(g)
+            self.gamma0 = math.fsum(g)
         except OverflowError:
             raise DomainError("gamma components must have a finite sum") from None
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "gamma0", gamma0)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.gamma)
-
-
-@dataclass(frozen=True)
-class CategoricalFamily:
-    prior: DirichletPrior
-    spec: InterpolationSpec = field(init=False)
-
-    def __post_init__(self):
-        spec = InterpolationSpec(d_star=1, d_interp=1,
-                                 num_classes=self.prior.num_classes, coverage=1.0)
-        object.__setattr__(self, "spec", spec)
+        self.gamma, self.num_classes = g, len(g)
 
 
 def posterior_entropy(prior: DirichletPrior) -> Nats:
@@ -64,7 +46,7 @@ def posterior_entropy(prior: DirichletPrior) -> Nats:
     m = prior.num_classes
     g0 = prior.gamma0
     return log_beta_multivariate(g) - (m - g0) * digamma(g0) \
-        - math.fsum((gi - 1.0) * digamma(gi) for gi in g)
+        - checked_fsum((gi - 1.0) * digamma(gi) for gi in g)
 
 
 def fisher_summary(prior: DirichletPrior) -> FisherSummary:
@@ -72,7 +54,7 @@ def fisher_summary(prior: DirichletPrior) -> FisherSummary:
     m = prior.num_classes
     g0 = prior.gamma0
     mean_log_sqrt_det = (m - 1) / 2.0 * digamma(g0) \
-        - 0.5 * math.fsum(digamma(gi) for gi in prior.gamma[: m - 1])
+        - 0.5 * checked_fsum(digamma(gi) for gi in prior.gamma[: m - 1])
     return FisherSummary(dim=m - 1, mean_log_sqrt_det=mean_log_sqrt_det,
                          entropy=posterior_entropy(prior))
 
@@ -95,7 +77,7 @@ def bayes_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     """
     mi = mutual_information(n, prior)
     h = posterior_entropy(prior)
-    return risk_lower_from_mi(mi, h, CategoricalFamily(prior).spec, p)
+    return risk_lower_from_mi(mi, h, InterpolationSpec(1, 1, prior.num_classes), p)
 
 
 def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:

@@ -61,6 +61,7 @@ def _parse_n_grid(text: str) -> list[int]:
             raise UsageError(f"invalid grid spec: {text!r}") from None
         if start < 1 or stop < start or count < 1:
             raise UsageError(f"grid needs 1 <= start <= stop and count >= 1: {text!r}")
+        _check_float_range("n", stop)
         if count > MAX_GRID_COUNT:
             raise UsageError(f"grid count must be <= {MAX_GRID_COUNT}: {text!r}")
         ratio = (stop / start) ** (1.0 / max(count - 1, 1))
@@ -73,7 +74,14 @@ def _parse_n_grid(text: str) -> list[int]:
         raise UsageError("n values must be positive integers")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError("n values must be strictly increasing")
+    _check_float_range("n", values[-1])
     return values
+
+
+def _check_float_range(name: str, value: int) -> None:
+    """The formulas compute with floats, so an integer option must fit one."""
+    if abs(value) > sys.float_info.max:
+        raise UsageError(f"--{name} must be within the float range (about 1.8e308)")
 
 
 def _parse_gamma(text: str) -> tuple[float, ...]:
@@ -450,6 +458,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, int):
+                _check_float_range(name.replace("_", "-"), value)
         return args.func(args)
     except UsageError as exc:
         print(f"rdrisk: error: {exc}", file=sys.stderr)

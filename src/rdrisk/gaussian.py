@@ -10,7 +10,6 @@ sufficient interpolation set, so d_star = d_interp = d, M = 2, coverage = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._numpy import np
@@ -27,17 +26,28 @@ def _check_params(d: int, sigma2: float) -> None:
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
-@dataclass(frozen=True)
-class GaussianFamily:
-    d: int
-    sigma2: float
-    spec: InterpolationSpec = field(init=False)
+def _log_gamma_ratio(x: float) -> float:
+    """ln Gamma(x + 1/2) - ln Gamma(x) for x > 0.
 
-    def __post_init__(self):
-        _check_params(self.d, self.sigma2)
-        spec = InterpolationSpec(d_star=self.d, d_interp=self.d,
-                                 num_classes=2, coverage=1.0)
-        object.__setattr__(self, "spec", spec)
+    A difference of two ln Gamma values loses its digits as x grows (it is
+    exactly 0 from x = 5e15 on), so from x = 33 the asymptotic series
+    1/2 ln x - 1/(8x) + 1/(192x^3) - 1/(640x^5) + 17/(14336x^7) is used, in
+    powers of 1/x so that nothing overflows; it is within 1e-16 there.
+    """
+    if x < 33.0:
+        return log_gamma(x + 0.5) - log_gamma(x)
+    z = 1.0 / x
+    z2 = z * z
+    return 0.5 * math.log(x) - z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
+
+
+class GaussianFamily:
+    __slots__ = ("d", "sigma2", "spec")
+
+    def __init__(self, d: int, sigma2: float):
+        _check_params(d, sigma2)
+        self.d, self.sigma2 = d, sigma2
+        self.spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
 
 
 def posterior(x, theta, sigma2: float) -> float:
@@ -67,8 +77,11 @@ def entropy_lower_nu(d: int, sigma2: float) -> EntropyLowerBound:
     exceed 2 ln 2 per coordinate.
     """
     _check_params(d, sigma2)
+    if not math.isfinite(math.pi * d * sigma2):
+        raise DomainError(f"the entropy bound nu overflows at d={d}, sigma2={sigma2}; "
+                          "d * sigma2 is too large")
     q = 1.0 / (d * sigma2) + 1.0
-    gamma_ratio = math.exp(log_gamma((d + 1) / 2.0) - log_gamma(d / 2.0))
+    gamma_ratio = math.exp(_log_gamma_ratio(d / 2.0))
     nu = 0.5 * digamma(d / 2.0) \
         + 0.5 * math.log(16.0 * math.pi * q / (d * sigma2)) \
         - gamma_ratio * math.sqrt(4.0 * q / (math.pi * d * sigma2)) \
@@ -134,7 +147,7 @@ def interpolation_scale(d: int, sigma2: float) -> float:
     entropy cross-checks are orthogonal bases scaled to this mean norm.
     """
     _check_params(d, sigma2)
-    mean_chi = math.sqrt(2.0) * math.exp(log_gamma((d + 1) / 2.0) - log_gamma(d / 2.0))
+    mean_chi = math.sqrt(2.0) * math.exp(_log_gamma_ratio(d / 2.0))
     return math.sqrt(1.0 / d + sigma2) * mean_chi
 
 

@@ -82,5 +82,7 @@ def knn_entropy_detail(samples, k: int = 4) -> MonteCarloEstimate:
 
 def load_samples_csv(path, header: bool = False) -> np.ndarray:
     """Load a sample matrix from CSV, one row per sample."""
-    x = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    with warnings.catch_warnings():  # the estimator rejects an empty matrix
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        x = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     return np.asarray(x, dtype=float)

@@ -9,8 +9,7 @@ samplers draw the same way (see SAMPLER_VERSION).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
@@ -23,8 +22,7 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 SAMPLER_VERSION = 3
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     """Mean and standard error of a simulated quantity.
 
     ``stderr`` is the sample standard deviation divided by sqrt(trials).
@@ -33,12 +31,6 @@ class MonteCarloEstimate:
     mean: float
     stderr: float
     trials: int
-
-    def __post_init__(self):
-        if self.stderr < 0.0:
-            raise DomainError("stderr must be nonnegative")
-        if self.trials < 2:
-            raise DomainError("an estimate needs at least 2 trials")
 
 
 def check_simulation(n: int, trials: int, min_trials: int = 100) -> None:

@@ -12,7 +12,6 @@ and M = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._numpy import np
 from .categorical import DirichletPrior, posterior_entropy
@@ -20,26 +19,21 @@ from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .sim_common import sample_dirichlet, sample_multinomial
-from .specfun import LossOrder, Nats, digamma, expit, log_beta_multivariate
+from .specfun import LossOrder, Nats, checked_fsum, digamma, expit, log_beta_multivariate
 
 
-@dataclass(frozen=True)
 class MultinomialFamily:
-    d: int
-    k: int
-    prior: DirichletPrior
-    spec: InterpolationSpec = field(init=False)
+    __slots__ = ("d", "k", "prior", "spec")
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"category count d must be >= 2, got {self.d}")
-        if self.k < 1:
-            raise DomainError(f"trials per observation k must be >= 1, got {self.k}")
-        if self.prior.num_classes != self.d:
+    def __init__(self, d: int, k: int, prior: DirichletPrior):
+        if d < 2:
+            raise DomainError(f"category count d must be >= 2, got {d}")
+        if k < 1:
+            raise DomainError(f"trials per observation k must be >= 1, got {k}")
+        if prior.num_classes != d:
             raise DomainError("prior must have d components")
-        spec = InterpolationSpec(d_star=self.d - 1, d_interp=self.d - 1,
-                                 num_classes=2, coverage=1.0)
-        object.__setattr__(self, "spec", spec)
+        self.d, self.k, self.prior = d, k, prior
+        self.spec = InterpolationSpec(d_star=d - 1, d_interp=d - 1, num_classes=2)
 
 
 def posterior(family: MultinomialFamily, x, theta) -> float:
@@ -56,14 +50,6 @@ def posterior(family: MultinomialFamily, x, theta) -> float:
     return float(expit(-log_odds))
 
 
-def _summand(gi: float, g0: float, k: int) -> float:
-    return log_beta_multivariate((gi, g0 - gi)) \
-        + (k + gi - g0) * digamma(g0 - gi) \
-        + (g0 - 2.0 * k) * digamma(g0) \
-        + (k - gi) * digamma(gi) \
-        + math.log(k) - 2.0 * math.log(2.0)
-
-
 def entropy_lower(family: MultinomialFamily) -> Nats:
     """Lower bound on the entropy of the regression values at {k e_i}.
 
@@ -77,9 +63,11 @@ def entropy_lower(family: MultinomialFamily) -> Nats:
     substituted and E[(ln R)+] <= psi(gamma0) - psi(gamma0 - gamma_i);
     see reference_entropy_lower_printed for the looser published variant.
     """
-    g = family.prior.gamma
-    g0 = family.prior.gamma0
-    return math.fsum(_summand(g[i], g0, family.k) for i in range(family.d - 1))
+    g0, k = family.prior.gamma0, family.k
+    return checked_fsum(log_beta_multivariate((gi, g0 - gi)) + (k + gi - g0) * digamma(g0 - gi)
+                        + (g0 - 2.0 * k) * digamma(g0) + (k - gi) * digamma(gi)
+                        + math.log(k) - 2.0 * math.log(2.0)
+                        for gi in family.prior.gamma[: family.d - 1])
 
 
 def reference_entropy_lower_printed(family: MultinomialFamily) -> Nats:
@@ -120,8 +108,8 @@ def fisher_summary(family: MultinomialFamily) -> FisherSummary:
     g0 = family.prior.gamma0
     d = family.d
     mean_log_sqrt_det = (d - 1) / 2.0 * math.log(family.k / 2.0) \
-        - 0.5 * math.fsum(digamma(g[i]) + digamma(g0 - g[i]) - 2.0 * digamma(g0)
-                          for i in range(d - 1))
+        - 0.5 * checked_fsum(digamma(g[i]) + digamma(g0 - g[i]) - 2.0 * digamma(g0)
+                             for i in range(d - 1))
     return FisherSummary(dim=d - 1, mean_log_sqrt_det=mean_log_sqrt_det,
                          entropy=posterior_entropy(family.prior))
 

@@ -15,7 +15,7 @@ all family modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
@@ -23,7 +23,6 @@ from .mc import MonteCarloEstimate
 from .specfun import LossOrder, Nats, cp_constant, log_gamma, validate_loss_order
 
 
-@dataclass(frozen=True)
 class InterpolationSpec:
     """Geometry of the interpolation sets a bound is evaluated on.
 
@@ -35,22 +34,21 @@ class InterpolationSpec:
         caller's responsibility and is not verified here.
     """
 
-    d_star: int
-    d_interp: int
-    num_classes: int
-    coverage: float = 1.0
+    __slots__ = ("d_star", "d_interp", "num_classes", "coverage")
 
-    def __post_init__(self):
-        if self.d_star < 1 or self.d_interp < 1:
+    def __init__(self, d_star: int, d_interp: int, num_classes: int,
+                 coverage: float = 1.0):
+        if d_star < 1 or d_interp < 1:
             raise DomainError("interpolation cardinality/dimension must be >= 1")
-        if self.num_classes < 2:
+        if num_classes < 2:
             raise DomainError("num_classes must be >= 2")
-        if not 0.0 < self.coverage <= 1.0:
-            raise DomainError(f"coverage must be in (0, 1], got {self.coverage}")
+        if not 0.0 < coverage <= 1.0:
+            raise DomainError(f"coverage must be in (0, 1], got {coverage}")
+        self.d_star, self.d_interp = d_star, d_interp
+        self.num_classes, self.coverage = num_classes, coverage
 
 
-@dataclass(frozen=True)
-class FisherSummary:
+class FisherSummary(NamedTuple):
     """Inputs to the asymptotic mutual-information expansion.
 
     dim: dimension t of the minimal sufficient statistic.
@@ -61,13 +59,6 @@ class FisherSummary:
     dim: int
     mean_log_sqrt_det: float
     entropy: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError("sufficient-statistic dimension must be >= 1")
-        for name in ("mean_log_sqrt_det", "entropy"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
 
 
 def _check_distortion(distortion: float) -> float:
@@ -83,7 +74,8 @@ def rd_lower_pointwise(h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
     [h_ws - d_star (M-1) (ln D + C_p)]^+ with D = ``distortion``: the
     average bound at coverage 1.
     """
-    return rd_lower_average(h_ws, replace(spec, coverage=1.0), p, distortion)
+    full = InterpolationSpec(spec.d_star, spec.d_interp, spec.num_classes)
+    return rd_lower_average(h_ws, full, p, distortion)
 
 
 def rd_upper(spec: InterpolationSpec, distortion: float) -> Nats:
@@ -130,6 +122,9 @@ def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    for name in ("mean_log_sqrt_det", "entropy"):
+        if not math.isfinite(getattr(fisher, name)):
+            raise DomainError(f"{name} must be finite")
     t = fisher.dim
     return (t / 2.0) * math.log(n / (2.0 * math.pi * math.e)) \
         + fisher.mean_log_sqrt_det + fisher.entropy

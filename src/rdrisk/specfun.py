@@ -80,7 +80,19 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if sys.float_info.min <= x < _LOG_GAMMA_DIRECT_MAX:
         return math.log(math.gamma(x))
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"ln Gamma({x}) overflows the float range") from None
+
+
+def checked_fsum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of ``terms``; a sum beyond the float range is a DomainError."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError("a sum overflows the float range; "
+                          "the parameters are too small or too large") from None
 
 
 def digamma(x: float) -> float:
@@ -115,7 +127,7 @@ def log_beta_multivariate(gamma: Iterable[float]) -> float:
         raise DomainError("log_beta_multivariate needs at least 2 components")
     if not all(0.0 < v < math.inf for v in g):
         raise DomainError("log_beta_multivariate requires positive finite components")
-    return math.fsum(log_gamma(v) for v in g) - log_gamma(math.fsum(g))
+    return checked_fsum(log_gamma(v) for v in g) - log_gamma(math.fsum(g))
 
 
 def harmonic(n: int) -> float:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rdrisk.categorical import (CategoricalFamily, DirichletPrior, bayes_risk_lower,
-                                fisher_summary, kamath_bounds, minimax_limit_l1,
+from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, fisher_summary,
+                                kamath_bounds, minimax_limit_l1,
                                 mutual_information, posterior_entropy,
                                 reference_risk_lower, simulate_bayes_risk)
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
-from rdrisk.rdcore import mi_clarke_barron, rd_lower_average
+from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_average
 
 UNIFORM2 = DirichletPrior((1.0, 1.0))
 
@@ -22,9 +22,6 @@ def test_prior_validation_and_cache():
         DirichletPrior((1.0,))
     with pytest.raises(DomainError):
         DirichletPrior((1.0, 0.0))
-    fam = CategoricalFamily(prior=DirichletPrior((1.0, 1.0, 1.0)))
-    assert fam.spec.d_star == fam.spec.d_interp == 1
-    assert fam.spec.num_classes == 3
 
 
 @pytest.mark.parametrize("gamma", [(1.0, math.inf), (math.nan, 1.0), (2.0, 1.0, -math.inf)])
@@ -117,12 +114,12 @@ def test_bayes_risk_lower_sqrt_n_scaling():
 def test_bayes_risk_lower_inversion_round_trip():
     # the round trip is exact whenever the bracket is active (mi >= 0)
     prior = DirichletPrior((2.0, 1.0, 0.5))
-    fam = CategoricalFamily(prior=prior)
+    spec = InterpolationSpec(1, 1, 3)
     for n in (100, 1000):
         mi = mutual_information(n, prior)
         assert mi > 0.0
         risk = bayes_risk_lower(n, prior, 1.0)
-        assert rd_lower_average(posterior_entropy(prior), fam.spec, 1.0, risk) \
+        assert rd_lower_average(posterior_entropy(prior), spec, 1.0, risk) \
             == pytest.approx(mi, abs=1e-10)
 
 

@@ -308,6 +308,20 @@ def test_entropy_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text,flags", [("", ()), ("x,y\n", ("--header",))])
+def test_entropy_without_data_prints_one_line(capsys, tmp_path, text, flags):
+    # numpy warns about a file without data rows; with warnings turned into
+    # errors, that warning would escape main
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: domain error: ") and err.count("\n") == 1
+
+
 def test_csv_float_full_precision(capsys):
     _, out, _ = run_cli(capsys, "bounds", "--family", "categorical",
                         "--gamma", "1,1", "--n-grid", "100")
@@ -329,7 +343,8 @@ def test_cli_import_loads_no_scipy():
 
 def test_numpy_loaded_only_by_commands_that_build_arrays():
     # In one fresh interpreter: --version, bounds of every family and the
-    # exact and Clarke-Barron mi leave numpy unloaded; a simulate loads it.
+    # exact and Clarke-Barron mi leave numpy and dataclasses unloaded; a
+    # simulate loads numpy.
     scalar = [["--version"]]
     scalar += [["bounds", "--family", f, *FAMILY_ARGS[f], "--n-grid", "1,5"] for f in FAMILY_ARGS]
     scalar += [["mi", "--family", f, *FAMILY_ARGS[f], "--n", "10", "--method", method]
@@ -348,12 +363,14 @@ def test_numpy_loaded_only_by_commands_that_build_arrays():
             "            status = main(argv)\n"
             "        except SystemExit as exc:\n"
             "            status = exc.code\n"
-            "    seen.append([status, 'numpy' in sys.modules])\n"
+            "    seen.append([status, 'numpy' in sys.modules, 'dataclasses' in sys.modules])\n"
             "print(json.dumps(seen))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code, json.dumps(scalar + [simulate])],
                           capture_output=True, text=True, check=True, env=env)
-    assert json.loads(done.stdout) == [[0, False]] * len(scalar) + [[0, True]]
+    seen = json.loads(done.stdout)
+    assert seen[:-1] == [[0, False, False]] * len(scalar)
+    assert seen[-1][:2] == [0, True]
 
 
 def test_multinomial_compare_zero_components_warn_nothing():
@@ -424,25 +441,63 @@ def test_gaussian_parameters_exit_cleanly(capsys, command, d, sigma2):
     assert err.startswith("rdrisk: ") and err.count("\n") == 1
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
+
+
 @pytest.mark.parametrize("argv", [
     # every Gamma draw of some Dirichlet row underflows to 0
     ("simulate", "--family", "categorical", "--gamma", "1e-6,1e-6", "--n-grid", "10",
      "--trials", "1000"),
     ("compare", "--family", "categorical", "--gamma", "1e-3,1e-3", "--n-grid", "10",
      "--trials", "1000"),
-    # the Gaussian entropy bound nu overflows to NaN
+    # the Gaussian entropy bound nu overflows to NaN, or pi d sigma2 to inf
     ("bounds", "--family", "gaussian", "--d", "1", "--sigma2", "1e-160", "--n-grid", "10"),
     ("compare", "--family", "gaussian", "--d", "1", "--sigma2", "1e-160", "--n-grid", "10",
      "--trials", "200", "--test-points", "100"),
+    ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
+    # digamma terms near -1e308 overflow the sums of the Dirichlet entropy
+    # and Fisher term; ln Gamma overflows above about 2.6e305
+    ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308", "--n", "10"),
+    ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
+     "--n", "10"),
+    ("bounds", "--family", "categorical", "--gamma", "5e307,5e307", "--n", "10"),
+    ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
+    # integer options beyond the float range
+    ("bounds", "--family", "zero-error", "--n", BEYOND_FLOAT),
+    ("bounds", "--family", "categorical", "--gamma", "1,1", "--n-grid", "1," + BEYOND_FLOAT),
+    ("bounds", "--family", "gaussian", "--d", "2", "--sigma2", "1",
+     "--n-grid", "1:" + BEYOND_FLOAT + ":3log"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", BEYOND_FLOAT),
+    ("bounds", "--family", "gaussian", "--d", BEYOND_FLOAT, "--sigma2", "1", "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", BEYOND_FLOAT, "--gamma", "1,1",
+     "--n", "10"),
+    ("simulate", "--family", "zero-error", "--n", "10", "--trials", "1000",
+     "--chunks", BEYOND_FLOAT),
 ])
 def test_extreme_parameters_exit_with_one_message(capsys, argv):
+    # an integer option beyond the float range is a usage error
+    kind = "error" if BEYOND_FLOAT in "".join(argv) else "domain error"
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("rdrisk: domain error: ") and err.count("\n") == 1
+    assert err.startswith(f"rdrisk: {kind}: ") and err.count("\n") == 1
 
 
-EDGE_GAMMAS = ("1,1", "1e-6,1e-6", "1e-3,1e-3", "0.01,0.01", "1e308,1e308", "1e-300,1")
+def test_gaussian_bound_at_huge_d(capsys):
+    # Gamma((d+1)/2) / Gamma(d/2) ~ sqrt(d/2), so nu tends to
+    # ln(8 pi)/2 - sqrt(2/pi) - 3/2 - 2 ln 2 = -2.0721 and printed_bound to
+    # exp(nu - 1) = 0.0463; the direct ln Gamma difference overflowed here.
+    code, out, err = run_cli(capsys, "bounds", "--family", "gaussian",
+                             "--d", "100000000000000000000000", "--sigma2", "1", "--n-grid", "10")
+    assert code == 0 and err == ""
+    nu = 0.5 * math.log(8 * math.pi) - math.sqrt(2 / math.pi) - 1.5 - 2 * math.log(2)
+    assert float(parse_csv(out)[1][0]["printed_bound"]) == pytest.approx(math.exp(nu - 1),
+                                                                        rel=1e-12)
+
+
+EDGE_GAMMAS = ("1,1", "1e-6,1e-6", "1e-3,1e-3", "0.01,0.01", "1e308,1e308", "1e-300,1",
+               "1e-308,1e-308")
 EDGE_SIGMA2 = ("1", "1e-160", "1e-300", "5e-324")
 
 

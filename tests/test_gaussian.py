@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +13,7 @@ from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_
                              sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
 from rdrisk.mc import mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, rd_lower_average, rd_upper
+from rdrisk.rdcore import rd_lower_average, rd_upper
 from rdrisk.specfun import EULER_GAMMA
 
 
@@ -73,6 +74,31 @@ def test_entropy_lower_nu_rejects_overflow():
             entropy_lower_nu(d, s2)
         with pytest.raises(DomainError, match="not finite"):
             bayes_risk_lower_l1(10, d, s2)
+
+
+@pytest.mark.parametrize("d", [64, 10 ** 3, 10 ** 9, 10 ** 16, 10 ** 300],
+                         ids=lambda d: f"{d:.0e}")
+def test_gamma_ratio_at_large_d(d):
+    # nu and the interpolation scale use Gamma((d+1)/2) / Gamma(d/2); a
+    # difference of two ln Gamma values loses it at large d (exactly 1 from
+    # d = 1e16 on), so both are checked against mpmath at enough digits.
+    with mpmath.workdps(700):
+        dm = mpmath.mpf(d)
+        ratio = mpmath.exp(mpmath.loggamma((dm + 1) / 2) - mpmath.loggamma(dm / 2))
+        q = 1 / dm + 1
+        nu = mpmath.digamma(dm / 2) / 2 + mpmath.log(16 * mpmath.pi * q / dm) / 2 \
+            - ratio * mpmath.sqrt(4 * q / (mpmath.pi * dm)) - mpmath.mpf(3) / 2 \
+            - 2 * mpmath.log(2)
+        scale = mpmath.sqrt(1 / dm + 1) * mpmath.sqrt(2) * ratio
+    assert entropy_lower_nu(d, 1.0).per_coord == pytest.approx(float(nu), abs=1e-13)
+    assert interpolation_scale(d, 1.0) == pytest.approx(float(scale), rel=1e-13)
+
+
+def test_entropy_lower_nu_rejects_large_d_sigma2():
+    # pi d sigma2 overflows: the square-root term would read 0 (or ln 0 fail)
+    for d, s2 in [(1000, 1e306), (10 ** 308, 1.0)]:
+        with pytest.raises(DomainError, match="too large"):
+            entropy_lower_nu(d, s2)
 
 
 def test_mutual_information_where_snr_overflows():
@@ -137,7 +163,7 @@ def test_rd_bracket_l1():
     d, s2 = 2, 0.5
     spec = GaussianFamily(d, s2).spec
     total = entropy_lower_nu(d, s2).total
-    assert spec == InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
+    assert (spec.d_star, spec.d_interp, spec.num_classes, spec.coverage) == (d, d, 2, 1.0)
     assert rd_lower_average(total, spec, 1.0, 0.04) == pytest.approx(
         max(total - d * math.log(2 * math.e * 0.04), 0.0), abs=1e-12)
     assert rd_upper(spec, 1.0) == 0.0

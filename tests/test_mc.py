@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdrisk.errors import DomainError
-from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
+from rdrisk.mc import mc_mean, rng_stream
 
 
 def test_rng_stream_reproducible():
@@ -81,7 +81,3 @@ def test_mc_mean_rejects_non_finite_chunk(bad):
     with pytest.raises(DomainError, match="non-finite values in chunk 3"):
         mc_mean(sampler, trials=1003, seed=0, chunks=4)
 
-
-def test_estimate_invariants():
-    with pytest.raises(DomainError):
-        MonteCarloEstimate(mean=0.0, stderr=-1.0, trials=10)
