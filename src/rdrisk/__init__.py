@@ -9,7 +9,7 @@ emits CSV/JSON risk curves.
 """
 
 from . import categorical, gaussian, knn, mc, multinomial, rdcore, sim_common, specfun, zero_error
-from .errors import ContradictionError, DomainError
+from .errors import DomainError
 from .mc import MonteCarloEstimate, mc_mean, rng_stream
 from .rdcore import FisherSummary, InterpolationSpec
 
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ContradictionError",
     "DomainError",
     "FisherSummary",
     "InterpolationSpec",

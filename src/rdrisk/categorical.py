@@ -1,10 +1,10 @@
 """Dirichlet-prior categorical distribution: entropy, mutual information,
-Bayes-risk lower bounds, minimax limit, external reference bounds, and a
-posterior-mean risk simulator.
+Bayes-risk lower bounds, external reference bounds, and a posterior-mean
+risk simulator.
 
 The learning problem is estimating an M-outcome distribution theta ~ Dir(gamma)
 from n i.i.d. draws; the regression function is theta itself, with a single
-interpolation point, so d_star = d_interp = 1 and coverage = 1.
+interpolation point, so d_star = d_interp = 1.
 """
 
 from __future__ import annotations
@@ -101,15 +101,6 @@ def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     if p == 2.0:
         return math.sqrt((m - 1) / n) * math.exp(2.0 * half_exp)
     raise DomainError("printed closed forms exist only for p in {1, 2, inf}")
-
-
-def minimax_limit_l1(n: int, m: int) -> float:
-    """Prior-free L1 lower-bound constant sqrt(pi (M-1) / (2 e n))."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if m < 2:
-        raise DomainError(f"M must be >= 2, got {m}")
-    return math.sqrt(math.pi * (m - 1) / (2.0 * math.e * n))
 
 
 class KamathBounds(NamedTuple):

@@ -36,14 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_p(text: str) -> float:
     t = text.strip().lower()
-    if t in ("inf", "infinity", "oo"):
+    if t.removeprefix("+") in ("inf", "infinity", "oo"):
         return math.inf
     try:
         p = float(t)
     except ValueError:
         raise UsageError(f"invalid loss order: {text!r}") from None
-    if not p >= 1.0:
-        raise UsageError(f"loss order must be >= 1 or inf, got {text!r}")
+    if not 1.0 <= p < math.inf:
+        raise UsageError(f"loss order must be a finite number >= 1 or inf, got {text!r}")
     return p
 
 
@@ -116,11 +116,15 @@ def _mc_options(args) -> tuple[int, int, int]:
 
 
 def _require(args, *names: str) -> None:
+    """The family options ``names`` are all given and no other one is."""
     if any(getattr(args, name) is None for name in names):
         flags = [f"--{name}" for name in names]
         listed = ", ".join(flags[:-1]) + " and " + flags[-1] if len(flags) > 1 else flags[0]
         verb = "are" if len(flags) > 1 else "is"
         raise UsageError(f"{listed} {verb} required for the {args.family} family")
+    for name in ("gamma", "d", "k", "sigma2"):
+        if name not in names and getattr(args, name) is not None:
+            raise UsageError(f"--{name} does not apply to the {args.family} family")
 
 
 class _Family:
@@ -134,6 +138,7 @@ class _Family:
     installed on the module see every call.
     """
 
+    options: tuple[str, ...] = ()  # the family options it takes, all required
     l1_only = False  # bounds exist for p = 1 only
     compare_column = "rd_lower_risk"  # the bound compare checks
     simulated_scale = 1.0  # puts the simulated value on the bound's scale
@@ -141,12 +146,14 @@ class _Family:
 
     def __init__(self, args):
         self.name = args.family
+        _require(args, *self.options)
 
 
 class _Categorical(_Family):
+    options = ("gamma",)
+
     def __init__(self, args):
         super().__init__(args)
-        _require(args, "gamma")
         self.prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
 
     def header(self) -> dict:
@@ -175,9 +182,10 @@ class _Categorical(_Family):
 
 
 class _Multinomial(_Family):
+    options = ("d", "k", "gamma")
+
     def __init__(self, args):
         super().__init__(args)
-        _require(args, "d", "k", "gamma")
         gamma = _parse_gamma(args.gamma)
         if len(gamma) != args.d:
             raise UsageError(f"gamma must have d={args.d} components")
@@ -213,13 +221,13 @@ class _Multinomial(_Family):
 
 
 class _Gaussian(_Family):
+    options = ("d", "sigma2")
     l1_only = True
     compare_column = "printed_bound"
     mi_methods = ("exact", "clarke-barron")
 
     def __init__(self, args):
         super().__init__(args)
-        _require(args, "d", "sigma2")
         self.model = gaussian.GaussianFamily(args.d, args.sigma2)
         self.test_points = args.test_points
 
@@ -310,13 +318,8 @@ def _emit(meta: dict, rows: list[dict], fmt: str, output: str | None) -> None:
 def _cmd_curve(args) -> int:
     """bounds, simulate and compare: one row per n of the grid."""
     p = _parse_p(args.p)
-    if args.n_grid is None and args.n is None:
-        raise UsageError("one of --n-grid or --n is required")
-    n_grid = _parse_n_grid(args.n_grid if args.n_grid is not None else args.n)
+    n_grid = _parse_n_grid(args.n_grid)
     trials, chunks, threads = _mc_options(args)
-    inflate = args.inflate_bound
-    if not 0.0 < inflate < math.inf:
-        raise UsageError(f"--inflate-bound must be positive and finite, got {inflate}")
     family = FAMILIES[args.family](args)
     if family.l1_only and p != 1.0:
         raise UsageError(f"the {args.family} family provides L1 bounds only")
@@ -328,8 +331,6 @@ def _cmd_curve(args) -> int:
     if args.command != "bounds":
         meta["sampler_version"] = SAMPLER_VERSION
     meta.update(family.header())
-    if inflate != 1.0:
-        meta["inflate_bound"] = inflate
 
     rows = []
     for idx, n in enumerate(n_grid):
@@ -346,7 +347,7 @@ def _cmd_curve(args) -> int:
 
     report = []
     for row in rows:
-        bound = row[family.compare_column] * inflate
+        bound = row[family.compare_column]
         mean = family.simulated_scale * row["simulated_mean"]
         stderr = family.simulated_scale * row["simulated_stderr"]
         if mean + 3.0 * stderr < bound:
@@ -398,16 +399,17 @@ def _add_family_options(sub) -> None:
     sub.add_argument("--k", type=int, help="trials per multinomial observation")
     sub.add_argument("--sigma2", type=float, help="Gaussian noise variance")
     sub.add_argument("--output", help="file path (default stdout)")
-    sub.set_defaults(trials="10000", seed=0, chunks=64, threads=1, test_points=1000,
-                     inflate_bound=1.0)
+    sub.set_defaults(trials="10000", seed=0, chunks=64, threads=1, test_points=1000)
 
 
 def _add_curve_options(sub) -> None:
     _add_family_options(sub)
     sub.add_argument("--p", default="1", help="loss order >= 1 or 'inf'")
-    sub.add_argument("--n-grid",
-                     help="'10,100,1000' or geometric 'start:stop:COUNTlog'")
-    sub.add_argument("--n", help="single sample count (shorthand for --n-grid N)")
+    grid = sub.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--n-grid",
+                      help="'10,100,1000' or geometric 'start:stop:COUNTlog'")
+    grid.add_argument("--n", dest="n_grid", metavar="N",
+                      help="single sample count (shorthand for --n-grid N)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.set_defaults(func=_cmd_curve)
 
@@ -434,8 +436,6 @@ def _build_parser() -> _Parser:
         _add_curve_options(sub)
         _add_mc_options(sub)
         sub.add_argument("--test-points", type=int, dest="test_points")
-    c.add_argument("--inflate-bound", type=float,
-                   help="test hook: scale the bound column before checking")
 
     m = subs.add_parser("mi", help="mutual information for one n")
     _add_family_options(m)

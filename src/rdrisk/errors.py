@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """An argument is outside the domain a function is defined on."""
-
-
-class ContradictionError(DomainError):
-    """A labeled sample set is not consistent with any threshold."""

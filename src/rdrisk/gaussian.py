@@ -1,10 +1,10 @@
-"""Binary Gaussian classifier with antipodal means: logistic posterior,
-posterior-entropy lower bound nu(d, sigma2), exact and asymptotic mutual
-information, L1 Bayes-risk bounds, and a conjugate plug-in simulator.
+"""Binary Gaussian classifier with antipodal means: posterior-entropy lower
+bound nu(d, sigma2), exact and asymptotic mutual information, L1 Bayes-risk
+bounds, and a conjugate plug-in simulator.
 
 Model: theta ~ N(0, I/d); class y in {1, 2} has x | y ~ N(+-theta, sigma2 I)
 with uniform labels (sign s = 3 - 2y).  Any orthogonal basis of R^d is a
-sufficient interpolation set, so d_star = d_interp = d, M = 2, coverage = 1.
+sufficient interpolation set, so d_star = d_interp = d and M = 2.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ class GaussianFamily:
         _check_params(d, sigma2)
         self.d, self.sigma2 = d, sigma2
         self.spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
-
-
-def posterior(x, theta, sigma2: float) -> float:
-    """W(y=1 | x, theta) = logistic(2 x.theta / sigma2), overflow-safe."""
-    xv = np.asarray(x, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    if xv.shape != th.shape:
-        raise DomainError(f"dimension mismatch: {xv.shape} vs {th.shape}")
-    if not sigma2 > 0.0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    return float(expit(2.0 * float(np.dot(xv, th)) / sigma2))
 
 
 class EntropyLowerBound(NamedTuple):

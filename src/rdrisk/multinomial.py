@@ -1,6 +1,6 @@
-"""Binary multinomial classifier: log-space posterior, posterior-entropy
-lower bound, mutual information, worst-case Bayes-risk bounds, and an
-interpolation-point simulator.
+"""Binary multinomial classifier: posterior-entropy lower bound, mutual
+information, worst-case Bayes-risk bounds, and an interpolation-point
+simulator.
 
 Observations are count vectors of k trials over d categories; the class-2
 category probabilities theta follow Dir(gamma) and class 1 uses the
@@ -34,20 +34,6 @@ class MultinomialFamily:
             raise DomainError("prior must have d components")
         self.d, self.k, self.prior = d, k, prior
         self.spec = InterpolationSpec(d_star=d - 1, d_interp=d - 1, num_classes=2)
-
-
-def posterior(family: MultinomialFamily, x, theta) -> float:
-    """P(y=1 | x, theta) = 1 / (1 + prod_i R_i^{x_i}), computed in log space."""
-    xv = np.asarray(x, dtype=float)
-    th = np.asarray(theta, dtype=float)
-    if xv.shape != (family.d,) or th.shape != (family.d,):
-        raise DomainError(f"x and theta must have length d={family.d}")
-    if np.any(xv < 0) or xv.sum() != family.k:
-        raise DomainError(f"x must be nonnegative and sum to k={family.k}")
-    if np.any(th <= 0.0) or np.any(th >= 1.0):
-        raise DomainError("theta components must lie strictly in (0, 1)")
-    log_odds = float(np.dot(xv, np.log(th) - np.log1p(-th)))
-    return float(expit(-log_odds))
 
 
 def entropy_lower(family: MultinomialFamily) -> Nats:
@@ -88,18 +74,6 @@ def reference_entropy_lower_printed(family: MultinomialFamily) -> Nats:
             - (g0 - 2.0) * digamma(g0) \
             + (k - gi) * digamma(gi)
     return total
-
-
-def scalar_entropy_chain(h_r: float, k: int, mean_log_r: float,
-                         mean_pos_log_r: float) -> float:
-    """h(V) lower bound for V = 1 / (1 + R^k) from moments of ln R.
-
-    h(R) + ln k - 2 ln 2 - 2k E[(ln R)+] + (k - 1) E[ln R].
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return h_r + math.log(k) - 2.0 * math.log(2.0) \
-        - 2.0 * k * mean_pos_log_r + (k - 1.0) * mean_log_r
 
 
 def fisher_summary(family: MultinomialFamily) -> FisherSummary:

@@ -29,23 +29,16 @@ class InterpolationSpec:
     d_star: cardinality of the interpolation set the entropy refers to.
     d_interp: interpolation dimension of the family (upper-bound side).
     num_classes: class count M >= 2.
-    coverage: probability mass covered by the interpolation map, in (0, 1];
-        unused by the pointwise bounds.  Isotropy of the map is the
-        caller's responsibility and is not verified here.
     """
 
-    __slots__ = ("d_star", "d_interp", "num_classes", "coverage")
+    __slots__ = ("d_star", "d_interp", "num_classes")
 
-    def __init__(self, d_star: int, d_interp: int, num_classes: int,
-                 coverage: float = 1.0):
+    def __init__(self, d_star: int, d_interp: int, num_classes: int):
         if d_star < 1 or d_interp < 1:
             raise DomainError("interpolation cardinality/dimension must be >= 1")
         if num_classes < 2:
             raise DomainError("num_classes must be >= 2")
-        if not 0.0 < coverage <= 1.0:
-            raise DomainError(f"coverage must be in (0, 1], got {coverage}")
-        self.d_star, self.d_interp = d_star, d_interp
-        self.num_classes, self.coverage = num_classes, coverage
+        self.d_star, self.d_interp, self.num_classes = d_star, d_interp, num_classes
 
 
 class FisherSummary(NamedTuple):
@@ -61,41 +54,18 @@ class FisherSummary(NamedTuple):
     entropy: float
 
 
-def _check_distortion(distortion: float) -> float:
-    if not distortion > 0.0:
-        raise DomainError(f"distortion must be positive, got {distortion}")
-    return float(distortion)
-
-
 def rd_lower_pointwise(h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
                        distortion: float) -> Nats:
-    """Worst-case-over-test-points rate-distortion lower bound.
+    """Rate-distortion lower bound [h_ws - d_star (M-1) (ln D + C_p)]^+.
 
-    [h_ws - d_star (M-1) (ln D + C_p)]^+ with D = ``distortion``: the
-    average bound at coverage 1.
+    D = ``distortion``.  At the entropy h_ws of the regression values on one
+    interpolation set this is the worst-case-over-test-points bound; at an
+    expected entropy over the test points it is the average bound.
     """
-    full = InterpolationSpec(spec.d_star, spec.d_interp, spec.num_classes)
-    return rd_lower_average(h_ws, full, p, distortion)
-
-
-def rd_upper(spec: InterpolationSpec, distortion: float) -> Nats:
-    """-d_interp (M-1) ln(min{D, 1/(M-1)})."""
-    d = _check_distortion(distortion)
+    if not distortion > 0.0:
+        raise DomainError(f"distortion must be positive, got {distortion}")
     m = spec.num_classes
-    return -spec.d_interp * (m - 1) * math.log(min(d, 1.0 / (m - 1)))
-
-
-def rd_lower_average(e_h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
-                     distortion: float) -> Nats:
-    """Average-over-test-points rate-distortion lower bound.
-
-    [e_h_ws - d_star (M-1) (ln(D / coverage) + C_p)]^+; reduces to the
-    pointwise bound when coverage = 1.
-    """
-    d = _check_distortion(distortion)
-    m = spec.num_classes
-    bracket = e_h_ws - spec.d_star * (m - 1) * (
-        math.log(d / spec.coverage) + cp_constant(p, m))
+    bracket = h_ws - spec.d_star * (m - 1) * (math.log(distortion) + cp_constant(p, m))
     return max(bracket, 0.0)
 
 
@@ -103,15 +73,14 @@ def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
                        p: LossOrder) -> float:
     """Smallest Bayes risk consistent with a mutual-information budget.
 
-    D_min = spec.coverage * exp((h_ws - mi) / (d_star (M-1)) - C_p), the exact
-    algebraic inverse of rd_lower_average at an active bracket.  The result
-    may exceed 1; callers clamp for reporting if they wish.  Negative mi
-    (an asymptotic expansion evaluated at small n) is accepted; the inverse
+    D_min = exp((h_ws - mi) / (d_star (M-1)) - C_p), the exact algebraic
+    inverse of rd_lower_pointwise at an active bracket.  The result may
+    exceed 1; callers clamp for reporting if they wish.  Negative mi (an
+    asymptotic expansion evaluated at small n) is accepted; the inverse
     simply extrapolates.
     """
     m = spec.num_classes
-    expo = (h_ws - mi) / (spec.d_star * (m - 1)) - cp_constant(p, m)
-    return spec.coverage * math.exp(expo)
+    return math.exp((h_ws - mi) / (spec.d_star * (m - 1)) - cp_constant(p, m))
 
 
 def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
@@ -128,12 +97,6 @@ def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
     t = fisher.dim
     return (t / 2.0) * math.log(n / (2.0 * math.pi * math.e)) \
         + fisher.mean_log_sqrt_det + fisher.entropy
-
-
-def posterior_entropy_upper(spec: InterpolationSpec) -> Nats:
-    """Maximum-entropy ceiling -d_interp (M-1) ln(M-1) for any posterior."""
-    m = spec.num_classes
-    return -spec.d_interp * (m - 1) * math.log(m - 1.0)
 
 
 def _as_sample_cube(w_samples) -> np.ndarray:

@@ -1,57 +1,21 @@
 """Noiseless 1-D threshold classification on [0, 1] with a uniform prior:
-exact mutual information through harmonic numbers, rate-distortion bound,
-midpoint estimator with exact 1/n-scaling risk, and the e^{-gamma}-tight
-sample-complexity pair.
+exact mutual information through harmonic numbers, the L1 risk floor it
+gives, midpoint estimator with exact 1/n-scaling risk, and the
+e^{-gamma}-tight sample-complexity pair.
 
-Labels are +1 iff x >= theta (the measure-zero tie goes to +1 so runs are
-deterministic).  The consistent-threshold interval (theta_l, theta_r]
-collects max over negative points and min over positive points, with 0/1
-defaults when a side is empty.
+Labels are +1 iff x >= theta; the midpoint estimator returns the centre of
+the interval of thresholds consistent with the sample.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ._numpy import np
-from .errors import ContradictionError, DomainError
+from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import InterpolationSpec, rd_lower_pointwise
-from .specfun import EULER_GAMMA, LossOrder, Nats, harmonic, validate_loss_order
-
-
-class ZeroErrorSample(NamedTuple):
-    x: float
-    y: int
-
-
-class ThetaInterval(NamedTuple):
-    theta_l: float
-    theta_r: float
-
-
-def label(x: float, theta: float) -> int:
-    """+1 if x >= theta else -1."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= theta <= 1.0):
-        raise DomainError("x and theta must lie in [0, 1]")
-    return 1 if x >= theta else -1
-
-
-def interval(samples: Iterable[ZeroErrorSample]) -> ThetaInterval:
-    """Interval of thresholds consistent with every labeled sample."""
-    theta_l, theta_r = 0.0, 1.0
-    for x, y in samples:
-        if y == -1:
-            theta_l = max(theta_l, x)
-        elif y == 1:
-            theta_r = min(theta_r, x)
-        else:
-            raise DomainError(f"labels must be +-1, got {y}")
-    if theta_l > theta_r:
-        raise ContradictionError(
-            f"no threshold is consistent: theta_l={theta_l} > theta_r={theta_r}")
-    return ThetaInterval(theta_l=theta_l, theta_r=theta_r)
+from .specfun import EULER_GAMMA, Nats, harmonic
 
 
 def mutual_information_exact(n: int) -> Nats:
@@ -88,49 +52,11 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
 
-# One interpolation point (theta itself), two classes.
-_SPEC = InterpolationSpec(d_star=1, d_interp=1, num_classes=2)
-
-
-def _finite_p(p: LossOrder) -> float:
-    p = validate_loss_order(p)
-    if math.isinf(p):
-        raise DomainError("the closed form is stated for finite p only")
-    return p
-
-
-def rd_lower(distortion: float, p: LossOrder) -> Nats:
-    """Published rate-distortion lower bound for the threshold posterior.
-
-    [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+, the pointwise bound at
-    posterior entropy 0 and M = 2.  See rd_lower_rederived for the variant
-    carrying the extra (1/p) ln 2.
-    """
-    return rd_lower_pointwise(0.0, _SPEC, _finite_p(p), distortion)
-
-
-def rd_lower_rederived(distortion: float, p: LossOrder) -> Nats:
-    """Variant from maximizing entropy at moment D^p / 2: printed + (ln 2)/p.
-
-    The published form and this one differ by exactly (1/p) ln 2 before the
-    positive part; the published one is primary for reproducing the
-    sample-complexity chain.
-    """
-    p = _finite_p(p)
-    return rd_lower_pointwise(math.log(2.0) / p, _SPEC, p, distortion)
-
-
 def risk_lower_l1(n: int) -> float:
     """L1 risk floor from the exact mutual information: exp(-H_{n+1}) / 2."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     return math.exp(-harmonic(n + 1)) / 2.0
-
-
-def midpoint_estimator(samples: Iterable[ZeroErrorSample]) -> float:
-    """(theta_l + theta_r) / 2 of the consistent interval."""
-    iv = interval(samples)
-    return 0.5 * (iv.theta_l + iv.theta_r)
 
 
 class EstimatorRisk(NamedTuple):

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, fisher_summary,
-                                kamath_bounds, minimax_limit_l1,
-                                mutual_information, posterior_entropy,
+                                kamath_bounds, mutual_information, posterior_entropy,
                                 reference_risk_lower, simulate_bayes_risk)
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
-from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_average
+from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_pointwise
 
 UNIFORM2 = DirichletPrior((1.0, 1.0))
+
+
+def minimax_limit_l1(n, m):
+    """Reference: the prior-free L1 lower-bound constant sqrt(pi (M-1) / (2 e n))."""
+    return math.sqrt(math.pi * (m - 1) / (2.0 * math.e * n))
 
 
 def test_prior_validation_and_cache():
@@ -119,7 +123,7 @@ def test_bayes_risk_lower_inversion_round_trip():
         mi = mutual_information(n, prior)
         assert mi > 0.0
         risk = bayes_risk_lower(n, prior, 1.0)
-        assert rd_lower_average(posterior_entropy(prior), spec, 1.0, risk) \
+        assert rd_lower_pointwise(posterior_entropy(prior), spec, 1.0, risk) \
             == pytest.approx(mi, abs=1e-10)
 
 

@@ -42,12 +42,12 @@ def test_parse_p():
     assert _parse_p("1") == 1.0
     assert _parse_p("2.5") == 2.5
     assert math.isinf(_parse_p("inf"))
+    assert math.isinf(_parse_p("+inf"))
     from rdrisk.cli import UsageError
 
-    with pytest.raises(UsageError):
-        _parse_p("0.3")
-    with pytest.raises(UsageError):
-        _parse_p("two")
+    for text in ("0.3", "two", "1e400"):
+        with pytest.raises(UsageError):
+            _parse_p(text)
 
 
 def test_parse_n_grid():
@@ -100,6 +100,31 @@ def test_bounds_single_n_shorthand(capsys):
     code2, _, err = run_cli(capsys, "bounds", "--family", "zero-error")
     assert code2 == 1
     assert "--n" in err
+    # --n and --n-grid exclude each other
+    code3, out3, err3 = run_cli(capsys, "bounds", "--family", "zero-error", "--n", "10",
+                                "--n-grid", "1,2")
+    assert code3 == 1
+    assert out3 == ""
+    assert err3.startswith("rdrisk: error: ") and err3.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("bounds", "--family", "categorical", "--gamma", "1,1", "--d", "3", "--n", "10"), "--d"),
+    (("bounds", "--family", "zero-error", "--sigma2", "1", "--n", "10"), "--sigma2"),
+    (("simulate", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--k", "2",
+      "--n", "10", "--trials", "1000"), "--k"),
+    (("compare", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1,1",
+      "--sigma2", "1", "--n", "10", "--trials", "1000"), "--sigma2"),
+    (("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10",
+      "--gamma", "1,2"), "--gamma"),
+    (("mi", "--family", "categorical", "--gamma", "1,1", "--k", "3", "--n", "10"), "--k"),
+], ids=["bounds-categorical-d", "bounds-zero-error-sigma2", "simulate-gaussian-k",
+        "compare-multinomial-sigma2", "mi-gaussian-gamma", "mi-categorical-k"])
+def test_rejects_family_option_that_does_not_apply(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: error: ") and err.count("\n") == 1 and option in err
 
 
 def test_bounds_missing_family_param(capsys):
@@ -191,13 +216,17 @@ def test_rejects_bad_mc_options(capsys, command, option, value):
     assert err.startswith("rdrisk: ") and option in err
 
 
-def test_compare_ok_and_negative_control(capsys):
+def test_compare_ok_and_negative_control(capsys, monkeypatch):
     args = ["compare", "--family", "categorical", "--gamma", "1,1",
             "--n-grid", "10,100", "--trials", "1000", "--seed", "11"]
     code, out, err = run_cli(capsys, *args)
     assert code == 0
     assert "0 violation(s)" in err
-    code2, _, err2 = run_cli(capsys, *args, "--inflate-bound", "10")
+    # a bound ten times too high must be reported as a violation
+    bound = rdrisk.categorical.bayes_risk_lower
+    monkeypatch.setattr(rdrisk.categorical, "bayes_risk_lower",
+                        lambda *a: 10.0 * bound(*a))
+    code2, _, err2 = run_cli(capsys, *args)
     assert code2 == 2
     assert "violation" in err2
 
@@ -548,15 +577,6 @@ def test_exit_code_contract(command_line):
     else:
         values = [float(cell) for row in parse_csv(out)[1] for cell in row.values() if cell]
     assert values and all(math.isfinite(v) for v in values)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_compare_rejects_bad_inflate_bound(capsys, value):
-    code, out, err = run_cli(capsys, "compare", "--family", "zero-error", "--n-grid", "2",
-                             "--trials", "2000", "--inflate-bound", value)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("rdrisk: ") and "inflate-bound" in err
 
 
 FAMILY_ARGS = {

@@ -9,38 +9,22 @@ from scipy.special import expit
 from rdrisk.errors import DomainError
 from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_nu,
                              interpolation_scale, mutual_information_cb,
-                             mutual_information_exact, posterior,
-                             sample_regression_values, simulate_bayes_risk)
+                             mutual_information_exact, sample_regression_values,
+                             simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
 from rdrisk.mc import mc_mean, rng_stream
-from rdrisk.rdcore import rd_lower_average, rd_upper
+from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA
 
 
 def test_family_spec():
     f = GaussianFamily(d=3, sigma2=0.5)
     assert f.spec.d_star == f.spec.d_interp == 3
-    assert f.spec.num_classes == 2 and f.spec.coverage == 1.0
+    assert f.spec.num_classes == 2
     with pytest.raises(DomainError):
         GaussianFamily(d=0, sigma2=1.0)
     with pytest.raises(DomainError):
         GaussianFamily(d=1, sigma2=0.0)
-
-
-def test_posterior_values():
-    assert posterior((0.0, 1.0), (1.0, 0.0), 1.0) == 0.5
-    # x.theta = sigma2 ln(3) / 2 puts the posterior at 3/4
-    s2 = 0.7
-    x = (s2 * math.log(3.0) / 2.0,)
-    assert posterior(x, (1.0,), s2) == pytest.approx(0.75, rel=1e-13)
-    # antisymmetry and saturation stability
-    xv, th = (0.3, -1.2), (0.5, 0.8)
-    assert posterior(xv, th, 1.0) + posterior(tuple(-v for v in xv), th, 1.0) \
-        == pytest.approx(1.0, abs=1e-14)
-    assert posterior((1e6,), (1e6,), 1.0) == 1.0
-    assert posterior((-1e6,), (1e6,), 1.0) == 0.0
-    with pytest.raises(DomainError):
-        posterior((1.0, 2.0), (1.0,), 1.0)
 
 
 def test_entropy_lower_nu_fixture():
@@ -136,12 +120,6 @@ def test_cb_composition_identity():
             assert mutual_information_exact(n, d, s2) >= mi_clarke_barron(n, fisher)
 
 
-def test_posterior_monotone_in_alignment():
-    th = np.array([0.4, -0.2, 1.0])
-    scores = [posterior(c * th, th, 1.0) for c in (-2.0, -0.5, 0.0, 0.5, 2.0)]
-    assert all(b > a for a, b in zip(scores, scores[1:]))
-
-
 def test_exact_vs_asymptotic_gap():
     # exact - cb = (d/2) ln(1 + d sigma2 / n), monotone to zero
     gaps = []
@@ -163,15 +141,12 @@ def test_rd_bracket_l1():
     d, s2 = 2, 0.5
     spec = GaussianFamily(d, s2).spec
     total = entropy_lower_nu(d, s2).total
-    assert (spec.d_star, spec.d_interp, spec.num_classes, spec.coverage) == (d, d, 2, 1.0)
-    assert rd_lower_average(total, spec, 1.0, 0.04) == pytest.approx(
+    assert (spec.d_star, spec.d_interp, spec.num_classes) == (d, d, 2)
+    assert rd_lower_pointwise(total, spec, 1.0, 0.04) == pytest.approx(
         max(total - d * math.log(2 * math.e * 0.04), 0.0), abs=1e-12)
-    assert rd_upper(spec, 1.0) == 0.0
-    assert rd_upper(spec, 3.0) == 0.0
-    assert rd_upper(spec, 0.04) == pytest.approx(-d * math.log(0.04), rel=1e-13)
     # halving D adds d ln 2 before the clamp whenever the bracket is active
-    lo_fine = rd_lower_average(total, spec, 1.0, 1e-6)
-    lo_coarse = rd_lower_average(total, spec, 1.0, 2e-6)
+    lo_fine = rd_lower_pointwise(total, spec, 1.0, 1e-6)
+    lo_coarse = rd_lower_pointwise(total, spec, 1.0, 2e-6)
     assert lo_fine - lo_coarse == pytest.approx(d * math.log(2.0), abs=1e-10)
 
 

@@ -8,11 +8,10 @@ from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy, knn_entropy_detail
 from rdrisk.mc import rng_stream
 from rdrisk.multinomial import (MultinomialFamily, entropy_lower, fisher_summary,
-                                mutual_information, posterior,
-                                reference_entropy_lower_printed, reference_risk_lower,
-                                scalar_entropy_chain, simulate_interpolation_risk,
+                                mutual_information, reference_entropy_lower_printed,
+                                reference_risk_lower, simulate_interpolation_risk,
                                 xbayes_risk_lower)
-from rdrisk.rdcore import mi_clarke_barron, rd_lower_pointwise, rd_upper
+from rdrisk.rdcore import mi_clarke_barron, rd_lower_pointwise
 from rdrisk.specfun import digamma
 
 
@@ -32,43 +31,6 @@ def test_family_validation():
         fam(3, 1, (1.0, 1.0))
     with pytest.raises(DomainError):
         fam(2, 0, (1.0, 1.0))
-
-
-def test_posterior_values():
-    f = fam(2, 2, (1.0, 1.0))
-    assert posterior(f, (1, 1), (0.5, 0.5)) == 0.5
-    assert posterior(f, (2, 0), (0.5, 0.5)) == 0.5
-    # ratio 4 at the first coordinate: 1 / (1 + 4^2)
-    assert posterior(f, (2, 0), (0.8, 0.3)) == pytest.approx(1.0 / 17.0, rel=1e-12)
-    # x = k e_1 with theta_1 -> 0 forces the posterior to 1
-    assert posterior(f, (2, 0), (1e-12, 0.5)) == pytest.approx(1.0, abs=1e-11)
-
-
-def test_posterior_log_space_stability():
-    f = fam(2, 10_000, (1.0, 1.0))
-    x = (10_000, 0)
-    assert posterior(f, x, (0.999, 0.5)) == pytest.approx(0.0, abs=1e-300)
-    assert posterior(f, x, (0.001, 0.5)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_posterior_relabeling_invariance():
-    f = fam(3, 4, (1.0, 1.0, 1.0))
-    theta = (0.2, 0.5, 0.3)
-    x = (1, 2, 1)
-    perm = (2, 0, 1)
-    theta_p = tuple(theta[i] for i in perm)
-    x_p = tuple(x[i] for i in perm)
-    assert posterior(f, x_p, theta_p) == pytest.approx(posterior(f, x, theta), rel=1e-12)
-
-
-def test_posterior_validation():
-    f = fam(2, 2, (1.0, 1.0))
-    with pytest.raises(DomainError):
-        posterior(f, (1, 0), (0.5, 0.5))
-    with pytest.raises(DomainError):
-        posterior(f, (2, 0), (1.0, 0.5))
-    with pytest.raises(DomainError):
-        posterior(f, (2, 0), (0.0, 0.5))
 
 
 def test_entropy_lower_fixtures():
@@ -124,6 +86,13 @@ def test_entropy_lower_below_knn(d, k, gamma):
     assert entropy_lower(f) <= est.mean + 3 * est.stderr
 
 
+def scalar_entropy_chain(h_r, k, mean_log_r, mean_pos_log_r):
+    """Reference: the h(V) lower bound for V = 1 / (1 + R^k) from moments of ln R,
+    h(R) + ln k - 2 ln 2 - 2k E[(ln R)+] + (k - 1) E[ln R]."""
+    return h_r + math.log(k) - 2.0 * math.log(2.0) \
+        - 2.0 * k * mean_pos_log_r + (k - 1.0) * mean_log_r
+
+
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_scalar_entropy_chain_monte_carlo(k):
     # chain check with Monte-Carlo moments: knn h(V) dominates
@@ -169,8 +138,6 @@ def test_rd_bracket():
     # p = 1 reduces to entropy_lower - (d-1) ln(2 e D) before the clamp
     expected = entropy_lower(f) - (f.d - 1) * math.log(2 * math.e * 0.05)
     assert lower == pytest.approx(max(expected, 0.0), abs=1e-12)
-    assert rd_upper(f.spec, 1.0) == 0.0
-    assert rd_upper(f.spec, 2.0) == 0.0
     # halving D raises the lower bound by (d-1) ln 2 while the bracket is active
     h = entropy_lower(FAM211)
     lo1 = rd_lower_pointwise(h, FAM211.spec, 1.0, 0.01)

@@ -10,12 +10,25 @@ from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
 from rdrisk.rdcore import (FisherSummary, InterpolationSpec, generalized_gaussian_entropy,
                            mi_clarke_barron, posterior_entropy_change_of_var,
-                           posterior_entropy_upper, ratio_coordinates,
-                           ratio_log_jacobian, rd_lower_average, rd_lower_pointwise,
-                           rd_upper, risk_lower_from_mi)
+                           ratio_coordinates, ratio_log_jacobian, rd_lower_pointwise,
+                           risk_lower_from_mi)
 from rdrisk.specfun import cp_constant
 
 SPEC_1_2 = InterpolationSpec(d_star=1, d_interp=1, num_classes=2)
+
+
+# The paper's upper side of R(D), kept here as reference formulas that the
+# lower bound is checked against.
+def rd_upper(spec, distortion):
+    """-d_interp (M-1) ln(min{D, 1/(M-1)})."""
+    m = spec.num_classes
+    return -spec.d_interp * (m - 1) * math.log(min(distortion, 1.0 / (m - 1)))
+
+
+def posterior_entropy_upper(spec):
+    """Maximum-entropy ceiling -d_interp (M-1) ln(M-1) for any posterior."""
+    m = spec.num_classes
+    return -spec.d_interp * (m - 1) * math.log(m - 1.0)
 
 
 def test_spec_validation():
@@ -23,8 +36,6 @@ def test_spec_validation():
         InterpolationSpec(d_star=0, d_interp=1, num_classes=2)
     with pytest.raises(DomainError):
         InterpolationSpec(d_star=1, d_interp=1, num_classes=1)
-    with pytest.raises(DomainError):
-        InterpolationSpec(d_star=1, d_interp=1, num_classes=2, coverage=0.0)
 
 
 def test_rd_lower_pointwise_examples():
@@ -42,17 +53,6 @@ def test_rd_upper_examples():
     assert rd_upper(SPEC_1_2, 0.5) == pytest.approx(math.log(2.0), rel=1e-14)
     spec = InterpolationSpec(d_star=2, d_interp=2, num_classes=3)
     assert rd_upper(spec, 0.1) == pytest.approx(9.21034037197618273607196581874, rel=1e-14)
-
-
-def test_rd_lower_average_examples():
-    spec_half = InterpolationSpec(d_star=1, d_interp=1, num_classes=2, coverage=0.5)
-    assert rd_lower_average(0.0, spec_half, 1.0, 0.01) == pytest.approx(
-        2.21887582486820074920151866645, rel=1e-14)
-    assert rd_lower_average(0.0, spec_half, 1.0, 10.0) == 0.0
-    # coverage = 1 reduces to the pointwise bound
-    for d in (0.003, 0.02, 0.4):
-        assert rd_lower_average(1.3, SPEC_1_2, 2.0, d) == pytest.approx(
-            rd_lower_pointwise(1.3, SPEC_1_2, 2.0, d), abs=1e-14)
 
 
 def test_corollary_forms_random_grid():
@@ -113,13 +113,11 @@ def test_risk_lower_from_mi_monotone_limit():
 @settings(max_examples=100, deadline=None)
 @given(h=st.floats(-4, 4), mi=st.floats(0.1, 30),
        d_star=st.integers(1, 4), m=st.integers(2, 6),
-       p=st.sampled_from([1.0, 1.7, 2.0, math.inf]),
-       coverage=st.floats(0.05, 1.0))
-def test_inversion_round_trip(h, mi, d_star, m, p, coverage):
-    spec = InterpolationSpec(d_star=d_star, d_interp=d_star, num_classes=m,
-                             coverage=coverage)
+       p=st.sampled_from([1.0, 1.7, 2.0, math.inf]))
+def test_inversion_round_trip(h, mi, d_star, m, p):
+    spec = InterpolationSpec(d_star=d_star, d_interp=d_star, num_classes=m)
     dmin = risk_lower_from_mi(mi, h, spec, p)
-    assert rd_lower_average(h, spec, p, dmin) == pytest.approx(mi, abs=1e-10)
+    assert rd_lower_pointwise(h, spec, p, dmin) == pytest.approx(mi, abs=1e-10)
 
 
 def test_mi_clarke_barron_examples():

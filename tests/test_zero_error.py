@@ -4,34 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rdrisk.errors import ContradictionError, DomainError
+from rdrisk.errors import DomainError
 from rdrisk.mc import rng_stream
+from rdrisk.rdcore import InterpolationSpec, rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA, harmonic
-from rdrisk.zero_error import (ZeroErrorSample, _interval_widths, estimator_risk_exact,
-                               estimator_risk_rederived, interval, label,
-                               mi_monte_carlo, midpoint_estimator,
-                               mutual_information_exact, rd_lower,
-                               rd_lower_rederived, risk_lower_l1,
+from rdrisk.zero_error import (_interval_widths, estimator_risk_exact,
+                               estimator_risk_rederived, mi_monte_carlo,
+                               mutual_information_exact, risk_lower_l1,
                                sample_complexity, simulate_estimator_risk)
 
-
-def test_label_convention():
-    assert label(0.7, 0.3) == 1
-    assert label(0.1, 0.3) == -1
-    assert label(0.3, 0.3) == 1  # tie goes to +1
-    with pytest.raises(DomainError):
-        label(1.5, 0.3)
-
-
-def test_interval():
-    assert interval([]) == (0.0, 1.0)
-    got = interval([ZeroErrorSample(0.2, -1), ZeroErrorSample(0.9, 1),
-                    ZeroErrorSample(0.6, 1)])
-    assert got == (0.2, 0.6)
-    with pytest.raises(ContradictionError):
-        interval([ZeroErrorSample(0.5, 1), ZeroErrorSample(0.7, -1)])
-    with pytest.raises(DomainError):
-        interval([ZeroErrorSample(0.5, 0)])
+# The threshold posterior has one interpolation point (theta) and two
+# classes.  The published rate-distortion bound is rd_lower_pointwise at
+# posterior entropy 0; the re-derived one, from maximizing the entropy at
+# moment D^p / 2, is the same bound at entropy (ln 2) / p.
+THRESHOLD = InterpolationSpec(1, 1, 2)
 
 
 def test_mutual_information_exact_values():
@@ -82,30 +68,34 @@ def test_mi_monte_carlo_stderr_scales():
 
 
 def test_rd_lower_values():
-    assert rd_lower(1.0 / (2.0 * math.e), 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert rd_lower(0.01, 1.0) == pytest.approx(2.91202300542814605861875078791, rel=1e-13)
-    assert rd_lower(1.0, 1.0) == 0.0
-    assert rd_lower(2.0, 1.0) == 0.0
+    # published: [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+
+    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 1.0 / (2.0 * math.e)) == pytest.approx(
+        0.0, abs=1e-12)
+    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 0.01) == pytest.approx(
+        2.91202300542814605861875078791, rel=1e-13)
+    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 1.0) == 0.0
+    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 2.0) == 0.0
     with pytest.raises(DomainError):
-        rd_lower(0.0, 1.0)
-    with pytest.raises(DomainError):
-        rd_lower(0.1, math.inf)
+        rd_lower_pointwise(0.0, THRESHOLD, 1.0, 0.0)
 
 
 def test_rd_lower_at_huge_finite_p():
     # p e overflows above about 6.6e307; the bound must not collapse to 0
-    at_1e307 = rd_lower(1e-3, 1e307)
-    assert rd_lower(1e-3, 7e307) == pytest.approx(at_1e307, rel=1e-15)
+    at_1e307 = rd_lower_pointwise(0.0, THRESHOLD, 1e307, 1e-3)
+    assert rd_lower_pointwise(0.0, THRESHOLD, 7e307, 1e-3) == pytest.approx(at_1e307,
+                                                                          rel=1e-15)
     assert at_1e307 == pytest.approx(-math.log(2e-3), rel=1e-12)
-    assert rd_lower_rederived(1e-3, 7e307) == pytest.approx(at_1e307, rel=1e-15)
+    assert rd_lower_pointwise(math.log(2.0) / 7e307, THRESHOLD, 7e307, 1e-3) \
+        == pytest.approx(at_1e307, rel=1e-15)
 
 
 def test_rd_lower_rederived_offset():
     # the entropy-maximizing route adds exactly (1/p) ln 2 pre-clamp
     for p in (1.0, 2.0, 4.0):
         for dist in (0.001, 0.01):
-            assert rd_lower_rederived(dist, p) - rd_lower(dist, p) == pytest.approx(
-                math.log(2.0) / p, abs=1e-12)
+            published = rd_lower_pointwise(0.0, THRESHOLD, p, dist)
+            rederived = rd_lower_pointwise(math.log(2.0) / p, THRESHOLD, p, dist)
+            assert rederived - published == pytest.approx(math.log(2.0) / p, abs=1e-12)
 
 
 def test_chain_discrepancy_logged():
@@ -117,14 +107,6 @@ def test_chain_discrepancy_logged():
     got = sample_complexity(l1).n_necessary
     assert got == pytest.approx(displayed, rel=1e-12)
     print(f"n_necessary displayed={displayed:.6f} inline-variant={inline:.6f}")
-
-
-def test_midpoint_estimator():
-    assert midpoint_estimator([]) == 0.5
-    samples = [ZeroErrorSample(0.2, -1), ZeroErrorSample(0.6, 1)]
-    assert midpoint_estimator(samples) == pytest.approx(0.4, rel=1e-15)
-    lo, hi = interval(samples)
-    assert lo <= midpoint_estimator(samples) <= hi
 
 
 def test_estimator_risk_exact_published_values():
