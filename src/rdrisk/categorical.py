@@ -134,6 +134,17 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     theta_hat = (gamma + counts) / (gamma0 + n), inner loss per
     sim_common.inner_loss.  The outer 1/p exponent and a delta-method
     stderr are applied to the Monte-Carlo mean.
+
+    At p = 2 the counts are not drawn: the trial value is their exact
+    conditional expectation given theta.  With c_i ~ Bin(n, theta_i),
+    E theta_hat_i = (g_i + n theta_i) / (g0 + n) and
+    Var theta_hat_i = n theta_i (1 - theta_i) / (g0 + n)^2, so
+    E[(theta_hat_i - theta_i)^2 | theta] is the squared bias plus the
+    variance, and the trial value is
+    sum_i [((g0 theta_i - g_i) / (g0 + n))^2 + n theta_i (1 - theta_i) / (g0 + n)^2].
+    Its mean is the same L2 risk with the count noise integrated out, so
+    the stderr is smaller.  p = 1 and p = inf draw the counts, because
+    their conditional law needs the binomial CDF.
     """
     check_simulation(n, trials)
     p = validate_loss_order(p)
@@ -142,6 +153,9 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
 
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
+        if p == 2.0:
+            bias = g0 * theta - gamma[None, :]
+            return (bias * bias + n * theta * (1.0 - theta)).sum(axis=1) / (g0 + n) ** 2
         counts = sample_multinomial(n, theta, rng)
         theta_hat = (gamma[None, :] + counts) / (g0 + n)
         return inner_loss(p, theta, theta_hat)

@@ -115,16 +115,18 @@ def _mc_options(args) -> tuple[int, int, int]:
     return trials, chunks, _parse_count("threads", args.threads)
 
 
-def _require(args, *names: str) -> None:
-    """The family options ``names`` are all given and no other one is."""
+def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """The family options ``names`` are all given and none is given that is
+    neither in ``names`` nor in ``optional``."""
     if any(getattr(args, name) is None for name in names):
         flags = [f"--{name}" for name in names]
         listed = ", ".join(flags[:-1]) + " and " + flags[-1] if len(flags) > 1 else flags[0]
         verb = "are" if len(flags) > 1 else "is"
         raise UsageError(f"{listed} {verb} required for the {args.family} family")
-    for name in ("gamma", "d", "k", "sigma2"):
-        if name not in names and getattr(args, name) is not None:
-            raise UsageError(f"--{name} does not apply to the {args.family} family")
+    for name in ("gamma", "d", "k", "sigma2", "test_points"):
+        if name not in names + optional and getattr(args, name) is not None:
+            flag = name.replace("_", "-")
+            raise UsageError(f"--{flag} does not apply to the {args.family} family")
 
 
 class _Family:
@@ -139,6 +141,7 @@ class _Family:
     """
 
     options: tuple[str, ...] = ()  # the family options it takes, all required
+    optional: tuple[str, ...] = ()  # the family options it also takes, with a default
     l1_only = False  # bounds exist for p = 1 only
     compare_column = "rd_lower_risk"  # the bound compare checks
     simulated_scale = 1.0  # puts the simulated value on the bound's scale
@@ -146,7 +149,7 @@ class _Family:
 
     def __init__(self, args):
         self.name = args.family
-        _require(args, *self.options)
+        _require(args, self.options, self.optional)
 
 
 class _Categorical(_Family):
@@ -222,6 +225,7 @@ class _Multinomial(_Family):
 
 class _Gaussian(_Family):
     options = ("d", "sigma2")
+    optional = ("test_points",)
     l1_only = True
     compare_column = "printed_bound"
     mi_methods = ("exact", "clarke-barron")
@@ -229,7 +233,7 @@ class _Gaussian(_Family):
     def __init__(self, args):
         super().__init__(args)
         self.model = gaussian.GaussianFamily(args.d, args.sigma2)
-        self.test_points = args.test_points
+        self.test_points = 1000 if args.test_points is None else args.test_points
 
     def header(self) -> dict:
         return {"d": self.model.d, "sigma2": self.model.sigma2,
@@ -268,8 +272,8 @@ class _ZeroError(_Family):
                                    "width, 1/(n+2); published variant 1/(2(n+1))"}
 
     def bound_row(self, row, n, p):
-        row["rd_lower_risk"] = zero_error.risk_lower_l1(n)
         row["mi"] = zero_error.mutual_information_exact(n)
+        row["rd_lower_risk"] = zero_error.risk_lower_l1(n, row["mi"])
         row["reference_upper"] = zero_error.estimator_risk_rederived(n).l1
 
     def simulate(self, n, p, seed, trials, chunks, threads):
@@ -399,7 +403,7 @@ def _add_family_options(sub) -> None:
     sub.add_argument("--k", type=int, help="trials per multinomial observation")
     sub.add_argument("--sigma2", type=float, help="Gaussian noise variance")
     sub.add_argument("--output", help="file path (default stdout)")
-    sub.set_defaults(trials="10000", seed=0, chunks=64, threads=1, test_points=1000)
+    sub.set_defaults(trials="10000", seed=0, chunks=64, threads=1, test_points=None)
 
 
 def _add_curve_options(sub) -> None:

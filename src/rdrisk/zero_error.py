@@ -52,11 +52,19 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
 
-def risk_lower_l1(n: int) -> float:
-    """L1 risk floor from the exact mutual information: exp(-H_{n+1}) / 2."""
+def risk_lower_l1(n: int, mi: Nats | None = None) -> float:
+    """L1 risk floor from the exact mutual information: exp(-H_{n+1}) / 2.
+
+    It is computed as exp(-(I + 1)) / 2 from I = mutual_information_exact(n),
+    which gives the same float for every n checked (0..2000, 1e5 +- 1,
+    1e6, 1e7, 1e9 and both benchmark log grids).  A caller that already has
+    I passes it as ``mi`` to skip the harmonic sum.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return math.exp(-harmonic(n + 1)) / 2.0
+    if mi is None:
+        mi = mutual_information_exact(n)
+    return math.exp(-(mi + 1.0)) / 2.0
 
 
 class EstimatorRisk(NamedTuple):

@@ -8,8 +8,10 @@ from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, fisher_summary
                                 reference_risk_lower, simulate_bayes_risk)
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
-from rdrisk.mc import rng_stream
+from rdrisk.mc import mc_mean, rng_stream
 from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_pointwise
+from rdrisk.sim_common import (inner_loss, outer_risk, outer_stderr, sample_dirichlet,
+                               sample_multinomial)
 
 UNIFORM2 = DirichletPrior((1.0, 1.0))
 
@@ -205,3 +207,43 @@ def test_simulator_p2_and_pinf_run():
     assert est2.mean > 0 and estinf.mean > 0
     with pytest.raises(DomainError):
         simulate_bayes_risk(10, UNIFORM2, 1.0, trials=10, seed=0)
+
+
+def l2_risk_law(n, prior):
+    """Exact L2 risk of the posterior-mean rule."""
+    g0 = prior.gamma0
+    return math.sqrt(math.fsum(g * (g0 - g) for g in prior.gamma)
+                     / (g0 * (g0 + 1.0) * (g0 + n)))
+
+
+def simulate_l2_by_counts(n, prior, trials, seed):
+    """The version-3 p = 2 sampler: draws the counts and averages the squared
+    error of the posterior mean, as p = 1 and p = inf still do."""
+    gamma = np.asarray(prior.gamma)
+
+    def sampler(rng, count):
+        theta = sample_dirichlet(gamma, rng, size=count)
+        counts = sample_multinomial(n, theta, rng)
+        return inner_loss(2.0, theta, (gamma + counts) / (prior.gamma0 + n))
+
+    est = mc_mean(sampler, trials, seed)
+    return outer_risk(2.0, est.mean), outer_stderr(2.0, est.mean, est.stderr)
+
+
+L2_PRIORS = {"0.5,2,3": DirichletPrior((0.5, 2.0, 3.0)), "1x100": DirichletPrior((1.0,) * 100)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 1000])
+@pytest.mark.parametrize("prior", sorted(L2_PRIORS))
+def test_simulator_p2_matches_exact_l2_risk(prior, n):
+    est = simulate_bayes_risk(n, L2_PRIORS[prior], 2.0, trials=20_000, seed=407 + n)
+    assert abs(est.mean - l2_risk_law(n, L2_PRIORS[prior])) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("prior,n", [("1x100", 10), ("0.5,2,3", 1000)])
+def test_simulator_p2_agrees_with_count_drawing_sampler(prior, n):
+    est = simulate_bayes_risk(n, L2_PRIORS[prior], 2.0, trials=20_000, seed=411)
+    ref_mean, ref_stderr = simulate_l2_by_counts(n, L2_PRIORS[prior], 20_000, seed=412)
+    assert abs(est.mean - ref_mean) <= 4 * math.hypot(est.stderr, ref_stderr)
+    # a conditional expectation given theta cannot have more variance (Rao-Blackwell)
+    assert est.stderr < ref_stderr

@@ -118,8 +118,16 @@ def test_bounds_single_n_shorthand(capsys):
     (("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10",
       "--gamma", "1,2"), "--gamma"),
     (("mi", "--family", "categorical", "--gamma", "1,1", "--k", "3", "--n", "10"), "--k"),
+    (("simulate", "--family", "zero-error", "--n", "3", "--trials", "1000",
+      "--test-points", "5"), "--test-points"),
+    (("compare", "--family", "categorical", "--gamma", "1,1", "--n", "3",
+      "--trials", "1000", "--test-points", "1000"), "--test-points"),
+    (("simulate", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1,1",
+      "--n", "3", "--trials", "1000", "--test-points", "1000"), "--test-points"),
 ], ids=["bounds-categorical-d", "bounds-zero-error-sigma2", "simulate-gaussian-k",
-        "compare-multinomial-sigma2", "mi-gaussian-gamma", "mi-categorical-k"])
+        "compare-multinomial-sigma2", "mi-gaussian-gamma", "mi-categorical-k",
+        "simulate-zero-error-test-points", "compare-categorical-test-points",
+        "simulate-multinomial-test-points"])
 def test_rejects_family_option_that_does_not_apply(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -278,7 +286,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 3
+    assert payload["metadata"]["sampler_version"] == 4
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -299,7 +307,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 3
+    assert payload["sampler_version"] == 4
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 

@@ -33,6 +33,13 @@ def test_dirichlet_expected_log_marginal():
     assert abs(logs.mean() - (digamma(2.0) - digamma(4.0))) < 3 * stderr
 
 
+@pytest.mark.parametrize("shape,rows,m", [(1.0, 782, 100), (0.5, 100, 20), (3.5, 1000, 2)])
+def test_dirichlet_symmetric_prior_draws_as_array_shape(shape, rows, m):
+    draws = sample_dirichlet((shape,) * m, rng_stream(306, 0), size=rows)
+    raw = rng_stream(306, 0).gamma(np.full(m, shape), size=(rows, m))
+    assert np.array_equal(draws, raw / raw.sum(axis=1, keepdims=True))
+
+
 def test_dirichlet_validation():
     with pytest.raises(DomainError):
         sample_dirichlet((1.0,), rng_stream(0, 0))

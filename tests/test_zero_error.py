@@ -182,6 +182,18 @@ def test_risk_lower_l1_below_achievable():
         assert risk_lower_l1(n) <= estimator_risk_exact(n).l1
 
 
+def test_risk_lower_l1_from_mi_is_exp_minus_harmonic():
+    # exp(-(I + 1)) / 2 rounds to the same float as exp(-H_{n+1}) / 2, so
+    # taking the row's mutual information leaves every bounds byte as it was
+    grid = [int(round(10 * 1e6 ** (i / 23))) for i in range(24)]
+    for n in [*range(2001), *grid, 99_999, 100_000, 100_001, 10**6, 10**7, 10**9]:
+        expected = math.exp(-harmonic(n + 1)) / 2.0
+        assert risk_lower_l1(n) == expected
+        assert risk_lower_l1(n, mutual_information_exact(n)) == expected
+    with pytest.raises(DomainError):
+        risk_lower_l1(-1, 0.0)
+
+
 def test_sample_complexity():
     got = sample_complexity(0.01)
     assert got.n_sufficient == pytest.approx(49.0, rel=1e-14)
