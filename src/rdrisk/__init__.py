@@ -8,7 +8,7 @@ validate every bound.  The ``rdrisk`` CLI exposes the same surface and
 emits CSV/JSON risk curves.
 """
 
-from . import categorical, gaussian, knn, mc, multinomial, rdcore, sim_common, specfun, zero_error
+from . import categorical, gaussian, knn, mc, multinomial, rdcore, specfun, zero_error
 from .errors import DomainError
 from .mc import MonteCarloEstimate, mc_mean, rng_stream
 from .rdcore import FisherSummary, InterpolationSpec
@@ -29,7 +29,6 @@ __all__ = [
     "multinomial",
     "rdcore",
     "rng_stream",
-    "sim_common",
     "specfun",
     "zero_error",
 ]

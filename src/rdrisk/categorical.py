@@ -5,6 +5,9 @@ risk simulator.
 The learning problem is estimating an M-outcome distribution theta ~ Dir(gamma)
 from n i.i.d. draws; the regression function is theta itself, with a single
 interpolation point, so d_star = d_interp = 1.
+
+It also holds the Dirichlet and multinomial samplers the multinomial
+simulator shares, and the L_p loss convention (see simulate_bayes_risk).
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
-from .sim_common import inner_loss, outer_risk, outer_stderr, sample_dirichlet, sample_multinomial
 from .specfun import (LossOrder, Nats, checked_fsum, digamma, log_beta_multivariate,
                       validate_loss_order)
+
+# numpy draws counts as int64, so no count above this can be drawn.
+INT64_MAX = 2 ** 63 - 1
 
 
 class DirichletPrior:
@@ -125,15 +130,49 @@ def kamath_bounds(n: int, m: int, kappa: float) -> KamathBounds:
     return KamathBounds(lower=lower, upper=upper)
 
 
+def sample_dirichlet(gamma: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, M) draws from Dir(gamma) by normalized Gamma variates.
+
+    Marginals are Beta(gamma_i, gamma0 - gamma_i).  A row whose Gamma draws
+    all underflow to 0 (tiny concentrations) has no normalisation and raises
+    DomainError.  A symmetric prior hands numpy its one shape as a scalar,
+    which draws the same variates as the array shape at about half the cost.
+    """
+    raw = rng.gamma(gamma[0] if np.all(gamma == gamma[0]) else gamma, size=(size, gamma.size))
+    total = raw.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise DomainError("every Gamma draw of a Dirichlet row underflowed to 0; "
+                          "gamma is too small to simulate")
+    return raw / total
+
+
+def sample_multinomial(n, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Row r of the counts is Multinomial(n_r, theta_r), for n_r in [0, INT64_MAX]
+    (a scalar n serves every row): E c_i = n theta_i, Cov(c_i, c_j) =
+    n theta_i (1{i=j} - theta_j), and the counts sum to n exactly.  numpy's
+    ``Generator.multinomial`` draws them outside the interpreter lock.
+    """
+    return rng.multinomial(n, theta)
+
+
+def inner_loss(p: float, w_true: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
+    """Pre-exponent loss per row: sum_y |w - what|^p for finite p,
+    max_y |w - what| for p = inf, over the last axis."""
+    gap = np.abs(w_true - w_hat)
+    return gap.max(axis=-1) if math.isinf(p) else (gap ** p).sum(axis=-1)
+
+
 def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
                         trials: int, seed: int, chunks: int = 64,
                         threads: int = 1) -> MonteCarloEstimate:
     """Simulated L_p risk of the posterior-mean rule.
 
     Per trial: theta ~ Dir(gamma), counts ~ Multinomial(n, theta),
-    theta_hat = (gamma + counts) / (gamma0 + n), inner loss per
-    sim_common.inner_loss.  The outer 1/p exponent and a delta-method
-    stderr are applied to the Monte-Carlo mean.
+    theta_hat = (gamma + counts) / (gamma0 + n), and the inner loss
+    sum_y |theta - theta_hat|^p (max_y |theta - theta_hat| at p = inf).
+    For finite p the 1/p exponent is applied once, to the Monte-Carlo mean,
+    with the delta-method stderr stderr / p * mean^(1/p - 1) (0 for a zero
+    inner stderr, nan for a mean that is not positive).
 
     At p = 2 the counts are not drawn: the trial value is their exact
     conditional expectation given theta.  With c_i ~ Bin(n, theta_i),
@@ -143,11 +182,13 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     variance, and the trial value is
     sum_i [((g0 theta_i - g_i) / (g0 + n))^2 + n theta_i (1 - theta_i) / (g0 + n)^2].
     Its mean is the same L2 risk with the count noise integrated out, so
-    the stderr is smaller.  p = 1 and p = inf draw the counts, because
-    their conditional law needs the binomial CDF.
+    the stderr is smaller.  Other p draw the counts, because their
+    conditional law needs the binomial CDF, so they need n <= INT64_MAX.
     """
     check_simulation(n, trials)
     p = validate_loss_order(p)
+    if p != 2.0 and n > INT64_MAX:
+        raise DomainError(f"n must be <= 2^63 - 1 to draw the counts at p != 2, got {n}")
     gamma = np.asarray(prior.gamma)
     g0 = prior.gamma0
 
@@ -161,6 +202,9 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
         return inner_loss(p, theta, theta_hat)
 
     est = mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
-    return MonteCarloEstimate(mean=outer_risk(p, est.mean),
-                              stderr=outer_stderr(p, est.mean, est.stderr),
-                              trials=est.trials)
+    if math.isinf(p):
+        return est
+    stderr = est.stderr
+    if stderr != 0.0:
+        stderr = stderr / p * est.mean ** (1.0 / p - 1.0) if est.mean > 0.0 else math.nan
+    return MonteCarloEstimate(mean=est.mean ** (1.0 / p), stderr=stderr, trials=est.trials)

@@ -123,7 +123,7 @@ def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> No
         listed = ", ".join(flags[:-1]) + " and " + flags[-1] if len(flags) > 1 else flags[0]
         verb = "are" if len(flags) > 1 else "is"
         raise UsageError(f"{listed} {verb} required for the {args.family} family")
-    for name in ("gamma", "d", "k", "sigma2", "test_points"):
+    for name in dict.fromkeys(o for f in FAMILIES.values() for o in f.options + f.optional):
         if name not in names + optional and getattr(args, name) is not None:
             flag = name.replace("_", "-")
             raise UsageError(f"--{flag} does not apply to the {args.family} family")

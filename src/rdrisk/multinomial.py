@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .categorical import DirichletPrior, posterior_entropy
+from .categorical import (INT64_MAX, DirichletPrior, posterior_entropy, sample_dirichlet,
+                          sample_multinomial)
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
-from .sim_common import sample_dirichlet, sample_multinomial
 from .specfun import LossOrder, Nats, checked_fsum, digamma, expit, log_beta_multivariate
 
 
@@ -141,9 +141,12 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     per-class Dirichlet posterior means are plugged into the regression
     function; the loss is max over {k e_1, .., k e_{d-1}} of 2 |W - What|.
     Max over the interpolation set under-covers the sup over all test
-    points, so this is one-sided ordering evidence only.
+    points, so this is one-sided ordering evidence only.  A class draws up
+    to k n counts, so k n must not exceed INT64_MAX.
     """
     check_simulation(n, trials)
+    if family.k * n > INT64_MAX:
+        raise DomainError(f"k * n must be <= 2^63 - 1 to draw the counts, got {family.k} * {n}")
     gamma = np.asarray(family.prior.gamma)
     g0 = family.prior.gamma0
     d, k = family.d, family.k

@@ -657,3 +657,60 @@ def test_module_functions_called_once_per_row(capsys, monkeypatch, family, comma
     rows = 3
     assert calls.get(ROW_FUNCTIONS[family]) == rows
     assert calls.get(SIMULATORS[family], 0) == (0 if command == "bounds" else rows)
+
+
+# The sampler stages each simulator calls through its module's attributes,
+# with the calls per chunk: the trace wraps these attributes by name, so a
+# simulator that bound one of them locally would hide its calls.
+SAMPLER_STAGES = {
+    "categorical": {"sample_dirichlet": 1, "sample_multinomial": 1, "inner_loss": 1},
+    "multinomial": {"sample_dirichlet": 1, "sample_multinomial": 2},
+}
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLER_STAGES))
+def test_sampler_stages_called_through_module_attributes(capsys, monkeypatch, family):
+    module = importlib.import_module("rdrisk." + family)
+    calls = dict.fromkeys(SAMPLER_STAGES[family], 0)
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    code, _, _ = run_cli(capsys, "simulate", "--family", family, *FAMILY_ARGS[family],
+                         "--p", "1", "--n-grid", "1,5,20", "--trials", "1000", "--chunks", "4")
+    assert code == 0
+    chunks = 3 * 4  # 3 rows of 4 chunks
+    assert calls == {name: per * chunks for name, per in SAMPLER_STAGES[family].items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "categorical", "--gamma", "1,1", "--p", "1",
+     "--n", "9223372036854775808", "--trials", "100"),
+    ("compare", "--family", "categorical", "--gamma", "1,1", "--p", "inf",
+     "--n", "9223372036854775808", "--trials", "100"),
+    ("simulate", "--family", "multinomial", "--d", "2", "--k", "45000000000000000",
+     "--gamma", "1,1", "--n", "1000", "--trials", "1000"),
+    ("simulate", "--family", "multinomial", "--d", "2", "--k", "3",
+     "--gamma", "1,1", "--n", "9223372036854775807", "--trials", "1000"),
+], ids=["categorical-simulate-p1", "categorical-compare-pinf", "multinomial-k-wraps",
+        "multinomial-k-n-negative"])
+def test_rejects_counts_beyond_int64(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1 and "2^63 - 1" in err
+
+
+def test_categorical_l2_accepts_n_beyond_int64(capsys):
+    # p = 2 draws no counts
+    code, out, _ = run_cli(capsys, "simulate", "--family", "categorical", "--gamma", "1,1",
+                           "--p", "2", "--n", "9223372036854775808", "--trials", "100")
+    assert code == 0
+    assert float(parse_csv(out)[1][0]["simulated_mean"]) > 0

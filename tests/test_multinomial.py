@@ -185,3 +185,17 @@ def test_simulator_d3_runs():
     assert 0.0 < est.mean < 2.0
     with pytest.raises(DomainError):
         simulate_interpolation_risk(10, f, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("k,n", [(45_000_000_000_000_000, 1000), (3, 2 ** 63 - 1)])
+def test_simulator_rejects_k_n_beyond_int64_count_draws(k, n):
+    # k n = 4.5e19 used to wrap in int64 to 1.8e18 and draw wrong counts
+    with pytest.raises(DomainError, match=r"2\^63 - 1"):
+        simulate_interpolation_risk(n, fam(2, k, (1.0, 1.0)), trials=1000, seed=0)
+
+
+def test_simulator_draws_up_to_int64_counts():
+    k = 3
+    est = simulate_interpolation_risk((2 ** 63 - 1) // k, fam(2, k, (1.0, 1.0)),
+                                      trials=1000, seed=0)
+    assert 0.0 <= est.mean < 2.0
