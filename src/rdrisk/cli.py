@@ -24,6 +24,10 @@ COLUMNS = ("n", "rd_lower_risk", "printed_bound", "simulated_mean",
 # Largest COUNT of a 'start:stop:COUNTlog' grid; parsing costs O(COUNT).
 MAX_GRID_COUNT = 10_000
 
+# Most --threads a simulation may use: the worker pool can start one OS
+# thread per chunk, up to this many.
+MAX_THREADS = 256
+
 
 class UsageError(Exception):
     pass
@@ -112,7 +116,10 @@ def _mc_options(args) -> tuple[int, int, int]:
     trials, chunks = _parse_count("trials", args.trials), _parse_count("chunks", args.chunks)
     if chunks > trials:
         raise UsageError(f"--chunks must not exceed --trials, got {chunks} > {trials}")
-    return trials, chunks, _parse_count("threads", args.threads)
+    threads = _parse_count("threads", args.threads)
+    if threads > MAX_THREADS:
+        raise UsageError(f"--threads must be <= {MAX_THREADS}, got {threads}")
+    return trials, chunks, threads
 
 
 def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
-from rdrisk.mc import rng_stream
+from rdrisk.cli import MAX_GRID_COUNT, MAX_THREADS, UsageError, _parse_n_grid, _parse_p, main
+from rdrisk.mc import MonteCarloEstimate, rng_stream
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +224,29 @@ def test_rejects_bad_mc_options(capsys, command, option, value):
     assert err.startswith("rdrisk: ") and option in err
 
 
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+def test_threads_are_capped(capsys, monkeypatch, command):
+    # The check runs before any simulation.  No test starts a thread: the
+    # zero-error simulators reach a stand-in for mc_mean that only records
+    # its threads.
+    seen = []
+
+    def record(sampler, trials, seed, chunks=64, threads=1):
+        seen.append(threads)
+        return MonteCarloEstimate(mean=0.1, stderr=0.01, trials=trials)
+
+    for module in (rdrisk.mc, rdrisk.zero_error):
+        monkeypatch.setattr(module, "mc_mean", record)
+    argv = (*MC_COMMANDS[command], "--trials", "1000")
+    code, out, err = run_cli(capsys, *argv, "--threads", str(MAX_THREADS + 1))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: error: ") and err.count("\n") == 1 and "--threads" in err
+    assert seen == []
+    run_cli(capsys, *argv, "--threads", str(MAX_THREADS))
+    assert seen == [MAX_THREADS]
+
+
 def test_compare_ok_and_negative_control(capsys, monkeypatch):
     args = ["compare", "--family", "categorical", "--gamma", "1,1",
             "--n-grid", "10,100", "--trials", "1000", "--seed", "11"]
@@ -286,7 +309,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 4
+    assert payload["metadata"]["sampler_version"] == 5
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -307,7 +330,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 4
+    assert payload["sampler_version"] == 5
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 

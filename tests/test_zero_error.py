@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from rdrisk.errors import DomainError
-from rdrisk.mc import rng_stream
+from rdrisk.mc import mc_mean, rng_stream
 from rdrisk.rdcore import InterpolationSpec, rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA, harmonic
 from rdrisk.zero_error import (_interval_widths, estimator_risk_exact,
@@ -167,7 +167,50 @@ def test_laws_at_a_million_points():
 @pytest.mark.parametrize("n", [0, 1, 9, 99])
 def test_simulator_matches_rederived_law(n):
     est = simulate_estimator_risk(n, trials=200_000, seed=704)
-    assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 3 * est.stderr
+    if n == 0:
+        # the width is 1, so every trial returns 1/4 exactly
+        assert est.mean == 0.25 and est.stderr == 0.0
+    else:
+        assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 3 * est.stderr
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_simulator_returns_a_quarter_of_each_width(n):
+    # one chunk draws the widths of stream 0 and nothing else; scaling by a
+    # power of two is exact, so the mean is a quarter of theirs bit for bit
+    est = simulate_estimator_risk(n, trials=10_000, seed=720, chunks=1)
+    widths = _interval_widths(rng_stream(720, 0), n, 10_000)
+    assert est.mean == 0.25 * widths.mean()
+    assert est.stderr == pytest.approx(0.25 * widths.std(ddof=1) / math.sqrt(widths.size),
+                                       rel=1e-12)
+
+
+def simulate_risk_by_place(n, trials, seed):
+    """The version-4 sampler: draws theta's uniform place U in the interval
+    and returns width * |U - 1/2| per trial."""
+    def sampler(rng, count):
+        widths = _interval_widths(rng, n, count)
+        return widths * np.abs(rng.uniform(size=count) - 0.5)
+
+    return mc_mean(sampler, trials, seed)
+
+
+def variance_ratio(n):
+    """Var(width |U - 1/2|) / Var(width / 4) for a Beta(2, n) width, from
+    E|U - 1/2| = 1/4, E(U - 1/2)^2 = 1/12 and r = E W^2 / (E W)^2."""
+    r = 3.0 * (n + 2) / (2.0 * (n + 3))
+    return (4.0 * r / 3.0 - 1.0) / (r - 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
+def test_simulator_agrees_with_place_drawing_sampler(n):
+    est = simulate_estimator_risk(n, trials=100_000, seed=721)
+    ref = simulate_risk_by_place(n, 100_000, seed=722)
+    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+    # a conditional expectation given the width cannot have more variance
+    # (Rao-Blackwell); here it has 4x less at n = 1 and 2x less as n grows
+    assert est.stderr < ref.stderr
+    assert (ref.stderr / est.stderr) ** 2 == pytest.approx(variance_ratio(n), rel=0.1)
 
 
 def test_simulator_decreasing_in_n():
