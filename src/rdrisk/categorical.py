@@ -182,8 +182,13 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     variance, and the trial value is
     sum_i [((g0 theta_i - g_i) / (g0 + n))^2 + n theta_i (1 - theta_i) / (g0 + n)^2].
     Its mean is the same L2 risk with the count noise integrated out, so
-    the stderr is smaller.  Other p draw the counts, because their
-    conditional law needs the binomial CDF, so they need n <= INT64_MAX.
+    the stderr is smaller.  (g0 + n)^2 overflows a float from n ~ 1.3e154,
+    so with g0 + n = m 2^k the sum is scaled by 2^-k, divided by m * m and
+    scaled by 2^-k again, which below that rounds as dividing by
+    (g0 + n) * (g0 + n) and near the top of the float range does not
+    overflow.  Other p
+    draw the counts, because their conditional law needs the binomial CDF,
+    so they need n <= INT64_MAX.
     """
     check_simulation(n, trials)
     p = validate_loss_order(p)
@@ -191,12 +196,14 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
         raise DomainError(f"n must be <= 2^63 - 1 to draw the counts at p != 2, got {n}")
     gamma = np.asarray(prior.gamma)
     g0 = prior.gamma0
+    mantissa, exponent = math.frexp(g0 + n)
 
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
         if p == 2.0:
             bias = g0 * theta - gamma[None, :]
-            return (bias * bias + n * theta * (1.0 - theta)).sum(axis=1) / (g0 + n) ** 2
+            total = (bias * bias + n * theta * (1.0 - theta)).sum(axis=1)
+            return np.ldexp(np.ldexp(total, -exponent) / (mantissa * mantissa), -exponent)
         counts = sample_multinomial(n, theta, rng)
         theta_hat = (gamma[None, :] + counts) / (g0 + n)
         return inner_loss(p, theta, theta_hat)

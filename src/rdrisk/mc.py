@@ -9,6 +9,7 @@ samplers draw the same way (see SAMPLER_VERSION).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from ._numpy import np
@@ -19,7 +20,7 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-SAMPLER_VERSION = 5
+SAMPLER_VERSION = 6
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -58,14 +59,22 @@ def _chunk_sizes(trials: int, chunks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
-def _merge(a, b):
-    # Chan et al. pairwise combination of (count, mean, M2).
+def _exponent(x: float) -> int:
+    """The e that brings x >= 0 into [1/2, 1) as x * 2^-e; -1022 at x = 0
+    and for subnormal x, so that 2^-e stays a finite float."""
+    return max(math.frexp(x)[1], -1022) if x else -1022
+
+
+def _merge(a, b, exponent):
+    # Chan et al. pairwise combination of (count, mean, M2), with the M2s
+    # held at the scale 4^-exponent.
     na, ma, sa = a
     nb, mb, sb = b
     n = na + nb
     delta = mb - ma
     mean = ma + delta * (nb / n)
-    m2 = sa + sb + delta * delta * (na * nb / n)
+    scaled = math.ldexp(delta, -exponent)
+    m2 = sa + sb + scaled * scaled * (na * nb / n)
     return n, mean, m2
 
 
@@ -77,6 +86,13 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     must depend only on the generator handed to it.  Chunks may run on up to
     ``threads`` workers; the reduction is always performed in chunk order,
     so the output is reproducible bit-for-bit.
+
+    Squared deviations of tiny values underflow, and of huge ones
+    overflow, so each chunk sums them scaled by the power of two that
+    brings its largest deviation into [1/2, 1); the merge and the square
+    root run at one common power of two.  Such scaling is exact away from
+    the subnormals, so it changes no bit of a result at ordinary
+    magnitudes.
     """
     trials = int(trials)
     if trials < 2:
@@ -93,8 +109,10 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
         if not np.isfinite(values).all():
             raise DomainError(f"sampler returned non-finite values in chunk {idx}")
         mean = float(values.mean())
-        m2 = float(((values - mean) ** 2).sum())
-        return size, mean, m2
+        dev = values - mean
+        exponent = _exponent(max(float(dev.max()), -float(dev.min())))
+        dev *= math.ldexp(1.0, -exponent)
+        return size, mean, float((dev ** 2).sum()), exponent
 
     jobs = list(enumerate(sizes))
     if threads > 1:
@@ -105,9 +123,15 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     else:
         parts = [run_chunk(j) for j in jobs]
 
-    total = parts[0]
-    for part in parts[1:]:
-        total = _merge(total, part)
+    # One scale for the merge, no finer than any chunk's and bounding every
+    # gap between chunk means, so no scaled term can overflow.
+    means = [part[1] for part in parts]
+    common = max(max(part[3] for part in parts), _exponent(max(means) - min(means)))
+    scaled = [(size, mean, math.ldexp(m2, 2 * (exponent - common)))
+              for size, mean, m2, exponent in parts]
+    total = scaled[0]
+    for part in scaled[1:]:
+        total = _merge(total, part, common)
     n, mean, m2 = total
-    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
+    stderr = math.ldexp(float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)), common)
     return MonteCarloEstimate(mean=float(mean), stderr=stderr, trials=trials)

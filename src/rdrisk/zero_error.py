@@ -7,7 +7,9 @@ Labels are +1 iff x >= theta; the midpoint estimator returns the centre of
 the interval of thresholds consistent with the sample.  Both simulators
 draw only that interval's Beta(2, n) width: the mutual information is
 E[-ln width], and the estimator's risk is E[width] / 4, since theta sits
-at a uniform place in the interval whatever its width.
+at a uniform place in the interval whatever its width.  A width is a
+monotone function of two uniforms, so each trial averages an antithetic
+pair of widths.
 """
 
 from __future__ import annotations
@@ -29,15 +31,35 @@ def mutual_information_exact(n: int) -> Nats:
 
 
 def _interval_widths(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Widths theta_r - theta_l of the consistent interval, drawn exactly.
+    """``count`` antithetic pairs of widths theta_r - theta_l of the
+    consistent interval, drawn exactly, as an array of shape (2, count).
 
     theta and the n points are n + 1 i.i.d. uniforms, so their n + 2
     spacings are Dirichlet(1, ..., 1) and the interval is the two spacings
-    next to theta: its width is Beta(2, n) (1 at n = 0).
+    next to theta: its width is Beta(2, n) (1 at n = 0), the law of the
+    second smallest of n + 1 uniforms.  Renyi's representation of
+    exponential order statistics writes that as
+    W = 1 - exp(-(E1 / (n + 1) + E2 / n)) with E = -ln U, which falls in
+    both uniforms.  Row 0 is W at (U1, U2) and row 1 is W at
+    (1 - U1, 1 - U2): each is exactly Beta(2, n), the two are negatively
+    correlated, and the pairs are i.i.d.  U = 0 (probability 2^-53) gives
+    E = inf and width 1, without a warning.
     """
     if n == 0:
-        return np.ones(count)
-    return rng.beta(2.0, n, size=count)
+        return np.ones((2, count))
+    # neg_e[member, j] is -E_j of that pair member.  numpy's uniforms are
+    # multiples of 2^-53, so 1 - U is exact.  The steps write in place and
+    # are few: at small chunks on two worker threads, the time grew with
+    # the number of numpy calls more than with the arithmetic.
+    neg_e = np.empty((2, 2, count))
+    rng.random(out=neg_e[0])
+    np.subtract(1.0, neg_e[0], out=neg_e[1])
+    with np.errstate(divide="ignore"):
+        np.log(neg_e, out=neg_e)
+    neg_e /= np.array([[n + 1], [n]], dtype=float)
+    widths = np.add(neg_e[:, 0], neg_e[:, 1])
+    np.expm1(widths, out=widths)
+    return np.negative(widths, out=widths)
 
 
 def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
@@ -45,12 +67,16 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     """Monte-Carlo I(Z^n; theta) as E[-ln(theta_r - theta_l)].
 
     The width is Beta(2, n), whose E[-ln width] = psi(n + 2) - psi(2) is
-    mutual_information_exact(n); each trial costs O(1) in n.
+    mutual_information_exact(n).  A trial is -(ln W + ln W') / 2 over one
+    antithetic pair of widths (see _interval_widths), which has 4.9x less
+    variance than one width at n = 1 and about 9.8x less as n grows; it
+    costs O(1) in n.  A zero width gives an infinite trial, which fails
+    the run with DomainError.
     """
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
-        return -np.log(_interval_widths(rng, n, count))
+        return -0.5 * np.log(_interval_widths(rng, n, count)).sum(axis=0)
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 
@@ -111,19 +137,20 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
 
     The two spacings beside theta split the width as Dirichlet(1, 1),
     independently of it, so theta sits at a uniform fraction U of the
-    consistent interval and |theta - midpoint| = width * |U - 1/2|.  Each
-    trial returns its conditional expectation given the width,
-    width * E|U - 1/2| = width / 4, so it draws one Beta(2, n) variate in
-    O(1) time whatever n is, and U's noise is integrated out: the variance
-    per trial falls 4-fold at n = 1 and 2-fold as n grows.  At n = 0 the
-    width is 1 and every trial returns 1/4 exactly.  The result converges
-    to estimator_risk_rederived(n), not to the published
+    consistent interval and |theta - midpoint| = width * |U - 1/2|, whose
+    expectation given the width is width / 4.  A trial is (W + W') / 8,
+    the mean of width / 4 over one antithetic pair of widths (see
+    _interval_widths), so it draws two uniforms in O(1) time whatever n
+    is.  Against one width / 4 per trial its variance is 11x smaller at
+    n = 1 and about 5.7x smaller as n grows.  At n = 0 the width is 1 and
+    every trial returns 1/4 exactly.  The result converges to
+    estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
     check_simulation(n, trials, min_trials=1000)
 
     def sampler(rng, count):
-        return 0.25 * _interval_widths(rng, n, count)
+        return 0.125 * _interval_widths(rng, n, count).sum(axis=0)
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 

@@ -309,7 +309,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 5
+    assert payload["metadata"]["sampler_version"] == 6
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -330,7 +330,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 5
+    assert payload["sampler_version"] == 6
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 
@@ -737,3 +737,20 @@ def test_categorical_l2_accepts_n_beyond_int64(capsys):
                            "--p", "2", "--n", "9223372036854775808", "--trials", "100")
     assert code == 0
     assert float(parse_csv(out)[1][0]["simulated_mean"]) > 0
+
+
+@pytest.mark.parametrize("n", [10 ** 200, int(1.5e308)])
+@pytest.mark.parametrize("family", [("categorical", "--gamma", "1,1", "--p", "2"),
+                                    ("categorical", "--gamma", ",".join(["1"] * 100), "--p", "2"),
+                                    ("zero-error",)])
+def test_simulate_at_n_beyond_squared_float_range(capsys, family, n):
+    # (gamma0 + n)^2 overflows a float and the trial values are near 1/n,
+    # whose squared deviations underflow unscaled; near the top of the
+    # float range the trial sum over 100 categories divided by the squared
+    # mantissa of gamma0 + n alone would overflow
+    code, out, err = run_cli(capsys, "simulate", "--family", *family,
+                             "--n", str(n), "--trials", "1000")
+    assert code == 0, err
+    row = parse_csv(out)[1][0]
+    assert float(row["simulated_mean"]) > 0
+    assert float(row["simulated_stderr"]) > 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,49 @@ def test_mc_mean_rejects_non_finite_chunk(bad):
     with pytest.raises(DomainError, match="non-finite values in chunk 3"):
         mc_mean(sampler, trials=1003, seed=0, chunks=4)
 
+
+
+def unscaled_mc_mean(sampler, trials, seed, chunks):
+    """mc_mean's reduction without power-of-two scaling: chunk M2 as the
+    plain sum of squared deviations, merged in chunk order."""
+    parts = []
+    base, extra = divmod(trials, chunks)
+    for idx in range(chunks):
+        values = sampler(rng_stream(seed, idx), base + (idx < extra))
+        mean = float(values.mean())
+        parts.append((values.size, mean, float(((values - mean) ** 2).sum())))
+    n, mean, m2 = parts[0]
+    for nb, mb, sb in parts[1:]:
+        delta = mb - mean
+        total = n + nb
+        mean, m2 = mean + delta * (nb / total), m2 + sb + delta * delta * (n * nb / total)
+        n = total
+    return mean, float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 3.7, 1e5, 1e-100])
+@pytest.mark.parametrize("draw", ["random", "standard_exponential", "standard_normal"])
+def test_mc_mean_scaling_changes_no_bits_at_ordinary_magnitudes(scale, draw):
+    def sampler(rng, m):
+        return scale * getattr(rng, draw)(size=m)
+
+    for trials, chunks in ((1000, 64), (12_345, 7), (100_000, 64)):
+        est = mc_mean(sampler, trials, seed=760, chunks=chunks)
+        assert (est.mean, est.stderr) == unscaled_mc_mean(sampler, trials, 760, chunks)
+
+
+@pytest.mark.parametrize("scale, unscaled", [(1e-200, 0.0), (1e200, np.inf)])
+def test_mc_mean_stderr_of_tiny_and_huge_values(scale, unscaled):
+    # squared deviations of values near 1e-200 underflow to 0 unscaled, and
+    # of values near 1e200 overflow to inf
+    def sampler(rng, m):
+        return scale * rng.random(size=m)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_mean(sampler, trials=10_000, seed=761)
+    ref = mc_mean(lambda rng, m: rng.random(size=m), trials=10_000, seed=761)
+    assert est.stderr > 0.0
+    assert est.stderr == pytest.approx(scale * ref.stderr, rel=0.01)
+    with np.errstate(over="ignore"):
+        assert unscaled_mc_mean(sampler, 10_000, 761, 64)[1] == unscaled

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,24 +42,60 @@ def test_mi_monte_carlo_matches_exact():
         mi_monte_carlo(1, trials=10, seed=0)
 
 
+class ZeroedUniforms:
+    """Generator stand-in: real uniforms with the entries at ``zeros`` set to 0."""
+
+    def __init__(self, rng, zeros):
+        self.rng, self.zeros, self.calls = rng, zeros, []
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        for index in self.zeros:
+            u[index] = 0.0
+        self.calls.append(u.shape)
+        return u
+
+
+def zeroed_streams(monkeypatch, zeros):
+    """Make chunk 0 of every mc_mean run draw through ZeroedUniforms."""
+    import rdrisk.mc as mc
+
+    real, stubs = mc.rng_stream, []
+
+    def stream(seed, stream_id):
+        rng = real(seed, stream_id)
+        if stream_id == 0:
+            rng = ZeroedUniforms(rng, zeros)
+            stubs.append(rng)
+        return rng
+
+    monkeypatch.setattr(mc, "rng_stream", stream)
+    return stubs
+
+
 def test_mi_monte_carlo_zero_width_raises(monkeypatch):
-    # A zero width would give -ln 0 = inf; the run must fail, not redraw.
-    import rdrisk.zero_error as zero_error
-
-    real = zero_error._interval_widths
-    calls = []
-
-    def widths(rng, n, count):
-        w = real(rng, n, count)
-        if not calls:
-            w[0] = 0.0
-        calls.append(count)
-        return w
-
-    monkeypatch.setattr(zero_error, "_interval_widths", widths)
+    # U1 = U2 = 0 makes the antithetic width of trial 0 exactly 0, so
+    # -ln 0 = inf; the run must fail, not redraw.
+    stubs = zeroed_streams(monkeypatch, [(0, 0), (1, 0)])
     with np.errstate(divide="ignore"), \
             pytest.raises(DomainError, match="non-finite values in chunk 0"):
         mi_monte_carlo(10, trials=1000, seed=1)
+    assert [stub.calls for stub in stubs] == [[(2, 16)]]
+
+
+@pytest.mark.parametrize("simulate", [simulate_estimator_risk, mi_monte_carlo])
+def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate):
+    # U = 0 gives E = -ln 0 = inf, so its width is 1 and its antithetic
+    # partner's E is 0: every trial stays finite, and log(0) stays silent
+    zeros = [(0, 0), (1, 1)]
+    widths = _interval_widths(ZeroedUniforms(rng_stream(730, 0), zeros), 10, 1000)
+    assert widths[0, 0] == widths[0, 1] == 1.0
+    assert np.isfinite(widths).all() and (widths > 0.0).all()
+    zeroed_streams(monkeypatch, zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate(10, trials=1000, seed=731, chunks=1)
+    assert math.isfinite(est.mean) and est.stderr > 0.0
 
 
 def test_mi_monte_carlo_stderr_scales():
@@ -144,15 +181,30 @@ def test_simulated_width_is_size_biased():
 
 @pytest.mark.parametrize("n", [1, 7, 50])
 def test_widths_match_brute_force_reference(n):
-    # the exact Beta(2, n) width law against the O(n) construction, and
-    # theta at a uniform fraction of the interval, independent of its width
+    # the exact Beta(2, n) width law of both pair members against the O(n)
+    # construction, and theta at a uniform fraction of the interval,
+    # independent of its width
     theta, theta_l, theta_r = reference_interval(rng_stream(710, n), n, 20_000)
     width = theta_r - theta_l
-    drawn = _interval_widths(rng_stream(711, n), n, 20_000)
-    assert stats.ks_2samp(drawn, width).pvalue > 1e-3
+    for drawn in _interval_widths(rng_stream(711, n), n, 20_000):
+        assert stats.ks_2samp(drawn, width).pvalue > 1e-3
     fraction = (theta - theta_l) / width
     assert stats.kstest(fraction, "uniform").pvalue > 1e-3
     assert abs(stats.spearmanr(fraction, width).statistic) < 4.0 / math.sqrt(width.size)
+
+
+def beta_2_n_cdf(n):
+    """P(W <= w) = 1 - (1 - w)^n (1 + n w) for W ~ Beta(2, n)."""
+    return lambda w: 1.0 - np.exp(n * np.log1p(-w)) * (1.0 + n * w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 10 ** 6])
+def test_both_pair_members_are_beta_2_n(n):
+    widths = _interval_widths(rng_stream(740, n), n, 20_000)
+    for member in widths:
+        assert stats.kstest(member, beta_2_n_cdf(n)).pvalue > 1e-3
+    # antithetic: the members are negatively correlated
+    assert stats.spearmanr(widths[0], widths[1]).statistic < -0.5
 
 
 def test_laws_at_a_million_points():
@@ -176,23 +228,33 @@ def test_simulator_matches_rederived_law(n):
 
 @pytest.mark.parametrize("n", [0, 1, 1000])
 def test_simulator_returns_a_quarter_of_each_width(n):
-    # one chunk draws the widths of stream 0 and nothing else; scaling by a
-    # power of two is exact, so the mean is a quarter of theirs bit for bit
+    # one chunk draws the width pairs of stream 0 and nothing else; a trial
+    # is a quarter of each width, averaged over its pair, bit for bit
     est = simulate_estimator_risk(n, trials=10_000, seed=720, chunks=1)
-    widths = _interval_widths(rng_stream(720, 0), n, 10_000)
-    assert est.mean == 0.25 * widths.mean()
-    assert est.stderr == pytest.approx(0.25 * widths.std(ddof=1) / math.sqrt(widths.size),
+    trials = 0.25 * _interval_widths(rng_stream(720, 0), n, 10_000).mean(axis=0)
+    assert est.mean == trials.mean()
+    assert est.stderr == pytest.approx(trials.std(ddof=1) / math.sqrt(trials.size),
                                        rel=1e-12)
 
 
 def simulate_risk_by_place(n, trials, seed):
-    """The version-4 sampler: draws theta's uniform place U in the interval
-    and returns width * |U - 1/2| per trial."""
+    """The version-4 sampler: draws a Beta(2, n) width and theta's uniform
+    place U in the interval, and returns width * |U - 1/2| per trial."""
     def sampler(rng, count):
-        widths = _interval_widths(rng, n, count)
+        widths = rng.beta(2.0, n, size=count)
         return widths * np.abs(rng.uniform(size=count) - 0.5)
 
     return mc_mean(sampler, trials, seed)
+
+
+def simulate_risk_by_width(n, trials, seed):
+    """The version-5 sampler: width / 4 for one Beta(2, n) width per trial."""
+    return mc_mean(lambda rng, count: 0.25 * rng.beta(2.0, n, size=count), trials, seed)
+
+
+def mi_by_width(n, trials, seed):
+    """The version-5 Monte-Carlo MI: -ln width for one Beta(2, n) width per trial."""
+    return mc_mean(lambda rng, count: -np.log(rng.beta(2.0, n, size=count)), trials, seed)
 
 
 def variance_ratio(n):
@@ -207,10 +269,22 @@ def test_simulator_agrees_with_place_drawing_sampler(n):
     est = simulate_estimator_risk(n, trials=100_000, seed=721)
     ref = simulate_risk_by_place(n, 100_000, seed=722)
     assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
-    # a conditional expectation given the width cannot have more variance
-    # (Rao-Blackwell); here it has 4x less at n = 1 and 2x less as n grows
-    assert est.stderr < ref.stderr
-    assert (ref.stderr / est.stderr) ** 2 == pytest.approx(variance_ratio(n), rel=0.1)
+    # width / 4 has variance_ratio(n) times less variance than the
+    # version-4 trial (Rao-Blackwell), and averaging a negatively
+    # correlated pair of them at least halves it again
+    assert (ref.stderr / est.stderr) ** 2 >= 2.0 * variance_ratio(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
+def test_antithetic_pairs_agree_with_one_width_samplers(n):
+    # same laws as the version-5 samplers, with at least 5x (estimator)
+    # and 4.5x (MI) less variance per trial
+    for simulate, reference, gain in ((simulate_estimator_risk, simulate_risk_by_width, 5.0),
+                                      (mi_monte_carlo, mi_by_width, 4.5)):
+        est = simulate(n, trials=200_000, seed=750)
+        ref = reference(n, 200_000, seed=751)
+        assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+        assert (ref.stderr / est.stderr) ** 2 >= gain
 
 
 def test_simulator_decreasing_in_n():
