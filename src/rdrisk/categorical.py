@@ -162,6 +162,73 @@ def inner_loss(p: float, w_true: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     return gap.max(axis=-1) if math.isinf(p) else (gap ** p).sum(axis=-1)
 
 
+# Asymptotic series of the Stirling remainder, 1/(12x) - 1/(360x^3) + ...,
+# in powers of 1/x^2 (Bernoulli terms B_2 .. B_12).  At x >= 8 the first
+# omitted term, 1/(156 x^13), is below 1.2e-14.
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
+    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, elementwise for x > 0.
+
+    At x >= 8 this is the asymptotic series.  Below 8 one shift of 8,
+    mu(x) = mu(x + 8) + (x + 15/2) ln(x + 8) - (x + 1/2) ln x
+            - ln prod_{j=1..7} (x + j) - 8,
+    brings the series into range.  Every element takes both paths, the
+    shift terms evaluated at min(x, 8) so that they stay finite, and the
+    mask picks one: a fixed number of numpy calls, whatever the mix.
+    """
+    low = x < 8.0
+    t = np.minimum(x, 8.0)
+    u = t + 8.0
+    inv = 1.0 / np.where(low, u, x)
+    r = inv * inv
+    series = _STIRLING_SERIES[-1]
+    for c in _STIRLING_SERIES[-2::-1]:
+        series = series * r + c
+    # (t + j)(t + 8 - j) = t (t + 8) + j (8 - j)
+    w = t * u
+    shift = (u - 0.5) * np.log(u) - (t + 0.5) * np.log(t) \
+        - np.log((w + 7.0) * (w + 12.0) * (w + 15.0) * (t + 4.0)) - 8.0
+    return series * inv + np.where(low, shift, 0.0)
+
+
+def beta_mad_scale(s: float) -> float:
+    """The factor 2 exp(mu(s)) / sqrt(2 pi s) of beta_mad that depends on s alone."""
+    return 2.0 * math.exp(float(stirling_remainder(s))) / math.sqrt(2.0 * math.pi * s)
+
+
+def beta_mad(ab: np.ndarray, s: float, scale: float) -> np.ndarray:
+    """Mean absolute deviation E|X - a/s| of X ~ Beta(a, b), elementwise.
+
+    ``ab`` stacks the a and b arrays on its first axis, every pair has the
+    total s = a + b, and ``scale`` is ``beta_mad_scale(s)``, which a caller
+    with many pairs at one s computes once.  The closed form
+    2 a^a b^b / (B(a, b) s^(s+1)) is evaluated through the Stirling
+    remainder mu (see stirling_remainder) as
+    2 exp(mu(s)) / sqrt(2 pi s) * f(a) f(b), f(x) = sqrt(x/s) exp(-mu(x)),
+    which cancels no large terms at large a and b, and keeps its range
+    when a and b are tiny.
+    """
+    f = np.sqrt(ab / s) * np.exp(-stirling_remainder(ab))
+    return scale * f[0] * f[1]
+
+
+def complements(values) -> list[float]:
+    """sum_{j != i} values_j for each i, each the correctly rounded
+    ``math.fsum`` of the other values, in O(len(values)).
+
+    Floats whose exact sum is that of ``values`` are peeled off by repeated
+    ``math.fsum`` of the remainder; one more ``math.fsum`` with -values_i
+    then rounds the exact complement once.  Subtracting values_i from the
+    rounded total instead loses the small components next to a large one.
+    """
+    terms = [math.fsum(values)]
+    while terms[-1]:
+        terms.append(math.fsum([*values, *(-t for t in terms)]))
+    return [math.fsum([*terms, -v]) for v in values]
+
+
 def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
                         trials: int, seed: int, chunks: int = 64,
                         threads: int = 1) -> MonteCarloEstimate:
@@ -186,9 +253,21 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     so with g0 + n = m 2^k the sum is scaled by 2^-k, divided by m * m and
     scaled by 2^-k again, which below that rounds as dividing by
     (g0 + n) * (g0 + n) and near the top of the float range does not
-    overflow.  Other p
-    draw the counts, because their conditional law needs the binomial CDF,
-    so they need n <= INT64_MAX.
+    overflow.
+
+    At p = 1, and at p = inf when M = 2, the conditioning goes the other
+    way: given the counts, theta_i is Beta(a_i, b_i) with a_i = g_i + c_i
+    and b_i = (g0 - g_i) + (n - c_i), and theta_hat_i is its mean, so
+    E[|theta_i - theta_hat_i| | counts] is the Beta mean absolute deviation
+    MAD(a_i, b_i) (see beta_mad).  A p = 1 trial is sum_i MAD(a_i, b_i),
+    with the same theta and count draws as a trial that takes
+    |theta_i - theta_hat_i|, and the same mean.  At M = 2 both coordinates
+    have the same error and (a_2, b_2) = (b_1, a_1), so only coordinate 1
+    is evaluated (a p = inf trial is MAD(a_1, b_1)).
+    g0 - g_i is the fsum of the other gammas and n - c_i is formed in int64,
+    so no b_i loses its small terms to cancellation.  Other p take the
+    inner loss of the drawn counts.  Every p but 2 draws the counts, so
+    they need n <= INT64_MAX.
     """
     check_simulation(n, trials)
     p = validate_loss_order(p)
@@ -196,7 +275,14 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
         raise DomainError(f"n must be <= 2^63 - 1 to draw the counts at p != 2, got {n}")
     gamma = np.asarray(prior.gamma)
     g0 = prior.gamma0
-    mantissa, exponent = math.frexp(g0 + n)
+    m = prior.num_classes
+    s = g0 + n
+    mantissa, exponent = math.frexp(s)
+    posterior_mad = p == 1.0 or (math.isinf(p) and m == 2)
+    if posterior_mad:
+        scale = beta_mad_scale(s)
+        # stacked (a_i, b_i) = (c_i, n - c_i) + (g_i, g0 - g_i)
+        offsets = np.array([gamma, complements(prior.gamma)])[:, None, :]
 
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
@@ -205,8 +291,13 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
             total = (bias * bias + n * theta * (1.0 - theta)).sum(axis=1)
             return np.ldexp(np.ldexp(total, -exponent) / (mantissa * mantissa), -exponent)
         counts = sample_multinomial(n, theta, rng)
-        theta_hat = (gamma[None, :] + counts) / (g0 + n)
-        return inner_loss(p, theta, theta_hat)
+        if not posterior_mad:
+            return inner_loss(p, theta, (gamma[None, :] + counts) / s)
+        if m == 2:
+            # columns (g_1 + c_1, g_2 + c_2) are (a_1, b_1)
+            mad = beta_mad((counts + gamma).T, s, scale)
+            return 2.0 * mad if p == 1.0 else mad
+        return beta_mad(np.stack((counts, n - counts)) + offsets, s, scale).sum(axis=1)
 
     est = mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
     if math.isinf(p):

@@ -20,7 +20,7 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-SAMPLER_VERSION = 6
+SAMPLER_VERSION = 7
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -92,7 +92,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     brings its largest deviation into [1/2, 1); the merge and the square
     root run at one common power of two.  Such scaling is exact away from
     the subnormals, so it changes no bit of a result at ordinary
-    magnitudes.
+    magnitudes.  A chunk of equal values has that value as its mean and no
+    spread, so a constant sampler has stderr 0.
     """
     trials = int(trials)
     if trials < 2:
@@ -110,7 +111,11 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
             raise DomainError(f"sampler returned non-finite values in chunk {idx}")
         mean = float(values.mean())
         dev = values - mean
-        exponent = _exponent(max(float(dev.max()), -float(dev.min())))
+        hi, lo = float(dev.max()), float(dev.min())
+        if hi == lo:
+            # Equal values: their mean may round away from the value.
+            return size, float(values[0]), 0.0, _exponent(0.0)
+        exponent = _exponent(max(hi, -lo))
         dev *= math.ldexp(1.0, -exponent)
         return size, mean, float((dev ** 2).sum()), exponent
 

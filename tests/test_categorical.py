@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from rdrisk import categorical
-from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, fisher_summary, inner_loss,
-                                kamath_bounds, mutual_information, posterior_entropy,
-                                reference_risk_lower, sample_dirichlet, sample_multinomial,
-                                simulate_bayes_risk)
+from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, beta_mad, beta_mad_scale,
+                                complements, fisher_summary, inner_loss, kamath_bounds,
+                                mutual_information, posterior_entropy, reference_risk_lower,
+                                sample_dirichlet, sample_multinomial, simulate_bayes_risk,
+                                stirling_remainder)
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
@@ -168,9 +171,10 @@ def test_kamath_bounds_structure():
 
 def test_simulator_n0_matches_prior_dispersion():
     # with no data the posterior mean is the prior mean; for Beta(1,1) the
-    # L1 risk is 2 E|theta - 1/2| = 1/2
+    # L1 risk is 2 E|theta - 1/2| = 1/2, and every trial is that exact value
     est = simulate_bayes_risk(0, UNIFORM2, 1.0, trials=40_000, seed=402)
-    assert abs(est.mean - 0.5) < 3 * est.stderr
+    assert abs(est.mean - 0.5) <= 1e-12
+    assert est.stderr == 0.0
 
 
 def test_simulator_dominates_lower_bound():
@@ -217,17 +221,22 @@ def l2_risk_law(n, prior):
                      / (g0 * (g0 + 1.0) * (g0 + n)))
 
 
-def simulate_l2_by_counts(n, prior, trials, seed):
-    """The version-3 p = 2 sampler: draws the counts and averages the squared
-    error of the posterior mean, as p = 1 and p = inf still do."""
+def simulate_by_counts(n, prior, p, trials, seed):
+    """The count-drawing sampler of every p up to version 6 (version 3 at
+    p = 2): draws theta and the counts and averages the inner loss of the
+    posterior mean against the drawn theta, as p > 2 still does."""
     gamma = np.asarray(prior.gamma)
 
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
         counts = sample_multinomial(n, theta, rng)
-        return inner_loss(2.0, theta, (gamma + counts) / (prior.gamma0 + n))
+        return inner_loss(p, theta, (gamma + counts) / (prior.gamma0 + n))
 
-    est = mc_mean(sampler, trials, seed)
+    return mc_mean(sampler, trials, seed)
+
+
+def simulate_l2_by_counts(n, prior, trials, seed):
+    est = simulate_by_counts(n, prior, 2.0, trials, seed)
     # the outer exponent 1/2 and its delta-method stderr
     return math.sqrt(est.mean), est.stderr / (2.0 * math.sqrt(est.mean))
 
@@ -249,6 +258,118 @@ def test_simulator_p2_agrees_with_count_drawing_sampler(prior, n):
     assert abs(est.mean - ref_mean) <= 4 * math.hypot(est.stderr, ref_stderr)
     # a conditional expectation given theta cannot have more variance (Rao-Blackwell)
     assert est.stderr < ref_stderr
+
+
+MAD_CASES = [("1,1", 10, 1.0), ("1,1", 1000, 1.0), ("2,2,2", 10, 1.0), ("0.5,2,3", 1, 1.0),
+             ("0.5,2,3", 100, 1.0), (",".join(["1"] * 10), 5, 1.0), ("0.5,2", 20, math.inf)]
+
+
+@pytest.mark.parametrize("gamma,n,p", MAD_CASES)
+def test_simulator_posterior_mad_agrees_with_count_drawing_sampler(gamma, n, p):
+    prior = DirichletPrior(float(g) for g in gamma.split(","))
+    est = simulate_bayes_risk(n, prior, p, trials=20_000, seed=413)
+    ref = simulate_by_counts(n, prior, p, trials=20_000, seed=414)
+    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+    # a conditional expectation given the counts cannot have more variance
+    assert est.stderr < ref.stderr
+
+
+def posterior_mad_by_mpmath(a, b):
+    """2 a^a b^b / (B(a, b) (a+b)^(a+b+1)) at 40 digits."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        s = a + b
+        return float(2 * mpmath.exp(a * mpmath.log(a) + b * mpmath.log(b)
+                                    - mpmath.log(mpmath.beta(a, b)) - (s + 1) * mpmath.log(s)))
+
+
+def mad(a, b):
+    return float(beta_mad(np.array([a, b]), a + b, beta_mad_scale(a + b)))
+
+
+@pytest.mark.parametrize("gamma,n,p", [((0.5, 2.0, 3.0), 7, 1.0), ((1.0, 1e-20), 3, 1.0),
+                                       ((1.0, 1e-20), 3, math.inf),
+                                       ((2.0, 0.25), 2 ** 63 - 1, 1.0),
+                                       ((2.0, 0.25), 2 ** 63 - 1, math.inf)])
+def test_trial_is_posterior_mad_of_the_drawn_counts(monkeypatch, gamma, n, p):
+    # the sampler draws theta and the counts as the version-6 sampler did,
+    # and a trial is sum_i MAD(a_i, b_i) (MAD(a_1, b_1) for p = inf, M = 2)
+    samplers = []
+
+    def capture(sampler, *args, **kwargs):
+        samplers.append(sampler)
+        return MonteCarloEstimate(1.0, 0.0, 100)
+
+    monkeypatch.setattr(categorical, "mc_mean", capture)
+    simulate_bayes_risk(n, DirichletPrior(gamma), p, trials=100, seed=0)
+    values = samplers[0](rng_stream(415, 0), 20)
+    rng = rng_stream(415, 0)
+    counts = sample_multinomial(n, sample_dirichlet(np.asarray(gamma), rng, size=20), rng)
+    others = [math.fsum(gamma[:i] + gamma[i + 1:]) for i in range(len(gamma))]
+    for value, row in zip(values, counts.tolist()):
+        terms = [posterior_mad_by_mpmath(g + c, o + (n - c))
+                 for g, c, o in zip(gamma, row, others)]
+        expected = terms[0] if math.isinf(p) else math.fsum(terms)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+def exact_mad(a, b):
+    """MAD at integers, where Gamma(k) = (k-1)! makes
+    2 a^a b^b Gamma(a+b) / (Gamma(a) Gamma(b) (a+b)^(a+b+1)) rational."""
+    s = a + b
+    return Fraction(2 * a ** a * b ** b * math.factorial(s - 1),
+                    math.factorial(a - 1) * math.factorial(b - 1) * s ** (s + 1))
+
+
+def test_beta_mad_exact_at_integers():
+    assert exact_mad(1, 1) == Fraction(1, 4)
+    assert exact_mad(2, 3) == Fraction(2592, 15625)
+    for a, b in [(1, 1), (2, 3), (1, 7), (5, 5), (12, 30), (40, 3)]:
+        assert mad(float(a), float(b)) == pytest.approx(float(exact_mad(a, b)), rel=1e-13)
+
+
+@pytest.mark.parametrize("a,b", [(1e-3, 5.0), (0.5, 0.5), (7.9, 8.1), (8.0, 1e-3), (3.0, 1e3),
+                                 (1e-3, 1e6), (100.0, 1e4), (1e6, 1e9), (1e12, 3.0),
+                                 (0.2, 1e15), (1e15, 1e15)])
+def test_beta_mad_matches_mpmath(a, b):
+    assert mad(a, b) == pytest.approx(posterior_mad_by_mpmath(a, b), rel=1e-12)
+    assert mad(b, a) == pytest.approx(mad(a, b), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-20, 1.0, 1e19])
+@pytest.mark.parametrize("b", [1e-300, 1.0, 1e19])
+def test_beta_mad_finite_at_extremes(a, b):
+    value = mad(a, b)
+    assert math.isfinite(value) and value >= 0.0
+
+
+def test_beta_mad_symmetric_limits():
+    # Beta(a, a) tends to a fair coin as a -> 0 (MAD 1/2), and to a normal
+    # law with sd 1/(2 sqrt(2a + 1)) as a grows (MAD sqrt(2/pi) sd)
+    assert mad(1e-300, 1e-300) == pytest.approx(0.5, rel=1e-12)
+    assert mad(1e19, 1e19) == pytest.approx(1 / math.sqrt(2 * math.pi * (2e19 + 1)), rel=1e-12)
+
+
+def test_stirling_remainder_matches_log_gamma():
+    x = [1e-300, 1e-3, 0.5, 1.0, 2.5, 7.99, 8.0, 30.0, 1e3, 1e12]
+    with mpmath.workdps(40):
+        ref = [float(mpmath.loggamma(v) - (v - mpmath.mpf(0.5)) * mpmath.log(v) + v
+                     - mpmath.log(2 * mpmath.pi) / 2) for v in x]
+    assert np.allclose(stirling_remainder(np.array(x)), ref, rtol=1e-15, atol=2e-14)
+    # a float argument gives the same value
+    assert [float(stirling_remainder(v)) for v in x] == stirling_remainder(np.array(x)).tolist()
+
+
+def test_complements_are_fsums_of_the_others():
+    rng = rng_stream(416, 0)
+    for m in (2, 3, 7, 40):
+        for _ in range(50):
+            values = (10.0 ** rng.uniform(-30, 30, size=m)).tolist()
+            assert complements(values) == [math.fsum(values[:i] + values[i + 1:])
+                                           for i in range(m)]
+    # gamma0 - gamma_1 rounds to 0 here
+    assert complements([1.0, 1e-20]) == [1e-20, 1.0]
+    assert complements([1e308, 1.0, 1e-300]) == [1.0, 1e308, 1e308]
 
 
 def test_simulator_rejects_n_beyond_int64_count_draws():

@@ -309,7 +309,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 6
+    assert payload["metadata"]["sampler_version"] == 7
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -330,7 +330,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 6
+    assert payload["sampler_version"] == 7
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 
@@ -683,18 +683,25 @@ def test_module_functions_called_once_per_row(capsys, monkeypatch, family, comma
 
 
 # The sampler stages each simulator calls through its module's attributes,
-# with the calls per chunk: the trace wraps these attributes by name, so a
-# simulator that bound one of them locally would hide its calls.
+# with the calls per chunk, by family and --p: the trace wraps these
+# attributes by name, so a simulator that bound one of them locally would
+# hide its calls.  Categorical p = 1 takes the posterior MAD of the counts,
+# other p (but 2) the inner loss.
 SAMPLER_STAGES = {
-    "categorical": {"sample_dirichlet": 1, "sample_multinomial": 1, "inner_loss": 1},
-    "multinomial": {"sample_dirichlet": 1, "sample_multinomial": 2},
+    "categorical": ("1", {"sample_dirichlet": 1, "sample_multinomial": 1, "beta_mad": 1,
+                          "inner_loss": 0}),
+    "categorical-p3": ("3", {"sample_dirichlet": 1, "sample_multinomial": 1, "beta_mad": 0,
+                             "inner_loss": 1}),
+    "multinomial": ("1", {"sample_dirichlet": 1, "sample_multinomial": 2}),
 }
 
 
-@pytest.mark.parametrize("family", sorted(SAMPLER_STAGES))
-def test_sampler_stages_called_through_module_attributes(capsys, monkeypatch, family):
+@pytest.mark.parametrize("case", sorted(SAMPLER_STAGES))
+def test_sampler_stages_called_through_module_attributes(capsys, monkeypatch, case):
+    family = case.partition("-")[0]
+    p, stages = SAMPLER_STAGES[case]
     module = importlib.import_module("rdrisk." + family)
-    calls = dict.fromkeys(SAMPLER_STAGES[family], 0)
+    calls = dict.fromkeys(stages, 0)
 
     def counting(name):
         fn = getattr(module, name)
@@ -707,10 +714,10 @@ def test_sampler_stages_called_through_module_attributes(capsys, monkeypatch, fa
     for name in calls:
         counting(name)
     code, _, _ = run_cli(capsys, "simulate", "--family", family, *FAMILY_ARGS[family],
-                         "--p", "1", "--n-grid", "1,5,20", "--trials", "1000", "--chunks", "4")
+                         "--p", p, "--n-grid", "1,5,20", "--trials", "1000", "--chunks", "4")
     assert code == 0
     chunks = 3 * 4  # 3 rows of 4 chunks
-    assert calls == {name: per * chunks for name, per in SAMPLER_STAGES[family].items()}
+    assert calls == {name: per * chunks for name, per in stages.items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -729,6 +736,19 @@ def test_rejects_counts_beyond_int64(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("rdrisk: ") and err.count("\n") == 1 and "2^63 - 1" in err
+
+
+@pytest.mark.parametrize("gamma,n_grid", [("1,1e-20", "1,10"), ("1,1e-20,1e-20", "1,10"),
+                                          ("1,1", "9223372036854775807")])
+def test_categorical_l1_keeps_tiny_and_huge_posteriors_finite(capsys, gamma, n_grid):
+    # b_i = g0 - g_i + n - c_i, formed as (fsum of the other gammas) + (n - c_i
+    # in int64): gamma0 - 1 rounds to 0 at gamma (1, 1e-20), and
+    # (gamma0 + n) - a_i rounds badly at n = 2^63 - 1
+    code, out, err = run_cli(capsys, "simulate", "--family", "categorical", "--gamma", gamma,
+                             "--n-grid", n_grid, "--trials", "1000")
+    assert code == 0, err
+    for row in parse_csv(out)[1]:
+        assert 0.0 < float(row["simulated_mean"]) < math.inf
 
 
 def test_categorical_l2_accepts_n_beyond_int64(capsys):

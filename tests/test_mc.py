@@ -34,6 +34,17 @@ def test_mc_mean_constant_sampler():
     assert est.trials == 1000
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_mean_constant_sampler_whose_sum_rounds(threads):
+    # 625 copies of these values do not sum exactly, so a chunk's pairwise
+    # mean is off by rounding; the chunk's value is still the mean
+    for value in (0.1, 0.5000000000000007):
+        est = mc_mean(lambda rng, m: np.full(m, value), trials=40_000, seed=0,
+                      threads=threads)
+        assert est.mean == value
+        assert est.stderr == 0.0
+
+
 def test_mc_mean_uniform():
     est = mc_mean(lambda rng, m: rng.uniform(size=m), trials=10 ** 6, seed=11)
     assert abs(est.mean - 0.5) < 3 * est.stderr
