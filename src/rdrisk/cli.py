@@ -446,7 +446,9 @@ def _build_parser() -> _Parser:
     for sub in (s, c):
         _add_curve_options(sub)
         _add_mc_options(sub)
-        sub.add_argument("--test-points", type=int, dest="test_points")
+        sub.add_argument("--test-points", type=int, dest="test_points",
+                         help="test points per trial (default 1000), split between "
+                              "the trial's antithetic pair")
 
     m = subs.add_parser("mi", help="mutual information for one n")
     _add_family_options(m)

@@ -20,7 +20,7 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-SAMPLER_VERSION = 7
+SAMPLER_VERSION = 8
 
 
 class MonteCarloEstimate(NamedTuple):

@@ -309,7 +309,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 7
+    assert payload["metadata"]["sampler_version"] == 8
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -330,7 +330,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 7
+    assert payload["sampler_version"] == 8
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 

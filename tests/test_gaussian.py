@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import expit
 
+import rdrisk.gaussian as gaussian
+import rdrisk.mc as mc
 from rdrisk.errors import DomainError
-from rdrisk.gaussian import (GaussianFamily, bayes_risk_lower_l1, entropy_lower_nu,
-                             interpolation_scale, mutual_information_cb,
-                             mutual_information_exact, sample_regression_values,
-                             simulate_bayes_risk)
+from rdrisk.gaussian import (ANTITHETIC_PAIRS, GaussianFamily, antithetic_chi2,
+                             bayes_risk_lower_l1, entropy_lower_nu, interpolation_scale,
+                             mutual_information_cb, mutual_information_exact,
+                             sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
-from rdrisk.mc import mc_mean, rng_stream
+from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
 from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA
 
@@ -295,3 +299,117 @@ def test_simulator_n0_matches_quadrature(d, s2):
     exact = 2.0 * quad(lambda s: given_s(s) * chi_density(s), 0.0, math.inf)[0]
     est = simulate_bayes_risk(0, d, s2, trials=4000, test_points=200, seed=612)
     assert abs(est.mean - exact) < 4 * est.stderr
+
+
+def v7_bayes_risk(n, d, sigma2, trials, test_points, seed):
+    """The version-7 sampler: one (r, a, b) draw per trial, all T test
+    points on it."""
+    sigma = math.sqrt(sigma2)
+    c = 1.0 / (sigma2 * d + n)
+
+    def sampler(rng, count):
+        r = rng.chisquare(d, size=count) / d
+        a = rng.normal(size=count)
+        b = rng.chisquare(d - 1, size=count) if d > 1 else np.zeros(count)
+        root_r = np.sqrt(r)
+        h_par = c * (n * root_r + sigma * math.sqrt(n) * a)
+        h_perp = c * sigma * np.sqrt(n * b)
+        g1 = rng.normal(size=(count, test_points))
+        g2 = rng.normal(size=(count, test_points))
+        u = (r[:, None] + sigma * root_r[:, None] * g1) / sigma2
+        v = (root_r[:, None] * h_par[:, None]
+             + sigma * (h_par[:, None] * g1 + h_perp[:, None] * g2)) / sigma2
+        return np.abs(np.tanh(u) - np.tanh(v)).mean(axis=1)
+
+    return mc_mean(sampler, trials, seed)
+
+
+# (d, n, sigma2, test points, trials, variance ratio against version 7 of at
+# least 3); d = 200 is past 2 ANTITHETIC_PAIRS, so its shared rest runs
+@pytest.mark.parametrize("d,n,s2,points,trials,lower", [
+    (16, 100, 1.0, 100, 4000, True), (4, 1, 1.0, 1000, 2000, True),
+    (2, 10, 0.5, 101, 4000, True), (3, 10, 2.0, 101, 4000, True),
+    (1, 10, 1.0, 100, 4000, False), (200, 10, 1.0, 100, 4000, False)])
+def test_simulator_matches_v7_reference(d, n, s2, points, trials, lower):
+    est = simulate_bayes_risk(n, d, s2, trials=trials, test_points=points, seed=613)
+    ref = v7_bayes_risk(n, d, s2, trials=trials, test_points=points, seed=614)
+    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+    if lower:
+        assert est.stderr < ref.stderr
+
+
+@pytest.mark.parametrize("dofs", [(1, 0), (2, 1), (3, 2), (16, 15), (129, 128), (200, 199)])
+def test_antithetic_chi2_pairs(dofs):
+    # each member is exactly chi2_dof, and the members of a pair fall in
+    # opposite directions while they share less than half the degrees
+    pairs = antithetic_chi2(rng_stream(615, dofs[0]), 20_000, dofs)
+    assert pairs.shape == (2, 20_000, 2)
+    for dof, (first, second) in zip(dofs, pairs.transpose(0, 2, 1)):
+        if dof == 0:
+            assert not first.any() and not second.any()
+            continue
+        for member in (first, second):
+            assert stats.kstest(member, stats.chi2(dof).cdf).pvalue > 1e-3
+        rho = stats.spearmanr(first, second).statistic
+        if 2 <= dof <= 2 * ANTITHETIC_PAIRS:
+            assert rho < -0.3
+        if dof == 1:
+            assert (first == second).all()
+
+
+class ZeroUniforms:
+    """Generator stand-in whose uniforms are all exactly 0."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size=None, out=None):
+        return np.zeros(size) if out is None else np.multiply(out, 0.0, out=out)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 16, 200])
+def test_zero_uniforms_give_finite_trials_without_warning(monkeypatch, d):
+    # a uniform of 0 enters member 1 as 2^-53, so -2 ln stays finite
+    pairs = antithetic_chi2(ZeroUniforms(rng_stream(616, d)), 10, (d, d - 1))
+    assert np.isfinite(pairs).all()
+    monkeypatch.setattr(mc, "rng_stream", lambda seed, i: ZeroUniforms(rng_stream(seed, i)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate_bayes_risk(10, d, 1.0, trials=200, test_points=101, seed=616,
+                                  chunks=2)
+    assert math.isfinite(est.mean) and math.isfinite(est.stderr)
+
+
+@pytest.mark.parametrize("d,points", [(1, 101), (2, 100), (5, 101), (200, 100)])
+def test_trial_is_the_mean_of_its_pair_members(monkeypatch, d, points):
+    # member 0 takes the first ceil(T/2) test points and member 1 the other
+    # floor(T/2), and the sampler draws exactly T points per trial
+    samplers = []
+    monkeypatch.setattr(gaussian, "mc_mean", lambda sampler, *args, **kwargs:
+                        samplers.append(sampler) or MonteCarloEstimate(0.0, 0.0, 100))
+    n, s2, count = 10, 0.5, 7
+    simulate_bayes_risk(n, d, s2, trials=100, test_points=points, seed=0)
+    drawn = rng_stream(617, d)
+    values = samplers[0](drawn, count)
+    rng = rng_stream(617, d)
+    chi2 = antithetic_chi2(rng, count, (d, d - 1))
+    a = rng.standard_normal(size=(count, 1))[:, 0]
+    g = rng.standard_normal(size=(2, count, points))
+    assert drawn.random() == rng.random()  # nothing more was drawn
+    c, sigma, head = 1.0 / (s2 * d + n), math.sqrt(s2), (points + 1) // 2
+    for i in range(count):
+        means = []
+        for m, sign, cut in ((0, 1.0, slice(0, head)), (1, -1.0, slice(head, points))):
+            r, b = chi2[0, i, m] / d, chi2[1, i, m]
+            h_par = c * (n * math.sqrt(r) + sigma * math.sqrt(n) * sign * a[i])
+            h_perp = c * sigma * math.sqrt(n * b)
+            g1, g2 = g[0, i, cut], g[1, i, cut]
+            u = r + sigma * math.sqrt(r) * g1
+            v = math.sqrt(r) * h_par + sigma * (h_par * g1 + h_perp * g2)
+            loss = 2.0 * np.abs(expit(2.0 * u / s2) - expit(2.0 * v / s2))
+            assert loss.size == (head if m == 0 else points - head)
+            means.append(loss.mean())
+        assert values[i] == pytest.approx(0.5 * (means[0] + means[1]), rel=1e-12, abs=1e-15)
