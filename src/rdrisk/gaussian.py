@@ -158,38 +158,32 @@ def sample_regression_values(d: int, sigma2: float, draws: int,
 ANTITHETIC_PAIRS = 64  # most antithetic uniforms per chi-square
 
 
-def antithetic_chi2(rng: np.random.Generator, count: int,
-                    dofs: tuple[int, ...]) -> np.ndarray:
-    """``count`` antithetic pairs of chi2_dof draws for each dof in
-    ``dofs``, as an array of shape (len(dofs), count, 2): [j, i, m] is pair
-    member m of trial i at dof dofs[j].
+def antithetic_chi2(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` antithetic pairs of chi2_d and of chi2_{d-1} draws, as an
+    array of shape (2, count, 2): [0, i, m] is pair member m of trial i at
+    d degrees of freedom and [1, i, m] at d - 1.
 
     chi2_{2k} is -2 sum_j ln U_j over k uniforms.  Member 0 takes
     ln(1 - U_j) and member 1 ln U_j over the same uniforms, so each member
     is exactly chi2_{2k} and the two fall in opposite directions.  At most
-    ANTITHETIC_PAIRS uniforms per dof are paired; the rest of the degrees
-    (an odd one, and all past 2 ANTITHETIC_PAIRS) is one chi-square draw
-    that both members share, so the marginals stay exact and the cost does
-    not grow with dof.  numpy's uniforms are k 2^-53 with 0 <= k < 2^53, so
-    1 - U and U + 2^-53 are exact, never 0, and uniform on the same grid
+    ANTITHETIC_PAIRS uniforms per chi-square are paired; the rest of the
+    degrees (an odd one, and all past 2 ANTITHETIC_PAIRS) is one chi-square
+    draw that both members share, so the marginals stay exact and the cost
+    does not grow with d.  numpy's uniforms are k 2^-53 with 0 <= k < 2^53,
+    so 1 - U and U + 2^-53 are exact, never 0, and uniform on the same grid
     {j 2^-53 : 1 <= j <= 2^53}: member 1 takes ln(U + 2^-53) in place of
     ln U, which keeps a uniform of exactly 0 finite and silent.
     """
-    ks = [min(dof // 2, ANTITHETIC_PAIRS) for dof in dofs]
-    live = [j for j, k in enumerate(ks) if k]
-    if live:
-        u = rng.random(size=(sum(ks), count, 1))
-        # |(1, -2^-53) - U| is (1 - U, U + 2^-53), one column per member
-        logs = np.subtract(np.array([1.0, -2.0 ** -53]), u)
-        np.log(np.abs(logs, out=logs), out=logs)
-        chi2 = np.add.reduceat(logs, [sum(ks[:j]) for j in live], axis=0)
-        chi2 *= -2.0
-    if len(live) < len(dofs):
-        padded = np.zeros((len(dofs), count, 2))
-        if live:
-            padded[live] = chi2
-        chi2 = padded
-    for j, (dof, k) in enumerate(zip(dofs, ks)):
+    k0, k1 = min(d // 2, ANTITHETIC_PAIRS), min((d - 1) // 2, ANTITHETIC_PAIRS)
+    u = rng.random(size=(k0 + k1, count, 1))
+    # |(1, -2^-53) - U| is (1 - U, U + 2^-53), one column per member
+    logs = np.subtract(np.array([1.0, -2.0 ** -53]), u)
+    np.log(np.abs(logs, out=logs), out=logs)
+    chi2 = np.empty((2, count, 2))
+    np.add.reduce(logs[:k0], axis=0, out=chi2[0])
+    np.add.reduce(logs[k0:], axis=0, out=chi2[1])
+    chi2 *= -2.0
+    for j, (dof, k) in enumerate(((d, k0), (d - 1, k1))):
         if dof > 2 * k:
             chi2[j] += rng.chisquare(dof - 2 * k, size=(count, 1))
     return chi2
@@ -233,48 +227,63 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     floor(T/2) to member 1, and the trial is the mean of the two members'
     averages, so a trial still costs T test points.  At d = 16 and n = 100
     the variance per trial is about 3.7x lower than with one draw per
-    trial; at d = 1, where only a is paired, about 1.2x.
+    trial; at d = 1, where only a is paired, about 1.2x.  These gains are
+    measured for d <= 2 ANTITHETIC_PAIRS = 128 only; past it most degrees
+    are shared and the pair gains less (1.4x at d = 200).
+
+    The loss is taken as |tanh((u - v) / sigma2)| (1 - tanh(u / sigma2)
+    tanh(v / sigma2)), with u - v formed from sqrt(r) - h_par = sqrt(r)
+    c sigma2 d - c sigma sqrt(n) a, so it keeps its digits when theta_hat is
+    within rounding of theta (the risk falls as 1/sqrt(n) up to n = 1.8e308).
     """
     check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")
-    c = 1.0 / (sigma2 * d + n)
+    # 1 - c n and c sqrt(n), with c = 1 / (sigma2 d + n)
+    shrink, spread = sigma2 * d / (sigma2 * d + n), math.sqrt(n) / (sigma2 * d + n)
     half, odd = -(-test_points // 2), test_points % 2
+    # chi2_d / (d sigma2) is root^2 and c^2 n chi2_{d-1} is perp^2
+    scales = np.array([1.0 / d / sigma2, spread * spread])[:, None, None]
     # a is +a for member 0 and -a for member 1, scaled by c sqrt(n)
-    signed_a = np.array([c * math.sqrt(n), -c * math.sqrt(n)])
+    signed_a = np.array([spread, -spread])
     # the trial averages member 0's half points and member 1's half - odd
     member_weights = np.array([0.5 / half, 0.5 / (half - odd)])
 
     def sampler(rng, count):
         # Every coefficient below is in units of sigma, (count, 2) by trial
-        # and pair member: root = sqrt(r) / sigma, par = h_par / sigma and
-        # perp = h_perp / sigma, so that u / sigma2 = root (root + g1) and
-        # v / sigma2 = par (root + g1) + perp g2.
-        chi2 = antithetic_chi2(rng, count, (d, d - 1))
-        root = np.sqrt(np.multiply(chi2[0], 1.0 / d / sigma2))
-        par = np.multiply(root, c * n)
-        par += signed_a * rng.standard_normal(size=(count, 1))
-        perp = np.sqrt(np.multiply(chi2[1], c * (n * c)))
+        # and pair member: root = sqrt(r) / sigma, gap = (sqrt(r) - h_par) /
+        # sigma = root (1 - c n) - c sqrt(n) a and perp = h_perp / sigma, so
+        # that u / sigma2 = root (root + g1) and (u - v) / sigma2 =
+        # gap (root + g1) - perp g2.  gap is formed without taking h_par
+        # from sqrt(r), which cancels once theta_hat is within rounding of
+        # theta.
+        root, perp = np.sqrt(np.multiply(antithetic_chi2(rng, count, d), scales))
+        gap = np.multiply(root, shrink)
+        gap -= signed_a * rng.standard_normal(size=(count, 1))
         g = rng.standard_normal(size=(2, count, test_points))
         if odd:
             # member 1 takes the last floor(T/2) points and a pad point,
             # whose loss is zeroed below
             g = np.concatenate((g, np.zeros((2, count, 1))), axis=2)
         g1, g2 = g.reshape(2, count, 2, half)
-        # 2 |W - W_hat| = |tanh(u / sigma2) - tanh(v / sigma2)|; g1's buffer
-        # takes root + g1, then v / sigma2 is built in g2's and u / sigma2 in
-        # g1's.
+        # 2 |W - W_hat| = |tanh(u / sigma2) - tanh(v / sigma2)|, taken as
+        # |tanh((u - v) / sigma2)| (1 - tanh(u / sigma2) tanh(v / sigma2)) so
+        # that it does not cancel; g1's buffer takes root + g1, then u /
+        # sigma2, then the second factor, and g2's takes perp g2, then
+        # v / sigma2.
         g1 += root[:, :, None]
-        v = g2
-        v *= perp[:, :, None]
-        v += g1 * par[:, :, None]
+        g2 *= perp[:, :, None]
+        diff = g1 * gap[:, :, None]
+        diff -= g2
         u = g1
         u *= root[:, :, None]
+        v = np.subtract(u, diff, out=g2)
         np.tanh(u, out=u)
-        u -= np.tanh(v, out=v)
-        loss = np.abs(u, out=u)
+        u *= np.tanh(v, out=v)
+        np.subtract(1.0, u, out=u)
+        loss = np.abs(np.tanh(diff, out=diff), out=diff)
         if odd:
             loss[:, 1, -1] = 0.0
-        return loss.sum(axis=2) @ member_weights
+        return np.einsum("ijk,ijk->ij", loss, u) @ member_weights
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)

@@ -302,6 +302,16 @@ def test_compare_gaussian_ok(capsys):
     assert "0 violation(s)" in err
 
 
+def test_compare_gaussian_ok_at_huge_n(capsys):
+    # at n = 1e307 theta_hat is within rounding of theta; the simulated risk
+    # (about 2.3e-154) must not round to 0 below the printed bound
+    code, out, err = run_cli(capsys, "compare", "--family", "gaussian",
+                             "--d", "4", "--sigma2", "1", "--n-grid", str(10 ** 307),
+                             "--trials", "200", "--test-points", "100", "--seed", "14")
+    assert code == 0
+    assert "0 violation(s)" in err
+
+
 def test_compare_json_metadata(capsys):
     code, out, _ = run_cli(capsys, "compare", "--family", "zero-error",
                            "--n-grid", "2", "--trials", "2000", "--seed", "1",

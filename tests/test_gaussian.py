@@ -301,6 +301,24 @@ def test_simulator_n0_matches_quadrature(d, s2):
     assert abs(est.mean - exact) < 4 * est.stderr
 
 
+@pytest.mark.parametrize("n", [10 ** 34, 10 ** 307], ids=["1e34", "1e307"])
+def test_simulator_at_huge_n_matches_first_order_risk(n):
+    # For large n the loss is sech^2(u) |u - v| to first order (sigma2 = 1),
+    # with u - v = -(a w + sqrt(b) g2) / sqrt(n) and w = sqrt(r) + g1, so
+    # sqrt(n) risk -> sqrt(2/pi) E[sech^2(sqrt(r) w) sqrt(w^2 + b)].  Taking
+    # h_par from sqrt(r) cancelled to rounding from about n = 1e30.
+    d, rng = 4, np.random.default_rng(619)
+    root = np.sqrt(rng.chisquare(d, 400_000) / d)
+    w = root + rng.standard_normal(root.size)
+    terms = math.sqrt(2 / math.pi) * np.sqrt(w * w + rng.chisquare(d - 1, root.size)) \
+        / np.cosh(root * w) ** 2
+    limit, limit_stderr = terms.mean(), terms.std() / math.sqrt(terms.size)
+    est = simulate_bayes_risk(n, d, 1.0, trials=4000, test_points=100, seed=618)
+    scaled, scaled_stderr = est.mean * math.sqrt(n), est.stderr * math.sqrt(n)
+    assert abs(scaled - limit) <= 4 * math.hypot(scaled_stderr, limit_stderr)
+    assert scaled_stderr < 0.02 * limit
+
+
 def v7_bayes_risk(n, d, sigma2, trials, test_points, seed):
     """The version-7 sampler: one (r, a, b) draw per trial, all T test
     points on it."""
@@ -338,13 +356,13 @@ def test_simulator_matches_v7_reference(d, n, s2, points, trials, lower):
         assert est.stderr < ref.stderr
 
 
-@pytest.mark.parametrize("dofs", [(1, 0), (2, 1), (3, 2), (16, 15), (129, 128), (200, 199)])
-def test_antithetic_chi2_pairs(dofs):
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 129, 200])
+def test_antithetic_chi2_pairs(d):
     # each member is exactly chi2_dof, and the members of a pair fall in
     # opposite directions while they share less than half the degrees
-    pairs = antithetic_chi2(rng_stream(615, dofs[0]), 20_000, dofs)
+    pairs = antithetic_chi2(rng_stream(615, d), 20_000, d)
     assert pairs.shape == (2, 20_000, 2)
-    for dof, (first, second) in zip(dofs, pairs.transpose(0, 2, 1)):
+    for dof, (first, second) in zip((d, d - 1), pairs.transpose(0, 2, 1)):
         if dof == 0:
             assert not first.any() and not second.any()
             continue
@@ -373,7 +391,7 @@ class ZeroUniforms:
 @pytest.mark.parametrize("d", [1, 2, 7, 16, 200])
 def test_zero_uniforms_give_finite_trials_without_warning(monkeypatch, d):
     # a uniform of 0 enters member 1 as 2^-53, so -2 ln stays finite
-    pairs = antithetic_chi2(ZeroUniforms(rng_stream(616, d)), 10, (d, d - 1))
+    pairs = antithetic_chi2(ZeroUniforms(rng_stream(616, d)), 10, d)
     assert np.isfinite(pairs).all()
     monkeypatch.setattr(mc, "rng_stream", lambda seed, i: ZeroUniforms(rng_stream(seed, i)))
     with warnings.catch_warnings():
@@ -395,7 +413,7 @@ def test_trial_is_the_mean_of_its_pair_members(monkeypatch, d, points):
     drawn = rng_stream(617, d)
     values = samplers[0](drawn, count)
     rng = rng_stream(617, d)
-    chi2 = antithetic_chi2(rng, count, (d, d - 1))
+    chi2 = antithetic_chi2(rng, count, d)
     a = rng.standard_normal(size=(count, 1))[:, 0]
     g = rng.standard_normal(size=(2, count, points))
     assert drawn.random() == rng.random()  # nothing more was drawn
