@@ -93,8 +93,6 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
         gamma = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise UsageError(f"invalid gamma vector: {text!r}") from None
-    if len(gamma) < 2:
-        raise UsageError("gamma needs at least 2 components")
     return gamma
 
 
@@ -196,11 +194,8 @@ class _Multinomial(_Family):
 
     def __init__(self, args):
         super().__init__(args)
-        gamma = _parse_gamma(args.gamma)
-        if len(gamma) != args.d:
-            raise UsageError(f"gamma must have d={args.d} components")
-        self.model = multinomial.MultinomialFamily(
-            d=args.d, k=args.k, prior=categorical.DirichletPrior(gamma))
+        prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
+        self.model = multinomial.MultinomialFamily(d=args.d, k=args.k, prior=prior)
 
     def header(self) -> dict:
         return {"gamma": ",".join(repr(g) for g in self.model.prior.gamma),
@@ -330,17 +325,16 @@ def _cmd_curve(args) -> int:
     """bounds, simulate and compare: one row per n of the grid."""
     p = _parse_p(args.p)
     n_grid = _parse_n_grid(args.n_grid)
-    trials, chunks, threads = _mc_options(args)
+    meta = {"tool": "rdrisk", "version": __version__, "command": args.command,
+            "family": args.family, "p": "inf" if math.isinf(p) else p,
+            "n_grid": ",".join(str(n) for n in n_grid)}
+    if args.command != "bounds":
+        trials, chunks, threads = _mc_options(args)
+        meta.update(seed=args.seed, trials=trials, chunks=chunks,
+                    sampler_version=SAMPLER_VERSION)
     family = FAMILIES[args.family](args)
     if family.l1_only and p != 1.0:
         raise UsageError(f"the {args.family} family provides L1 bounds only")
-
-    meta = {"tool": "rdrisk", "version": __version__, "command": args.command,
-            "family": args.family, "p": "inf" if math.isinf(p) else p,
-            "n_grid": ",".join(str(n) for n in n_grid),
-            "seed": args.seed, "trials": trials, "chunks": chunks}
-    if args.command != "bounds":
-        meta["sampler_version"] = SAMPLER_VERSION
     meta.update(family.header())
 
     rows = []
@@ -401,16 +395,13 @@ def _cmd_entropy(args) -> int:
 
 
 def _add_family_options(sub) -> None:
-    """Flags of the commands that take a family, and the Monte-Carlo
-    defaults: a command without such a flag runs with the default, and
-    `bounds` still reports seed, trials and chunks in its header."""
     sub.add_argument("--family", required=True, choices=FAMILIES)
     sub.add_argument("--gamma", help="comma-separated Dirichlet concentration")
     sub.add_argument("--d", type=int, help="category count / feature dimension")
     sub.add_argument("--k", type=int, help="trials per multinomial observation")
     sub.add_argument("--sigma2", type=float, help="Gaussian noise variance")
     sub.add_argument("--output", help="file path (default stdout)")
-    sub.set_defaults(trials="10000", seed=0, chunks=64, threads=1, test_points=None)
+    sub.set_defaults(test_points=None)
 
 
 def _add_curve_options(sub) -> None:
@@ -425,12 +416,11 @@ def _add_curve_options(sub) -> None:
     sub.set_defaults(func=_cmd_curve)
 
 
-def _add_mc_options(sub) -> None:
-    # Defaults come from _add_family_options unless a command sets its own.
-    sub.add_argument("--trials")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--chunks", type=int)
-    sub.add_argument("--threads", type=int)
+def _add_mc_options(sub, trials: str) -> None:
+    sub.add_argument("--trials", default=trials)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--chunks", type=int, default=64)
+    sub.add_argument("--threads", type=int, default=1)
 
 
 def _build_parser() -> _Parser:
@@ -445,7 +435,7 @@ def _build_parser() -> _Parser:
                                         "exit 2 on lower-bound violations")
     for sub in (s, c):
         _add_curve_options(sub)
-        _add_mc_options(sub)
+        _add_mc_options(sub, "10000")
         sub.add_argument("--test-points", type=int, dest="test_points",
                          help="test points per trial (default 1000), split between "
                               "the trial's antithetic pair")
@@ -454,8 +444,8 @@ def _build_parser() -> _Parser:
     _add_family_options(m)
     m.add_argument("--n", required=True, type=int)
     m.add_argument("--method", choices=("exact", "clarke-barron", "monte-carlo"))
-    _add_mc_options(m)
-    m.set_defaults(func=_cmd_mi, trials="1000000")
+    _add_mc_options(m, "1000000")
+    m.set_defaults(func=_cmd_mi)
 
     e = subs.add_parser("entropy", help="k-NN differential entropy of CSV samples")
     e.add_argument("--input", required=True, help="CSV, one row per sample")

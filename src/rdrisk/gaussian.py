@@ -236,6 +236,7 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     c sigma2 d - c sigma sqrt(n) a, so it keeps its digits when theta_hat is
     within rounding of theta (the risk falls as 1/sqrt(n) up to n = 1.8e308).
     """
+    _check_params(d, sigma2)
     check_simulation(n, trials)
     if test_points < 100:
         raise DomainError(f"test_points must be >= 100, got {test_points}")

@@ -53,12 +53,6 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunk_sizes(trials: int, chunks: int) -> list[int]:
-    chunks = max(1, min(int(chunks), trials))
-    base, extra = divmod(trials, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
 def _exponent(x: float) -> int:
     """The e that brings x >= 0 into [1/2, 1) as x * 2^-e; -1022 at x = 0
     and for subnormal x, so that 2^-e stays a finite float."""
@@ -83,9 +77,10 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     """Mean/stderr of ``sampler`` over exactly ``trials`` draws.
 
     ``sampler(rng, count)`` must return a 1-D array of ``count`` values and
-    must depend only on the generator handed to it.  Chunks may run on up to
-    ``threads`` workers; the reduction is always performed in chunk order,
-    so the output is reproducible bit-for-bit.
+    must depend only on the generator handed to it.  ``chunks`` must lie in
+    [1, trials].  Chunks may run on up to ``threads`` workers; the reduction
+    is always performed in chunk order, so the output is reproducible
+    bit-for-bit.
 
     Squared deviations of tiny values underflow, and of huge ones
     overflow, so each chunk sums them scaled by the power of two that
@@ -95,10 +90,11 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     magnitudes.  A chunk of equal values has that value as its mean and no
     spread, so a constant sampler has stderr 0.
     """
-    trials = int(trials)
+    trials, chunks = int(trials), int(chunks)
     if trials < 2:
         raise DomainError(f"mc_mean requires trials >= 2, got {trials}")
-    sizes = _chunk_sizes(trials, chunks)
+    if not 1 <= chunks <= trials:
+        raise DomainError(f"chunks must be in [1, trials={trials}], got {chunks}")
 
     def run_chunk(args):
         idx, size = args
@@ -119,7 +115,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
         dev *= math.ldexp(1.0, -exponent)
         return size, mean, float((dev ** 2).sum()), exponent
 
-    jobs = list(enumerate(sizes))
+    base, extra = divmod(trials, chunks)
+    jobs = [(i, base + (1 if i < extra else 0)) for i in range(chunks)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -31,7 +31,7 @@ class MultinomialFamily:
         if k < 1:
             raise DomainError(f"trials per observation k must be >= 1, got {k}")
         if prior.num_classes != d:
-            raise DomainError("prior must have d components")
+            raise DomainError(f"prior must have d={d} components, got {prior.num_classes}")
         self.d, self.k, self.prior = d, k, prior
         self.spec = InterpolationSpec(d_star=d - 1, d_interp=d - 1, num_classes=2)
 

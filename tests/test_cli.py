@@ -158,6 +158,29 @@ def test_rejects_non_finite_gamma(capsys, argv, gamma):
     assert err.startswith("rdrisk: ") and err.count("\n") == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("bounds", "--family", "zero-error", "--n-grid", "1:10:5"), "grid spec must be"),
+    (("bounds", "--family", "zero-error", "--n-grid", "5:2:3log"), "start <= stop"),
+    (("bounds", "--family", "zero-error", "--n-grid", "1,x"), "invalid n grid"),
+    (("bounds", "--family", "categorical", "--gamma", "1,x", "--n", "10"),
+     "invalid gamma vector"),
+    (("simulate", "--family", "zero-error", "--n", "1", "--trials", "abc"),
+     "invalid --trials"),
+    (("entropy", "--input", "words.csv"), "as numeric CSV"),
+    (("bounds", "--family", "categorical", "--gamma", "1", "--n", "10"), ">= 2 positive"),
+    (("bounds", "--family", "multinomial", "--d", "3", "--k", "1", "--gamma", "1,1",
+      "--n", "10"), "d=3 components, got 2"),
+], ids=["grid-spec", "grid-start-after-stop", "grid-list", "gamma-text", "trials-text",
+        "entropy-text", "gamma-one-component", "multinomial-gamma-length"])
+def test_rejects_malformed_input(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "words.csv").write_text("a,b\nc,d\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1 and message in err
+
+
 def test_bounds_usage_error_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "bounds", "--family", "categorical",
                            "--gamma", "1,1", "--n-grid", "100", "--bogus")
@@ -650,10 +673,9 @@ def test_header_key_order(capsys, family, command):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     keys = [line[2:].partition("=")[0] for line in out.splitlines() if line.startswith("# ")]
-    common = ["tool", "version", "command", "family", "p", "n_grid", "seed", "trials",
-              "chunks"]
+    common = ["tool", "version", "command", "family", "p", "n_grid"]
     if command == "simulate":
-        common.append("sampler_version")
+        common += ["seed", "trials", "chunks", "sampler_version"]
     assert keys == common + HEADER_KEYS[family]
 
 

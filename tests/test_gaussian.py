@@ -21,6 +21,15 @@ from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA
 
 
+@pytest.mark.parametrize("d,sigma2", [(0, 1.0), (-1, 1.0), (2, 0.0), (2, -1.0),
+                                      (2, math.inf), (2, math.nan)])
+def test_simulate_bayes_risk_rejects_bad_model(d, sigma2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            simulate_bayes_risk(10, d, sigma2, trials=200, test_points=100, seed=0)
+
+
 def test_family_spec():
     f = GaussianFamily(d=3, sigma2=0.5)
     assert f.spec.d_star == f.spec.d_interp == 3

@@ -78,9 +78,28 @@ def test_mc_mean_exact_trial_count():
     assert len(seen) == 10
 
 
+@pytest.mark.parametrize("trials,chunks", [(1000, 1), (10, 10)])
+def test_mc_mean_accepts_chunks_at_the_edges(trials, chunks):
+    seen = []
+    mc_mean(lambda rng, m: seen.append(m) or np.zeros(m), trials=trials, seed=0,
+            chunks=chunks)
+    assert len(seen) == chunks and sum(seen) == trials
+
+
 def test_mc_mean_rejects_tiny_trials():
     with pytest.raises(DomainError):
         mc_mean(lambda rng, m: np.zeros(m), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("trials,chunks", [(1000, 0), (1000, -3), (10, 11), (10, 64)])
+def test_mc_mean_rejects_chunks_outside_one_to_trials(trials, chunks):
+    with pytest.raises(DomainError, match="chunks"):
+        mc_mean(lambda rng, m: np.zeros(m), trials=trials, seed=0, chunks=chunks)
+
+
+def test_mc_mean_rejects_sampler_of_wrong_shape():
+    with pytest.raises(DomainError, match=r"shape \(250, 2\), expected \(250,\)"):
+        mc_mean(lambda rng, m: np.zeros((m, 2)), trials=1000, seed=0, chunks=4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
