@@ -24,9 +24,8 @@ COLUMNS = ("n", "rd_lower_risk", "printed_bound", "simulated_mean",
 # Largest COUNT of a 'start:stop:COUNTlog' grid; parsing costs O(COUNT).
 MAX_GRID_COUNT = 10_000
 
-# Most --threads a simulation may use: the worker pool can start one OS
-# thread per chunk, up to this many.
-MAX_THREADS = 256
+# Family header keys that describe the simulation, so bounds omits them.
+_SIMULATION_KEYS = ("test_points", "simulated_units")
 
 
 class UsageError(Exception):
@@ -68,8 +67,10 @@ def _parse_n_grid(text: str) -> list[int]:
         _check_float_range("n", stop)
         if count > MAX_GRID_COUNT:
             raise UsageError(f"grid count must be <= {MAX_GRID_COUNT}: {text!r}")
+        # Exact ends; inner points clamped to them, as ratio ** (count - 1) may overflow.
         ratio = (stop / start) ** (1.0 / max(count - 1, 1))
-        return sorted({int(round(start * ratio ** i)) for i in range(count)})
+        inner = (round(min(max(start * ratio ** i, start), stop)) for i in range(1, count - 1))
+        return sorted({start, *inner, stop if count > 1 else start})
     try:
         values = [int(v) for v in t.split(",") if v.strip()]
     except ValueError:
@@ -96,28 +97,15 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
     return gamma
 
 
-def _parse_count(name: str, value) -> int:
-    """A whole number >= 1; text such as '1e5' is accepted for --trials."""
+def _parse_trials(text: str) -> int:
+    """--trials, a whole number such as '1e5'; the simulator checks its range."""
     try:
-        count = float(value)
+        count = float(text)
     except ValueError:
-        raise UsageError(f"invalid --{name}: {value!r}") from None
-    if not (math.isfinite(count) and count >= 1 and count.is_integer()):
-        raise UsageError(f"--{name} must be a whole number >= 1, got {value!r}")
+        raise UsageError(f"invalid --trials: {text!r}") from None
+    if not count.is_integer():
+        raise UsageError(f"--trials must be a whole number, got {text!r}")
     return int(count)
-
-
-def _mc_options(args) -> tuple[int, int, int]:
-    """Validated (trials, chunks, threads) of a command."""
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    trials, chunks = _parse_count("trials", args.trials), _parse_count("chunks", args.chunks)
-    if chunks > trials:
-        raise UsageError(f"--chunks must not exceed --trials, got {chunks} > {trials}")
-    threads = _parse_count("threads", args.threads)
-    if threads > MAX_THREADS:
-        raise UsageError(f"--threads must be <= {MAX_THREADS}, got {threads}")
-    return trials, chunks, threads
 
 
 def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -329,13 +317,13 @@ def _cmd_curve(args) -> int:
             "family": args.family, "p": "inf" if math.isinf(p) else p,
             "n_grid": ",".join(str(n) for n in n_grid)}
     if args.command != "bounds":
-        trials, chunks, threads = _mc_options(args)
-        meta.update(seed=args.seed, trials=trials, chunks=chunks,
+        meta.update(seed=args.seed, trials=args.trials, chunks=args.chunks,
                     sampler_version=SAMPLER_VERSION)
     family = FAMILIES[args.family](args)
     if family.l1_only and p != 1.0:
         raise UsageError(f"the {args.family} family provides L1 bounds only")
-    meta.update(family.header())
+    meta.update((key, value) for key, value in family.header().items()
+                if args.command != "bounds" or key not in _SIMULATION_KEYS)
 
     rows = []
     for idx, n in enumerate(n_grid):
@@ -343,7 +331,7 @@ def _cmd_curve(args) -> int:
         row["n"] = n
         family.bound_row(row, n, p)
         if args.command != "bounds":
-            est = family.simulate(n, p, args.seed + idx, trials, chunks, threads)
+            est = family.simulate(n, p, args.seed + idx, args.trials, args.chunks, args.threads)
             row["simulated_mean"], row["simulated_stderr"] = est.mean, est.stderr
         rows.append(row)
     if args.command != "compare":
@@ -368,12 +356,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    mc = _mc_options(args)
     family = FAMILIES[args.family](args)
     method = args.method or family.mi_methods[0]
     if method not in family.mi_methods:
         raise UsageError(f"{args.family} mi supports {' or '.join(family.mi_methods)}")
-    payload = family.mi(method, args.n, args.seed, *mc)
+    payload = family.mi(method, args.n, args.seed, args.trials, args.chunks, args.threads)
     _write(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
@@ -417,7 +404,7 @@ def _add_curve_options(sub) -> None:
 
 
 def _add_mc_options(sub, trials: str) -> None:
-    sub.add_argument("--trials", default=trials)
+    sub.add_argument("--trials", type=_parse_trials, default=trials)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--chunks", type=int, default=64)
     sub.add_argument("--threads", type=int, default=1)

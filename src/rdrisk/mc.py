@@ -22,6 +22,9 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
 SAMPLER_VERSION = 8
 
+# Most worker threads mc_mean may use; its pool starts at most one per chunk.
+MAX_THREADS = 256
+
 
 class MonteCarloEstimate(NamedTuple):
     """Mean and standard error of a simulated quantity.
@@ -78,9 +81,9 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
 
     ``sampler(rng, count)`` must return a 1-D array of ``count`` values and
     must depend only on the generator handed to it.  ``chunks`` must lie in
-    [1, trials].  Chunks may run on up to ``threads`` workers; the reduction
-    is always performed in chunk order, so the output is reproducible
-    bit-for-bit.
+    [1, trials], ``threads`` in [1, MAX_THREADS] and ``seed`` must be >= 0,
+    all checked before any chunk runs.  Chunks run on up to ``threads``
+    workers and are reduced in chunk order, so the output is bit-reproducible.
 
     Squared deviations of tiny values underflow, and of huge ones
     overflow, so each chunk sums them scaled by the power of two that
@@ -90,11 +93,15 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     magnitudes.  A chunk of equal values has that value as its mean and no
     spread, so a constant sampler has stderr 0.
     """
-    trials, chunks = int(trials), int(chunks)
+    trials, chunks, threads, seed = int(trials), int(chunks), int(threads), int(seed)
     if trials < 2:
         raise DomainError(f"mc_mean requires trials >= 2, got {trials}")
     if not 1 <= chunks <= trials:
         raise DomainError(f"chunks must be in [1, trials={trials}], got {chunks}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
     def run_chunk(args):
         idx, size = args
@@ -120,7 +127,7 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, chunks)) as pool:
             parts = list(pool.map(run_chunk, jobs))
     else:
         parts = [run_chunk(j) for j in jobs]

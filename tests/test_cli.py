@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk.cli import MAX_GRID_COUNT, MAX_THREADS, UsageError, _parse_n_grid, _parse_p, main
-from rdrisk.mc import MonteCarloEstimate, rng_stream
+from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
+from rdrisk.mc import MAX_THREADS, rng_stream
 
 
 def run_cli(capsys, *argv):
@@ -249,25 +249,39 @@ def test_rejects_bad_mc_options(capsys, command, option, value):
 
 @pytest.mark.parametrize("command", sorted(MC_COMMANDS))
 def test_threads_are_capped(capsys, monkeypatch, command):
-    # The check runs before any simulation.  No test starts a thread: the
-    # zero-error simulators reach a stand-in for mc_mean that only records
-    # its threads.
-    seen = []
+    # mc_mean rejects the thread count before any chunk draws from its
+    # stream; a run on one thread draws from one stream per chunk.
+    streams = []
 
-    def record(sampler, trials, seed, chunks=64, threads=1):
-        seen.append(threads)
-        return MonteCarloEstimate(mean=0.1, stderr=0.01, trials=trials)
+    def counting(seed, stream_id):
+        streams.append(stream_id)
+        return rng_stream(seed, stream_id)
 
-    for module in (rdrisk.mc, rdrisk.zero_error):
-        monkeypatch.setattr(module, "mc_mean", record)
-    argv = (*MC_COMMANDS[command], "--trials", "1000")
+    monkeypatch.setattr(rdrisk.mc, "rng_stream", counting)
+    argv = (*MC_COMMANDS[command], "--trials", "1000", "--chunks", "4")
     code, out, err = run_cli(capsys, *argv, "--threads", str(MAX_THREADS + 1))
     assert code == 1
     assert out == ""
-    assert err.startswith("rdrisk: error: ") and err.count("\n") == 1 and "--threads" in err
-    assert seen == []
-    run_cli(capsys, *argv, "--threads", str(MAX_THREADS))
-    assert seen == [MAX_THREADS]
+    assert err.startswith("rdrisk: domain error: ") and err.count("\n") == 1
+    assert "threads" in err
+    assert streams == []
+    code, _, _ = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 0 and streams == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("option,value", [("chunks", "2000000"), ("threads", "999"),
+                                          ("seed", "-1")])
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "zero-error", "--n", "10", "--method", "exact"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10",
+     "--method", "clarke-barron"),
+    ("mi", "--family", "categorical", "--gamma", "1,2", "--n", "10")])
+def test_mi_without_simulation_ignores_mc_options(capsys, argv, option, value):
+    # Only a simulation checks --seed, --chunks and --threads.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, f"--{option}", value) == (0, out, "")
 
 
 def test_compare_ok_and_negative_control(capsys, monkeypatch):
@@ -512,6 +526,24 @@ def test_parse_n_grid_list_property(values):
             _parse_n_grid(text)
 
 
+FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("spec,start,stop", [
+    *((f"1:{FLOAT_MAX_INT}:{count}log", 1, FLOAT_MAX_INT) for count in (60, 100, 101, 10000)),
+    (f"1:{2**63 - 1}:2log", 1, 2**63 - 1),
+    ("3:1000000000000007:30log", 3, 1000000000000007)])
+def test_log_grid_runs_from_start_to_stop(capsys, spec, start, stop):
+    # No point overflows or rounds past stop, and the curve ends at stop.
+    grid = _parse_n_grid(spec)
+    assert grid[0] == start and grid[-1] == stop
+    assert all(start <= a < b <= stop for a, b in zip(grid, grid[1:]))
+    if stop == 2**63 - 1:
+        code, out, _ = run_cli(capsys, "simulate", "--family", "categorical",
+                               "--gamma", "1,1", "--n-grid", spec, "--trials", "1000")
+        assert code == 0 and parse_csv(out)[1][-1]["n"] == str(stop)
+
+
 def test_grid_count_is_capped(capsys):
     code, out, err = run_cli(capsys, "bounds", "--family", "zero-error",
                              "--n-grid", f"1:100:{MAX_GRID_COUNT + 1}log")
@@ -662,6 +694,12 @@ HEADER_KEYS = {
     "gaussian": ["d", "sigma2", "test_points", "mi_method", "bound_variants"],
     "zero-error": ["mi_method", "simulated_units", "reference_upper"],
 }
+# bounds simulates nothing, so its header omits the keys about the simulation
+BOUNDS_HEADER_KEYS = {
+    **HEADER_KEYS,
+    "gaussian": ["d", "sigma2", "mi_method", "bound_variants"],
+    "zero-error": ["mi_method", "reference_upper"],
+}
 
 
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
@@ -676,7 +714,7 @@ def test_header_key_order(capsys, family, command):
     common = ["tool", "version", "command", "family", "p", "n_grid"]
     if command == "simulate":
         common += ["seed", "trials", "chunks", "sampler_version"]
-    assert keys == common + HEADER_KEYS[family]
+    assert keys == common + (HEADER_KEYS if command == "simulate" else BOUNDS_HEADER_KEYS)[family]
 
 
 # Attributes of each family module that the per-layer trace (bench/layers.py)

@@ -1,10 +1,11 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from rdrisk.errors import DomainError
-from rdrisk.mc import mc_mean, rng_stream
+from rdrisk.mc import MAX_THREADS, mc_mean, rng_stream
 
 
 def test_rng_stream_reproducible():
@@ -95,6 +96,30 @@ def test_mc_mean_rejects_tiny_trials():
 def test_mc_mean_rejects_chunks_outside_one_to_trials(trials, chunks):
     with pytest.raises(DomainError, match="chunks"):
         mc_mean(lambda rng, m: np.zeros(m), trials=trials, seed=0, chunks=chunks)
+
+
+@pytest.mark.parametrize("option,value", [("threads", 0), ("threads", -1),
+                                          ("threads", MAX_THREADS + 1), ("seed", -1)])
+def test_mc_mean_rejects_bad_threads_and_seed_before_sampling(option, value):
+    calls = []
+    kwargs = {"seed": 0, "threads": 1, option: value}
+    with pytest.raises(DomainError, match=option):
+        mc_mean(lambda rng, m: calls.append(m) or np.zeros(m), trials=1000, chunks=4,
+                **kwargs)
+    assert calls == []
+
+
+def test_mc_mean_starts_no_more_threads_than_chunks():
+    before = threading.active_count()
+    alive = []
+
+    def sampler(rng, m):
+        alive.append(threading.active_count())
+        return np.zeros(m)
+
+    est = mc_mean(sampler, trials=1000, seed=0, chunks=2, threads=MAX_THREADS)
+    assert est.trials == 1000 and len(alive) == 2
+    assert max(alive) <= before + 2
 
 
 def test_mc_mean_rejects_sampler_of_wrong_shape():
