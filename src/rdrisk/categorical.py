@@ -18,7 +18,7 @@ from typing import NamedTuple
 from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
+from .rdcore import InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .specfun import (LossOrder, Nats, checked_fsum, digamma, log_beta_multivariate,
                       validate_loss_order)
 
@@ -54,23 +54,19 @@ def posterior_entropy(prior: DirichletPrior) -> Nats:
         - checked_fsum((gi - 1.0) * digamma(gi) for gi in g)
 
 
-def fisher_summary(prior: DirichletPrior) -> FisherSummary:
-    """Clarke-Barron inputs: t = M-1, diagonal Fisher matrix diag(1/theta_i)."""
-    m = prior.num_classes
-    g0 = prior.gamma0
-    mean_log_sqrt_det = (m - 1) / 2.0 * digamma(g0) \
-        - 0.5 * checked_fsum(digamma(gi) for gi in prior.gamma[: m - 1])
-    return FisherSummary(dim=m - 1, mean_log_sqrt_det=mean_log_sqrt_det,
-                         entropy=posterior_entropy(prior))
-
-
 def mutual_information(n: int, prior: DirichletPrior) -> Nats:
     """Asymptotic I(Z^n; theta) for the categorical problem (in nats).
 
     (M-1)/2 ln(n / 2 pi e) + (M-1)/2 psi(gamma0) - 1/2 sum_{i<M} psi(gamma_i)
-    + h(theta_1 .. theta_{M-1}); the o(1) remainder is dropped.
+    + h(theta_1 .. theta_{M-1}); the o(1) remainder is dropped.  The psi terms
+    are the published E ln|Fisher|^(1/2) for diag(1/theta_i), i < M; the full
+    Fisher matrix diag(1/theta_i) + (1/theta_M) 11^T adds 1/2 (psi(gamma0) - psi(gamma_M)).
     """
-    return mi_clarke_barron(n, fisher_summary(prior))
+    m = prior.num_classes
+    g0 = prior.gamma0
+    mean_log_sqrt_det = (m - 1) / 2.0 * digamma(g0) \
+        - 0.5 * checked_fsum(digamma(gi) for gi in prior.gamma[: m - 1])
+    return mi_clarke_barron(n, m - 1, mean_log_sqrt_det, posterior_entropy(prior))
 
 
 def bayes_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:

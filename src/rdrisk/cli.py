@@ -125,12 +125,13 @@ def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> No
 class _Family:
     """One data model's CLI contract.
 
-    The constructor checks the family options of the parsed ``args`` and
-    builds the model once.  A family provides ``header()`` (its metadata
-    keys), ``bound_row(row, n, p)``, ``simulate(n, p, seed, trials, chunks,
-    threads)`` and ``mi(method, n, seed, trials, chunks, threads)``.  Family
-    functions are looked up on their module at call time, so wrappers
-    installed on the module see every call.
+    The constructor checks which family options the parsed ``args`` give
+    and builds the model object a family's functions take, if any; the
+    library calls check the option values.  A family provides ``header()``
+    (its metadata keys), ``bound_row(row, n, p)``, ``simulate(n, p, seed,
+    trials, chunks, threads)`` and ``mi(method, n, seed, trials, chunks,
+    threads)``.  Family functions are looked up on their module at call
+    time, so wrappers installed on the module see every call.
     """
 
     options: tuple[str, ...] = ()  # the family options it takes, all required
@@ -222,31 +223,31 @@ class _Gaussian(_Family):
 
     def __init__(self, args):
         super().__init__(args)
-        self.model = gaussian.GaussianFamily(args.d, args.sigma2)
+        self.d, self.sigma2 = args.d, args.sigma2
         self.test_points = 1000 if args.test_points is None else args.test_points
 
     def header(self) -> dict:
-        return {"d": self.model.d, "sigma2": self.model.sigma2,
+        return {"d": self.d, "sigma2": self.sigma2,
                 "test_points": self.test_points, "mi_method": "exact",
                 "bound_variants": "printed_bound=published form; "
                                   "rd_lower_risk=pipeline (printed/2)"}
 
     def bound_row(self, row, n, p):
-        bound = gaussian.bayes_risk_lower_l1(n, self.model.d, self.model.sigma2)
+        bound = gaussian.bayes_risk_lower_l1(n, self.d, self.sigma2)
         row["rd_lower_risk"] = bound.pipeline
         row["printed_bound"] = bound.printed
-        row["mi"] = gaussian.mutual_information_exact(n, self.model.d, self.model.sigma2)
+        row["mi"] = gaussian.mutual_information_exact(n, self.d, self.sigma2)
 
     def simulate(self, n, p, seed, trials, chunks, threads):
-        return gaussian.simulate_bayes_risk(n, self.model.d, self.model.sigma2, trials,
+        return gaussian.simulate_bayes_risk(n, self.d, self.sigma2, trials,
                                             self.test_points, seed, chunks=chunks,
                                             threads=threads)
 
     def mi(self, method, n, seed, trials, chunks, threads):
         if method == "exact":
-            value = gaussian.mutual_information_exact(n, self.model.d, self.model.sigma2)
+            value = gaussian.mutual_information_exact(n, self.d, self.sigma2)
             return {"value": value, "method": "exact"}
-        value = gaussian.mutual_information_cb(n, self.model.d, self.model.sigma2)
+        value = gaussian.mutual_information_cb(n, self.d, self.sigma2)
         return {"value": value, "method": "clarke_barron"}
 
 

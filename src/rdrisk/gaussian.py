@@ -41,15 +41,6 @@ def _log_gamma_ratio(x: float) -> float:
     return 0.5 * math.log(x) - z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
 
 
-class GaussianFamily:
-    __slots__ = ("d", "sigma2", "spec")
-
-    def __init__(self, d: int, sigma2: float):
-        _check_params(d, sigma2)
-        self.d, self.sigma2 = d, sigma2
-        self.spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
-
-
 class EntropyLowerBound(NamedTuple):
     total: float
     per_coord: float
@@ -123,9 +114,8 @@ def bayes_risk_lower_l1(n: int, d: int, sigma2: float) -> L1RiskBound:
         raise DomainError(f"n must be >= 0, got {n}")
     nu = entropy_lower_nu(d, sigma2).per_coord
     printed = math.sqrt(sigma2 * d / (sigma2 * d + n)) * math.exp(nu - 1.0)
-    spec = GaussianFamily(d, sigma2).spec
-    pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2),
-                                  d * nu, spec, 1.0)
+    pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2), d * nu,
+                                  InterpolationSpec(d_star=d, d_interp=d, num_classes=2), 1.0)
     return L1RiskBound(printed=printed, pipeline=pipeline)
 
 

@@ -6,7 +6,8 @@ Observations are count vectors of k trials over d categories; the class-2
 category probabilities theta follow Dir(gamma) and class 1 uses the
 reciprocal ratios R_i = theta_i / (1 - theta_i).  The sufficient
 interpolation set is {k e_1, ..., k e_{d-1}}, so d_star = d_interp = d - 1
-and M = 2.
+and M = 2.  Where gamma0 - gamma_i enters ln B or psi it is taken from
+categorical.complements, so that it stays positive next to a large gamma_i.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .categorical import (INT64_MAX, DirichletPrior, posterior_entropy, sample_dirichlet,
-                          sample_multinomial)
+from .categorical import (INT64_MAX, DirichletPrior, complements, posterior_entropy,
+                          sample_dirichlet, sample_multinomial)
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import FisherSummary, InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
+from .rdcore import InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
 from .specfun import LossOrder, Nats, checked_fsum, digamma, expit, log_beta_multivariate
 
 
@@ -49,11 +50,11 @@ def entropy_lower(family: MultinomialFamily) -> Nats:
     substituted and E[(ln R)+] <= psi(gamma0) - psi(gamma0 - gamma_i);
     see reference_entropy_lower_printed for the looser published variant.
     """
-    g0, k = family.prior.gamma0, family.k
-    return checked_fsum(log_beta_multivariate((gi, g0 - gi)) + (k + gi - g0) * digamma(g0 - gi)
+    g, g0, k = family.prior.gamma, family.prior.gamma0, family.k
+    return checked_fsum(log_beta_multivariate((gi, ri)) + (k + gi - g0) * digamma(ri)
                         + (g0 - 2.0 * k) * digamma(g0) + (k - gi) * digamma(gi)
                         + math.log(k) - 2.0 * math.log(2.0)
-                        for gi in family.prior.gamma[: family.d - 1])
+                        for gi, ri in zip(g[: family.d - 1], complements(g)))
 
 
 def reference_entropy_lower_printed(family: MultinomialFamily) -> Nats:
@@ -63,34 +64,28 @@ def reference_entropy_lower_printed(family: MultinomialFamily) -> Nats:
     log(1+R^k) term by k and flips the gamma0 terms of h(R)); kept so the
     discrepancy is visible data.
     """
-    g = family.prior.gamma
-    g0 = family.prior.gamma0
-    k = family.k
+    g, g0, k = family.prior.gamma, family.prior.gamma0, family.k
     total = (family.d - 1) * (math.log(k) - 2.0 * math.log(2.0) / k)
-    for i in range(family.d - 1):
-        gi = g[i]
-        total += log_beta_multivariate((gi, g0 - gi)) \
-            + (g0 + gi + 2.0 - k) * digamma(g0 - gi) \
+    for gi, ri in zip(g[: family.d - 1], complements(g)):
+        total += log_beta_multivariate((gi, ri)) \
+            + (g0 + gi + 2.0 - k) * digamma(ri) \
             - (g0 - 2.0) * digamma(g0) \
             + (k - gi) * digamma(gi)
     return total
 
 
-def fisher_summary(family: MultinomialFamily) -> FisherSummary:
-    """Clarke-Barron inputs: t = d-1, Fisher diag(k / (2 theta_i (1-theta_i)))."""
-    g = family.prior.gamma
-    g0 = family.prior.gamma0
-    d = family.d
-    mean_log_sqrt_det = (d - 1) / 2.0 * math.log(family.k / 2.0) \
-        - 0.5 * checked_fsum(digamma(g[i]) + digamma(g0 - g[i]) - 2.0 * digamma(g0)
-                             for i in range(d - 1))
-    return FisherSummary(dim=d - 1, mean_log_sqrt_det=mean_log_sqrt_det,
-                         entropy=posterior_entropy(family.prior))
-
-
 def mutual_information(n: int, family: MultinomialFamily) -> Nats:
-    """Asymptotic I(Z^n; theta); o(1) remainder dropped."""
-    return mi_clarke_barron(n, fisher_summary(family))
+    """Asymptotic I(Z^n; theta); o(1) remainder dropped.
+
+    (d-1)/2 ln(n / 2 pi e) + h(theta_1 .. theta_{d-1}) + the published
+    E ln|Fisher|^(1/2) for Fisher diag(k / (2 theta_i (1 - theta_i))),
+    (d-1)/2 ln(k/2) - 1/2 sum_{i<d} [psi(gamma_i) + psi(gamma0 - gamma_i) - 2 psi(gamma0)].
+    """
+    g, g0, d = family.prior.gamma, family.prior.gamma0, family.d
+    mean_log_sqrt_det = (d - 1) / 2.0 * math.log(family.k / 2.0) \
+        - 0.5 * checked_fsum(digamma(gi) + digamma(ri) - 2.0 * digamma(g0)
+                             for gi, ri in zip(g[: d - 1], complements(g)))
+    return mi_clarke_barron(n, d - 1, mean_log_sqrt_det, posterior_entropy(family.prior))
 
 
 def xbayes_risk_lower(n: int, family: MultinomialFamily, p: LossOrder) -> float:
@@ -114,8 +109,8 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
     expo = -log_beta_multivariate(g) / (d - 1) \
         + (1.0 - g0 + (d - g0) / (d - 1)) * digamma(g0) \
         + (g[d - 1] - 1.0) / (d - 1) * digamma(g[d - 1]) \
-        + math.fsum((k - 0.5) * digamma(g[i]) + (g0 + g[i] + 2.0 - k) * digamma(g0 - g[i])
-                    for i in range(d - 1)) / (d - 1)
+        + math.fsum((k - 0.5) * digamma(gi) + (g0 + gi + 2.0 - k) * digamma(ri)
+                    for gi, ri in zip(g[: d - 1], complements(g))) / (d - 1)
     return k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) \
         * math.exp(expo)
 
@@ -154,7 +149,7 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
         psi = (1.0 - theta) / (d - 1.0)
-        n1 = rng.binomial(n, 0.5, size=count) if n > 0 else np.zeros(count, dtype=np.int64)
+        n1 = rng.binomial(n, 0.5, size=count)
         n2 = n - n1
         agg1 = sample_multinomial(k * n1, psi, rng)
         agg2 = sample_multinomial(k * n2, theta, rng)

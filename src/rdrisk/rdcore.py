@@ -15,7 +15,6 @@ all family modules.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
@@ -39,19 +38,6 @@ class InterpolationSpec:
         if num_classes < 2:
             raise DomainError("num_classes must be >= 2")
         self.d_star, self.d_interp, self.num_classes = d_star, d_interp, num_classes
-
-
-class FisherSummary(NamedTuple):
-    """Inputs to the asymptotic mutual-information expansion.
-
-    dim: dimension t of the minimal sufficient statistic.
-    mean_log_sqrt_det: E[log |Fisher(alpha)|^(1/2)] over the prior.
-    entropy: differential entropy h(alpha) in nats.
-    """
-
-    dim: int
-    mean_log_sqrt_det: float
-    entropy: float
 
 
 def rd_lower_pointwise(h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
@@ -83,20 +69,19 @@ def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
     return math.exp((h_ws - mi) / (spec.d_star * (m - 1)) - cp_constant(p, m))
 
 
-def mi_clarke_barron(n: int, fisher: FisherSummary) -> Nats:
+def mi_clarke_barron(n: int, dim: int, mean_log_sqrt_det: float, entropy: Nats) -> Nats:
     """Asymptotic mutual information between n samples and the parameters.
 
-    (t/2) ln(n / 2 pi e) + E[log |Fisher|^(1/2)] + h(alpha).  The o(1)
-    remainder is dropped; consumers label the value asymptotic.
+    (t/2) ln(n / 2 pi e) + E[log |Fisher|^(1/2)] + h(alpha) for t = ``dim`` and
+    the prior's ``mean_log_sqrt_det`` and ``entropy``.  The o(1) remainder is
+    dropped; consumers label the value asymptotic.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    for name in ("mean_log_sqrt_det", "entropy"):
-        if not math.isfinite(getattr(fisher, name)):
+    for name, value in (("mean_log_sqrt_det", mean_log_sqrt_det), ("entropy", entropy)):
+        if not math.isfinite(value):
             raise DomainError(f"{name} must be finite")
-    t = fisher.dim
-    return (t / 2.0) * math.log(n / (2.0 * math.pi * math.e)) \
-        + fisher.mean_log_sqrt_det + fisher.entropy
+    return (dim / 2.0) * math.log(n / (2.0 * math.pi * math.e)) + mean_log_sqrt_det + entropy
 
 
 def _as_sample_cube(w_samples) -> np.ndarray:

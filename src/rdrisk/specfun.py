@@ -141,8 +141,6 @@ def harmonic(n: int) -> float:
     if n < 0 or n != int(n):
         raise DomainError(f"harmonic requires a nonnegative integer, got {n}")
     n = int(n)
-    if n == 0:
-        return 0.0
     if n <= _HARMONIC_EXACT_MAX:
         return math.fsum(1.0 / i for i in range(n, 0, -1))
     inv = 1.0 / n

@@ -7,14 +7,14 @@ import pytest
 
 from rdrisk import categorical
 from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, beta_mad, beta_mad_scale,
-                                complements, fisher_summary, inner_loss, kamath_bounds,
+                                complements, inner_loss, kamath_bounds,
                                 mutual_information, posterior_entropy, reference_risk_lower,
                                 sample_dirichlet, sample_multinomial, simulate_bayes_risk,
                                 stirling_remainder)
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_pointwise
+from rdrisk.rdcore import InterpolationSpec, rd_lower_pointwise
 from rdrisk.specfun import digamma
 
 UNIFORM2 = DirichletPrior((1.0, 1.0))
@@ -74,12 +74,33 @@ def test_mutual_information_fixture_and_slope():
         mutual_information(0, UNIFORM2)
 
 
-def test_mutual_information_is_clarke_barron_composition():
-    for gamma in [(1.0, 1.0), (2.0, 3.0, 0.5), (0.7, 0.7, 0.7, 0.7)]:
-        prior = DirichletPrior(gamma)
-        for n in (3, 50, 2000):
-            assert mutual_information(n, prior) == pytest.approx(
-                mi_clarke_barron(n, fisher_summary(prior)), abs=1e-12)
+def published_mi_terms_by_mpmath(n, gamma):
+    """(CB term, E ln|Fisher|^(1/2), h(theta)) of the published expansion,
+    at 40 digits, with the diagonal Fisher matrix diag(1/theta_i), i < M."""
+    with mpmath.workdps(40):
+        g = [mpmath.mpf(v) for v in gamma]
+        g0, m = mpmath.fsum(g), len(g)
+        log_sqrt_det = (m - 1) * mpmath.digamma(g0) / 2 \
+            - mpmath.fsum(mpmath.digamma(v) for v in g[:-1]) / 2
+        entropy = mpmath.fsum(mpmath.loggamma(v) for v in g) - mpmath.loggamma(g0) \
+            - (m - g0) * mpmath.digamma(g0) - mpmath.fsum((v - 1) * mpmath.digamma(v) for v in g)
+        cb = (m - 1) * mpmath.log(n / (2 * mpmath.pi * mpmath.e)) / 2
+        return float(cb), float(log_sqrt_det), float(entropy)
+
+
+@pytest.mark.parametrize("gamma", [(1.0, 1.0), (2.0, 3.0, 0.5), (0.7, 0.7, 0.7, 0.7),
+                                   (0.5, 40.0), (1e-3, 5.0, 7.0)])
+def test_mutual_information_matches_published_expansion(gamma):
+    # The determinant term is pinned on its own: with the full Fisher matrix
+    # diag(1/theta_i) + (1/theta_M) 11^T it would grow by
+    # 1/2 (psi(gamma0) - psi(gamma_M)), which these asymmetric priors show.
+    prior = DirichletPrior(gamma)
+    for n in (3, 50, 2000):
+        cb, log_sqrt_det, entropy = published_mi_terms_by_mpmath(n, gamma)
+        mi = mutual_information(n, prior)
+        assert mi == pytest.approx(cb + log_sqrt_det + entropy, rel=1e-13, abs=1e-13)
+        assert mi - cb - posterior_entropy(prior) == pytest.approx(log_sqrt_det, abs=1e-12)
+        assert posterior_entropy(prior) == pytest.approx(entropy, rel=1e-13, abs=1e-13)
 
 
 def test_bayes_risk_lower_fixture():

@@ -821,6 +821,30 @@ def test_categorical_l1_keeps_tiny_and_huge_posteriors_finite(capsys, gamma, n_g
         assert 0.0 < float(row["simulated_mean"]) < math.inf
 
 
+@pytest.mark.parametrize("command", ["bounds", "mi", "compare"])
+@pytest.mark.parametrize("d,gamma", [("2", "1,1e-20"), ("3", "1,1e-17,1e-17")])
+def test_multinomial_tiny_components_stay_finite(capsys, command, d, gamma):
+    # gamma0 - gamma_1 rounds to 0 next to the tiny components; it enters
+    # ln B and psi as the fsum of the other components instead
+    argv = [command, "--family", "multinomial", "--d", d, "--k", "2", "--gamma", gamma]
+    argv += ["--n", "10"] if command == "mi" else ["--n-grid", "10,100"]
+    if command == "compare":
+        argv += ["--trials", "1000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if command == "mi":
+        assert math.isfinite(json.loads(out)["value"])
+        return
+    meta, rows = parse_csv(out)
+    assert math.isfinite(float(meta["entropy_lower"]))
+    assert math.isfinite(float(meta["entropy_lower_printed"]))
+    cells = [row[c] for row in rows for c in ("rd_lower_risk", "printed_bound", "mi")]
+    assert all(math.isfinite(float(cell)) for cell in cells)
+    if command == "compare":
+        assert meta["violations"] == "0"
+        assert all(math.isfinite(float(row["simulated_mean"])) for row in rows)
+
+
 def test_categorical_l2_accepts_n_beyond_int64(capsys):
     # p = 2 draws no counts
     code, out, _ = run_cli(capsys, "simulate", "--family", "categorical", "--gamma", "1,1",

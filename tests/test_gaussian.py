@@ -11,13 +11,13 @@ from scipy.special import expit
 import rdrisk.gaussian as gaussian
 import rdrisk.mc as mc
 from rdrisk.errors import DomainError
-from rdrisk.gaussian import (ANTITHETIC_PAIRS, GaussianFamily, antithetic_chi2,
+from rdrisk.gaussian import (ANTITHETIC_PAIRS, antithetic_chi2,
                              bayes_risk_lower_l1, entropy_lower_nu, interpolation_scale,
                              mutual_information_cb, mutual_information_exact,
                              sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
 from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
-from rdrisk.rdcore import rd_lower_pointwise
+from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA
 
 
@@ -28,16 +28,6 @@ def test_simulate_bayes_risk_rejects_bad_model(d, sigma2):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             simulate_bayes_risk(10, d, sigma2, trials=200, test_points=100, seed=0)
-
-
-def test_family_spec():
-    f = GaussianFamily(d=3, sigma2=0.5)
-    assert f.spec.d_star == f.spec.d_interp == 3
-    assert f.spec.num_classes == 2
-    with pytest.raises(DomainError):
-        GaussianFamily(d=0, sigma2=1.0)
-    with pytest.raises(DomainError):
-        GaussianFamily(d=1, sigma2=0.0)
 
 
 def test_entropy_lower_nu_fixture():
@@ -121,16 +111,14 @@ def test_mutual_information_values():
 def test_cb_composition_identity():
     # assembling the generic asymptotic expansion with Fisher 1/sigma2 I and
     # h(theta) = (d/2) ln(2 pi e / d) reproduces the family's asymptote
-    from rdrisk.rdcore import FisherSummary, mi_clarke_barron
-
     for d, s2 in [(1, 1.0), (3, 0.5), (5, 2.0)]:
-        fisher = FisherSummary(dim=d, mean_log_sqrt_det=-(d / 2.0) * math.log(s2),
-                               entropy=(d / 2.0) * math.log(2 * math.pi * math.e / d))
+        log_sqrt_det = -(d / 2.0) * math.log(s2)
+        entropy = (d / 2.0) * math.log(2 * math.pi * math.e / d)
         for n in (10, 1000, 100_000):
-            assert mi_clarke_barron(n, fisher) == pytest.approx(
-                mutual_information_cb(n, d, s2), abs=1e-12)
+            cb = mi_clarke_barron(n, d, log_sqrt_det, entropy)
+            assert cb == pytest.approx(mutual_information_cb(n, d, s2), abs=1e-12)
             # the asymptote approaches the exact value from below
-            assert mutual_information_exact(n, d, s2) >= mi_clarke_barron(n, fisher)
+            assert mutual_information_exact(n, d, s2) >= cb
 
 
 def test_exact_vs_asymptotic_gap():
@@ -152,9 +140,8 @@ def test_exact_vs_asymptotic_gap():
 def test_rd_bracket_l1():
     # the L1 bracket is the rdcore bracket at the family's spec and nu total
     d, s2 = 2, 0.5
-    spec = GaussianFamily(d, s2).spec
+    spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
     total = entropy_lower_nu(d, s2).total
-    assert (spec.d_star, spec.d_interp, spec.num_classes) == (d, d, 2)
     assert rd_lower_pointwise(total, spec, 1.0, 0.04) == pytest.approx(
         max(total - d * math.log(2 * math.e * 0.04), 0.0), abs=1e-12)
     # halving D adds d ln 2 before the clamp whenever the bracket is active

@@ -1,17 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from rdrisk.categorical import DirichletPrior
+from rdrisk.categorical import DirichletPrior, posterior_entropy
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy, knn_entropy_detail
 from rdrisk.mc import rng_stream
-from rdrisk.multinomial import (MultinomialFamily, entropy_lower, fisher_summary,
+from rdrisk.multinomial import (MultinomialFamily, entropy_lower,
                                 mutual_information, reference_entropy_lower_printed,
                                 reference_risk_lower, simulate_interpolation_risk,
                                 xbayes_risk_lower)
-from rdrisk.rdcore import mi_clarke_barron, rd_lower_pointwise
+from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import digamma
 
 
@@ -123,12 +124,33 @@ def test_mutual_information_fixture_and_structure():
         mutual_information(0, FAM211)
 
 
-def test_mutual_information_is_clarke_barron_composition():
-    for d, k, gamma in [(2, 1, (1.0, 1.0)), (3, 5, (2.0, 1.0, 0.5)), (4, 2, (1.0,) * 4)]:
-        f = fam(d, k, gamma)
-        for n in (5, 500):
-            assert mutual_information(n, f) == pytest.approx(
-                mi_clarke_barron(n, fisher_summary(f)), abs=1e-12)
+def published_mi_terms_by_mpmath(n, k, gamma):
+    """(CB term, E ln|Fisher|^(1/2)) of the published expansion at 40 digits,
+    with the Fisher matrix diag(k / (2 theta_i (1 - theta_i))), i < d."""
+    with mpmath.workdps(40):
+        g = [mpmath.mpf(v) for v in gamma]
+        g0, d = mpmath.fsum(g), len(g)
+        log_sqrt_det = (d - 1) * mpmath.log(mpmath.mpf(k) / 2) / 2 \
+            - mpmath.fsum(mpmath.digamma(v) + mpmath.digamma(g0 - v) - 2 * mpmath.digamma(g0)
+                          for v in g[:-1]) / 2
+        cb = (d - 1) * mpmath.log(n / (2 * mpmath.pi * mpmath.e)) / 2
+        return float(cb), float(log_sqrt_det)
+
+
+@pytest.mark.parametrize("k,gamma", [(1, (1.0, 1.0)), (5, (2.0, 1.0, 0.5)), (2, (1.0,) * 4),
+                                     (3, (0.3, 0.7, 1.1)), (2, (1.0, 1e-20)),
+                                     (2, (1.0, 1e-17, 1e-17))])
+def test_mutual_information_matches_published_expansion(k, gamma):
+    # (1, 1e-20) and (1, 1e-17, 1e-17) need gamma0 - gamma_1 taken from the
+    # other components: gamma0 - 1 rounds to 0 there.  The entropy term is
+    # the categorical Dirichlet entropy, checked against mpmath on its own.
+    f = fam(len(gamma), k, gamma)
+    h = posterior_entropy(f.prior)
+    for n in (5, 500):
+        cb, log_sqrt_det = published_mi_terms_by_mpmath(n, k, gamma)
+        mi = mutual_information(n, f)
+        assert mi == pytest.approx(cb + log_sqrt_det + h, rel=1e-13, abs=1e-13)
+        assert mi - cb - h == pytest.approx(log_sqrt_det, rel=1e-13, abs=1e-12)
 
 
 def test_rd_bracket():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import rng_stream
-from rdrisk.rdcore import (FisherSummary, InterpolationSpec, generalized_gaussian_entropy,
+from rdrisk.rdcore import (InterpolationSpec, generalized_gaussian_entropy,
                            mi_clarke_barron, posterior_entropy_change_of_var,
                            ratio_coordinates, ratio_log_jacobian, rd_lower_pointwise,
                            risk_lower_from_mi)
@@ -121,20 +121,27 @@ def test_inversion_round_trip(h, mi, d_star, m, p):
 
 
 def test_mi_clarke_barron_examples():
-    f = FisherSummary(dim=1, mean_log_sqrt_det=0.0, entropy=0.0)
-    assert mi_clarke_barron(17, f) == pytest.approx(0.5 * math.log(17 / (2 * math.pi * math.e)), rel=1e-14)
-    f3 = FisherSummary(dim=3, mean_log_sqrt_det=0.0, entropy=0.0)
-    slope1 = mi_clarke_barron(1000, f) - mi_clarke_barron(100, f)
-    slope3 = mi_clarke_barron(1000, f3) - mi_clarke_barron(100, f3)
+    assert mi_clarke_barron(17, 1, 0.0, 0.0) == pytest.approx(
+        0.5 * math.log(17 / (2 * math.pi * math.e)), rel=1e-14)
+    slope1 = mi_clarke_barron(1000, 1, 0.0, 0.0) - mi_clarke_barron(100, 1, 0.0, 0.0)
+    slope3 = mi_clarke_barron(1000, 3, 0.0, 0.0) - mi_clarke_barron(100, 3, 0.0, 0.0)
     assert slope3 == pytest.approx(3 * slope1, rel=1e-12)
     with pytest.raises(DomainError):
-        mi_clarke_barron(0, f)
+        mi_clarke_barron(0, 1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["mean_log_sqrt_det", "entropy"])
+def test_mi_clarke_barron_rejects_non_finite_terms(name, bad):
+    terms = {"mean_log_sqrt_det": 0.0, "entropy": 0.0, name: bad}
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        mi_clarke_barron(10, 2, **terms)
 
 
 def _risk_at_clarke_barron_mi(n, t, c1, c2, spec, p):
     # The sample-complexity bound: risk_lower_from_mi at the asymptotic MI
     # with E log|Fisher|^(1/2) = c1 and entropy term 0, posterior entropy c2.
-    mi = mi_clarke_barron(n, FisherSummary(dim=t, mean_log_sqrt_det=c1, entropy=0.0))
+    mi = mi_clarke_barron(n, t, c1, 0.0)
     return risk_lower_from_mi(mi, c2, spec, p)
 
 
