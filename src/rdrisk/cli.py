@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import __version__, categorical, gaussian, knn, multinomial, zero_error
+from . import __version__, categorical, gaussian, multinomial, zero_error
 from .errors import DomainError
 from .mc import SAMPLER_VERSION
 
@@ -367,6 +367,8 @@ def _cmd_mi(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from . import knn  # only entropy uses it; other commands skip its import
+
     try:
         samples = knn.load_samples_csv(args.input, header=args.header)
     except OSError as exc:

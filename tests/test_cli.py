@@ -439,13 +439,40 @@ def test_csv_float_full_precision(capsys):
     assert float(text) == bayes_risk_lower(100, DirichletPrior((1.0, 1.0)), 1.0)
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, rdrisk.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def test_commands_run_without_scipy(tmp_path):
+    # In a fresh interpreter where any scipy import raises, entropy, simulate
+    # and compare exit 0, and entropy prints the estimate that cKDTree's
+    # neighbor distances give.
+    from scipy.spatial import cKDTree
+
+    from rdrisk.specfun import digamma
+
+    path = tmp_path / "samples.csv"
+    np.savetxt(path, rng_stream(902, 0).normal(size=(500, 2)), delimiter=",")
+    calls = [["entropy", "--input", str(path), "--k", "4"],
+             ["simulate", "--family", "zero-error", "--n-grid", "1,10", "--trials", "1000"],
+             ["compare", "--family", "zero-error", "--n-grid", "1,10", "--trials", "1000"]]
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rdrisk.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        status = main(argv)\n"
+            "    seen.append([status, out.getvalue()])\n"
+            "print(json.dumps(seen))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                          capture_output=True, text=True, check=True, env=env)
+    seen = json.loads(done.stdout)
+    assert [status for status, _ in seen] == [0, 0, 0]
+    x = np.loadtxt(path, delimiter=",")
+    n, d = x.shape
+    log_eps = np.log(2.0 * cKDTree(x).query(x, 5, p=np.inf)[0][:, 4])
+    payload = json.loads(seen[0][1])
+    assert payload["value"] == digamma(n) - digamma(4) + float(d * log_eps.mean())
+    assert payload["stderr"] == float(d * log_eps.std(ddof=1) / np.sqrt(n))
 
 
 def test_numpy_loaded_only_by_commands_that_build_arrays():
