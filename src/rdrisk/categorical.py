@@ -19,8 +19,9 @@ from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
-from .specfun import (LossOrder, Nats, checked_fsum, digamma, log_beta_multivariate,
-                      validate_loss_order)
+from .specfun import (STIRLING_SERIES, LossOrder, Nats, checked_fsum, digamma,
+                      digamma_remainder, log_beta_multivariate, log_gamma,
+                      log_gamma_remainder, power_series, validate_loss_order)
 
 # numpy draws counts as int64, so no count above this can be drawn.
 INT64_MAX = 2 ** 63 - 1
@@ -42,16 +43,45 @@ class DirichletPrior:
         self.gamma, self.num_classes = g, len(g)
 
 
+# posterior_entropy takes Stirling's form for every gamma_i (and gamma0) at
+# or above this.  Against 60-digit mpmath, that form was within 12 ulp of
+# max(|h|, 1) on priors with a largest gamma_i of 10 or more, and the
+# plain form up to 56 ulp at (10, 10) and 7e4 at (1e4, 1e4).
+_ENTROPY_STIRLING_MIN = 10.0
+
+
+def _entropy_terms(x: float, k: int) -> list[float]:
+    """Terms whose sum is x + ln Gamma(x) - (x - k) psi(x).
+
+    At or above _ENTROPY_STIRLING_MIN they are Stirling's
+    (k - 1/2) ln x + (1 + ln 2 pi)/2 - k/(2x) + mu(x) - (x - k) rho(x),
+    mu = log_gamma_remainder and rho = digamma_remainder, in which the
+    terms of size x ln x and x have cancelled in closed form.
+    """
+    if x < _ENTROPY_STIRLING_MIN:
+        return [x, log_gamma(x), -(x - k) * digamma(x)]
+    return [(k - 0.5) * math.log(x), 0.5, 0.5 * math.log(2.0 * math.pi), -k / (2.0 * x),
+            log_gamma_remainder(x), -(x - k) * digamma_remainder(x)]
+
+
 def posterior_entropy(prior: DirichletPrior) -> Nats:
     """Differential entropy of (theta_1 .. theta_{M-1}) under Dir(gamma).
 
     ln B(gamma) - (M - gamma0) psi(gamma0) - sum_i (gamma_i - 1) psi(gamma_i).
+    Its terms grow like gamma ln gamma while the entropy grows like
+    ln gamma, so once any gamma_i reaches _ENTROPY_STIRLING_MIN it is
+    summed as sum_i T(gamma_i, 1) - T(gamma0, M) with
+    T(x, k) = x + ln Gamma(x) - (x - k) psi(x) (the x terms add up to 0),
+    each T at or above the cutoff in Stirling's form (see _entropy_terms).
     """
     g = prior.gamma
     m = prior.num_classes
     g0 = prior.gamma0
-    return log_beta_multivariate(g) - (m - g0) * digamma(g0) \
-        - checked_fsum((gi - 1.0) * digamma(gi) for gi in g)
+    if max(g) < _ENTROPY_STIRLING_MIN:
+        return log_beta_multivariate(g) - (m - g0) * digamma(g0) \
+            - checked_fsum((gi - 1.0) * digamma(gi) for gi in g)
+    terms = [t for gi in g for t in _entropy_terms(gi, 1)]
+    return checked_fsum([*terms, *(-t for t in _entropy_terms(g0, m))])
 
 
 def mutual_information(n: int, prior: DirichletPrior) -> Nats:
@@ -158,12 +188,6 @@ def inner_loss(p: float, w_true: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     return gap.max(axis=-1) if math.isinf(p) else (gap ** p).sum(axis=-1)
 
 
-# Asymptotic series of the Stirling remainder, 1/(12x) - 1/(360x^3) + ...,
-# in powers of 1/x^2 (Bernoulli terms B_2 .. B_12).  At x >= 8 the first
-# omitted term, 1/(156 x^13), is below 1.2e-14.
-_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
 def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
     """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, elementwise for x > 0.
 
@@ -179,9 +203,7 @@ def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
     u = t + 8.0
     inv = 1.0 / np.where(low, u, x)
     r = inv * inv
-    series = _STIRLING_SERIES[-1]
-    for c in _STIRLING_SERIES[-2::-1]:
-        series = series * r + c
+    series = power_series(STIRLING_SERIES, r)
     # (t + j)(t + 8 - j) = t (t + 8) + j (8 - j)
     w = t * u
     shift = (u - 0.5) * np.log(u) - (t + 0.5) * np.log(t) \

@@ -20,7 +20,9 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-SAMPLER_VERSION = 8
+# Version 9 is the zero-error estimator trial that integrates the far
+# spacing out (see zero_error.simulate_estimator_risk).
+SAMPLER_VERSION = 9
 
 # Most worker threads mc_mean may use; its pool starts at most one per chunk.
 MAX_THREADS = 256

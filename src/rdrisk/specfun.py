@@ -17,6 +17,10 @@ numpy nor scipy:
   shifts x to at least 10, where the asymptotic series (A&S 6.3.18,
   Bernoulli terms to B_16) is used; the shift terms and the series are added with one
   ``math.fsum``.
+* ``log_gamma_remainder`` and ``digamma_remainder`` are the asymptotic
+  series of mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 and of
+  rho(x) = psi(x) - ln x + 1/(2x), for x >= 10: a caller that cancels the
+  leading terms of ln Gamma and psi in closed form adds these.
 * ``harmonic`` is the ``math.fsum`` of the float terms 1/i up to n = 1e5,
   so it is the correctly rounded sum of those terms, and the
   Euler-Maclaurin series above that.
@@ -64,6 +68,11 @@ _DIGAMMA_SHIFT = 10.0
 _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
                    -3617 / 8160)
 
+# Asymptotic series of the Stirling remainder, 1/(12x) - 1/(360x^3) + ...,
+# in powers of 1/x^2 (Bernoulli terms B_2 .. B_12).  At x >= 8 the first
+# omitted term, 1/(156 x^13), is below 1.2e-14.
+STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
 
 def validate_loss_order(p: LossOrder) -> float:
     """Return ``p`` as a float after checking ``p >= 1`` (inf allowed)."""
@@ -106,12 +115,29 @@ def digamma(x: float) -> float:
     while x < _DIGAMMA_SHIFT:
         terms.append(-1.0 / x)
         x += 1.0
-    z = 1.0 / (x * x)
-    series = 0.0
-    for c in reversed(_DIGAMMA_SERIES):
-        series = c + z * series
-    terms += (math.log(x), -0.5 / x, -z * series)
+    terms += (math.log(x), -0.5 / x, digamma_remainder(x))
     return math.fsum(terms)
+
+
+def power_series(coefficients: tuple[float, ...], z):
+    """sum_k coefficients[k] z^k by Horner's rule; z may be a numpy array."""
+    total = 0.0
+    for c in reversed(coefficients):
+        total = c + z * total
+    return total
+
+
+def digamma_remainder(x: float) -> float:
+    """rho(x) = psi(x) - ln x + 1/(2x) for x >= 10, by its asymptotic series."""
+    z = 1.0 / (x * x)
+    return -z * power_series(_DIGAMMA_SERIES, z)
+
+
+def log_gamma_remainder(x: float) -> float:
+    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x >= 10,
+    by its asymptotic series."""
+    inv = 1.0 / x
+    return inv * power_series(STIRLING_SERIES, inv * inv)
 
 
 def expit(x):

@@ -5,11 +5,13 @@ e^{-gamma}-tight sample-complexity pair.
 
 Labels are +1 iff x >= theta; the midpoint estimator returns the centre of
 the interval of thresholds consistent with the sample.  Both simulators
-draw only that interval's Beta(2, n) width: the mutual information is
-E[-ln width], and the estimator's risk is E[width] / 4, since theta sits
-at a uniform place in the interval whatever its width.  A width is a
-monotone function of two uniforms, so each trial averages an antithetic
-pair of widths.
+reduce a trial to that interval's Beta(2, n) width, a monotone function of
+two independent exponentials E1 and E2.  The mutual information is
+E[-ln width], and a Monte-Carlo trial averages it over an antithetic pair
+of widths.  The estimator's risk is E[width] / 4, since theta sits at a
+uniform place in the interval whatever its width; E2 integrates out of
+that in closed form, so an estimator trial draws E1 alone, as an
+antithetic pair.
 """
 
 from __future__ import annotations
@@ -138,19 +140,38 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
     The two spacings beside theta split the width as Dirichlet(1, 1),
     independently of it, so theta sits at a uniform fraction U of the
     consistent interval and |theta - midpoint| = width * |U - 1/2|, whose
-    expectation given the width is width / 4.  A trial is (W + W') / 8,
-    the mean of width / 4 over one antithetic pair of widths (see
-    _interval_widths), so it draws two uniforms in O(1) time whatever n
-    is.  Against one width / 4 per trial its variance is 11x smaller at
-    n = 1 and about 5.7x smaller as n grows.  At n = 0 the width is 1 and
-    every trial returns 1/4 exactly.  The result converges to
-    estimator_risk_rederived(n), not to the published
+    expectation given the width is width / 4.  The width is
+    W = 1 - exp(-(E1 / (n + 1) + E2 / n)) (see _interval_widths), and
+    E[exp(-E2 / n)] = n / (n + 1), so
+    E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1)), two terms that
+    are never negative and so cancel nothing at any n.  A trial is the
+    mean of E[W | E1] / 4 at E1 = -ln U and at its antithetic
+    E1' = -ln(1 - U), so it draws one uniform in O(1) time whatever n is.
+    Against the version-8 trial, (W + W') / 8 over an antithetic pair of
+    widths, its variance is 10x smaller at n = 1 and 2x smaller as n
+    grows.  At n = 0 every trial returns 1/4 exactly, and U = 0 (E1 = inf,
+    probability 2^-53) gives a finite trial without a warning.  The result
+    converges to estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
     check_simulation(n, trials, min_trials=1000)
+    # trial = 1/(4(n+1)) - (n/(8(n+1))) (x + x'), x = expm1(-E1 / (n + 1))
+    base, slope = 0.25 / (n + 1), 0.125 * (n / (n + 1))
 
     def sampler(rng, count):
-        return 0.125 * _interval_widths(rng, n, count).sum(axis=0)
+        # x[0] at U and x[1] at 1 - U (exact: numpy's uniforms are
+        # multiples of 2^-53)
+        x = np.empty((2, count))
+        rng.random(out=x[0])
+        np.subtract(1.0, x[0], out=x[1])
+        with np.errstate(divide="ignore"):
+            np.log(x, out=x)
+        x /= float(n + 1)
+        np.expm1(x, out=x)
+        trial = np.add(x[0], x[1])
+        trial *= -slope
+        trial += base
+        return trial
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
 

@@ -55,6 +55,33 @@ def test_posterior_entropy_values():
         -0.125092802561388334145810691714, rel=1e-13)
 
 
+@pytest.mark.parametrize("gamma", [(1e10, 1e10), (1e15, 1e15), (1e6,) * 5, (50.0, 1e12),
+                                   (8.0, 9.0, 10.0), (10.0, 10.0), (7.0, 10.5), (1.0, 1e15),
+                                   (1.0, 20.0), (0.5, 2.0, 30.0), (1e-3, 1e8), (2.5, 1e300),
+                                   (5e307, 5e307)])
+def test_posterior_entropy_at_large_gamma_matches_mpmath(gamma):
+    # The terms of ln B(gamma) - (M - gamma0) psi(gamma0) - ... grow like
+    # gamma ln gamma, so the plain form read 0.0 at (1e15, 1e15), where the
+    # entropy is -16.89.  The reference keeps 60 digits past that size.
+    with mpmath.workdps(60 + int(math.log10(max(gamma)))):
+        g = [mpmath.mpf(v) for v in gamma]
+        g0, m = mpmath.fsum(g), len(g)
+        exact = float(mpmath.fsum(mpmath.loggamma(v) for v in g) - mpmath.loggamma(g0)
+                      - (m - g0) * mpmath.digamma(g0)
+                      - mpmath.fsum((v - 1) * mpmath.digamma(v) for v in g))
+    h = posterior_entropy(DirichletPrior(gamma))
+    assert abs(h - exact) <= 12 * math.ulp(max(abs(exact), 1.0))
+
+
+def test_bayes_risk_lower_beyond_the_log_gamma_range():
+    # ln Gamma(5e307) overflows, but Stirling's form of the entropy needs
+    # none of it, so the pipeline still meets the printed closed form
+    prior = DirichletPrior((5e307, 5e307))
+    for p in (1.0, math.inf):
+        assert bayes_risk_lower(10, prior, p) == pytest.approx(
+            reference_risk_lower(10, prior, p), rel=1e-12)
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 2.0), (5.0, 1.0)])
 def test_posterior_entropy_matches_knn(a, b):
     target = posterior_entropy(DirichletPrior((a, b)))

@@ -356,7 +356,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 8
+    assert payload["metadata"]["sampler_version"] == 9
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -377,7 +377,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 8
+    assert payload["sampler_version"] == 9
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 
@@ -608,12 +608,14 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--trials", "200", "--test-points", "100"),
     ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
     # digamma terms near -1e308 overflow the sums of the Dirichlet entropy
-    # and Fisher term; ln Gamma overflows above about 2.6e305
+    # and Fisher term; ln Gamma overflows above about 2.6e305 (the
+    # multinomial entropy bound takes ln B(gamma_i, gamma0 - gamma_i))
     ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
      "--n", "10"),
-    ("bounds", "--family", "categorical", "--gamma", "5e307,5e307", "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "5e307,5e307",
+     "--n", "10"),
     ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
     # integer options beyond the float range
     ("bounds", "--family", "zero-error", "--n", BEYOND_FLOAT),

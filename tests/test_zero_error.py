@@ -83,19 +83,27 @@ def test_mi_monte_carlo_zero_width_raises(monkeypatch):
     assert [stub.calls for stub in stubs] == [[(2, 16)]]
 
 
-@pytest.mark.parametrize("simulate", [simulate_estimator_risk, mi_monte_carlo])
-def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate):
+@pytest.mark.parametrize("simulate, zeros, draws", [
+    pytest.param(simulate_estimator_risk, [(0,)], (1000,), id="simulate_estimator_risk"),
+    pytest.param(mi_monte_carlo, [(0, 0), (1, 1)], (2, 1000), id="mi_monte_carlo")])
+def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate, zeros, draws):
     # U = 0 gives E = -ln 0 = inf, so its width is 1 and its antithetic
-    # partner's E is 0: every trial stays finite, and log(0) stays silent
-    zeros = [(0, 0), (1, 1)]
-    widths = _interval_widths(ZeroedUniforms(rng_stream(730, 0), zeros), 10, 1000)
+    # partner's E is 0: every trial stays finite, and log(0) stays silent.
+    # The MI draws (U1, U2) for each trial and the estimator one U, whose
+    # E[W | E1 = inf] is 1 as well.
+    widths = _interval_widths(ZeroedUniforms(rng_stream(730, 0), [(0, 0), (1, 1)]), 10, 1000)
     assert widths[0, 0] == widths[0, 1] == 1.0
     assert np.isfinite(widths).all() and (widths > 0.0).all()
-    zeroed_streams(monkeypatch, zeros)
+    stubs = zeroed_streams(monkeypatch, zeros)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = simulate(10, trials=1000, seed=731, chunks=1)
+    assert [stub.calls for stub in stubs] == [[draws]]
     assert math.isfinite(est.mean) and est.stderr > 0.0
+    if simulate is simulate_estimator_risk:
+        trials = estimator_trials(ZeroedUniforms(rng_stream(731, 0), zeros).random(1000), 10)
+        assert trials[0] == pytest.approx((1.0 + 1.0 / 11.0) / 8.0, rel=1e-15)
+        assert est.mean == trials.mean()
 
 
 def test_mi_monte_carlo_stderr_scales():
@@ -226,15 +234,32 @@ def test_simulator_matches_rederived_law(n):
         assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 3 * est.stderr
 
 
+def estimator_trials(u, n):
+    """The version-9 estimator trials at uniforms ``u``, written out: the
+    mean of E[W | E1] / 4 at E1 = -ln U and at E1 = -ln(1 - U), where
+    E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1))."""
+    with np.errstate(divide="ignore"):
+        x = np.expm1(np.log(np.stack([u, 1.0 - u])) / float(n + 1))
+    return 0.25 / (n + 1) - 0.125 * (n / (n + 1)) * (x[0] + x[1])
+
+
 @pytest.mark.parametrize("n", [0, 1, 1000])
-def test_simulator_returns_a_quarter_of_each_width(n):
-    # one chunk draws the width pairs of stream 0 and nothing else; a trial
-    # is a quarter of each width, averaged over its pair, bit for bit
+def test_simulator_trial_is_the_mean_width_given_e1(n):
+    # one chunk draws the uniforms of stream 0 and nothing else; a trial is
+    # the antithetic mean of E[W | E1] / 4, bit for bit
     est = simulate_estimator_risk(n, trials=10_000, seed=720, chunks=1)
-    trials = 0.25 * _interval_widths(rng_stream(720, 0), n, 10_000).mean(axis=0)
+    trials = estimator_trials(rng_stream(720, 0).random(10_000), n)
     assert est.mean == trials.mean()
     assert est.stderr == pytest.approx(trials.std(ddof=1) / math.sqrt(trials.size),
-                                       rel=1e-12)
+                                       rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2 ** 63 - 1, 1e300])
+def test_simulator_at_huge_n(n):
+    # both terms of E[W | E1] stay positive, so nothing cancels to 0
+    est = simulate_estimator_risk(n, trials=100_000, seed=723)
+    assert math.isfinite(est.mean) and est.stderr > 0.0
+    assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 4 * est.stderr
 
 
 def simulate_risk_by_place(n, trials, seed):
@@ -245,6 +270,22 @@ def simulate_risk_by_place(n, trials, seed):
         return widths * np.abs(rng.uniform(size=count) - 0.5)
 
     return mc_mean(sampler, trials, seed)
+
+
+def simulate_risk_by_width_pairs(n, trials, seed):
+    """The version-8 sampler: (W + W') / 8 over one antithetic pair of widths."""
+    return mc_mean(lambda rng, count: 0.125 * _interval_widths(rng, n, count).sum(axis=0),
+                   trials, seed)
+
+
+@pytest.mark.parametrize("n, gain", [(1, 8.0), (2, 1.8), (5, 1.8), (100, 1.8), (1000, 1.8)])
+def test_simulator_agrees_with_width_pair_sampler(n, gain):
+    # integrating E2 out keeps the law of the version-8 trial and lowers
+    # its variance (Rao-Blackwell), most at small n
+    est = simulate_estimator_risk(n, trials=200_000, seed=752)
+    ref = simulate_risk_by_width_pairs(n, 200_000, seed=753)
+    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+    assert (ref.stderr / est.stderr) ** 2 >= gain
 
 
 def simulate_risk_by_width(n, trials, seed):
