@@ -4,7 +4,7 @@ risk simulator.
 
 The learning problem is estimating an M-outcome distribution theta ~ Dir(gamma)
 from n i.i.d. draws; the regression function is theta itself, with a single
-interpolation point, so d_star = d_interp = 1.
+interpolation point, so d_star = 1.
 
 It also holds the Dirichlet and multinomial samplers the multinomial
 simulator shares, and the L_p loss convention (see simulate_bayes_risk).
@@ -18,10 +18,10 @@ from typing import NamedTuple
 from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
-from .specfun import (STIRLING_SERIES, LossOrder, Nats, checked_fsum, digamma,
-                      digamma_remainder, log_beta_multivariate, log_gamma,
-                      log_gamma_remainder, power_series, validate_loss_order)
+from .rdcore import mi_clarke_barron, risk_lower_from_mi
+from .specfun import (LossOrder, Nats, checked_fsum, digamma, digamma_remainder,
+                      log_beta_multivariate, log_gamma, log_gamma_remainder,
+                      validate_loss_order)
 
 # numpy draws counts as int64, so no count above this can be drawn.
 INT64_MAX = 2 ** 63 - 1
@@ -108,7 +108,7 @@ def bayes_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     """
     mi = mutual_information(n, prior)
     h = posterior_entropy(prior)
-    return risk_lower_from_mi(mi, h, InterpolationSpec(1, 1, prior.num_classes), p)
+    return risk_lower_from_mi(mi, h, 1, prior.num_classes, p)
 
 
 def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
@@ -150,8 +150,10 @@ def kamath_bounds(n: int, m: int, kappa: float) -> KamathBounds:
         raise DomainError("need n >= 1 and M >= 2")
     lead = math.sqrt(2.0 * (m - 1) / (math.pi * n))
     slack = 4.0 * math.sqrt(m) * (m - 1) ** 0.25 / n ** 0.75
-    lower = lead * (1.0 - m / (2.0 * (m - 1) * kappa)) - slack \
-        - m * (1.0 - m * kappa) / (n + m * kappa)
+    tail = m * (1.0 - m * kappa) / (n + m * kappa)
+    if math.isinf(tail):  # m (1 - m kappa) overflowed; divide before multiplying
+        tail = m * ((1.0 - m * kappa) / (n + m * kappa))
+    lower = lead * (1.0 - m / (2.0 * (m - 1) * kappa)) - slack - tail
     upper = lead + slack
     return KamathBounds(lower=lower, upper=upper)
 
@@ -191,7 +193,7 @@ def inner_loss(p: float, w_true: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
 def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
     """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, elementwise for x > 0.
 
-    At x >= 8 this is the asymptotic series.  Below 8 one shift of 8,
+    At x >= 8 this is log_gamma_remainder.  Below 8 one shift of 8,
     mu(x) = mu(x + 8) + (x + 15/2) ln(x + 8) - (x + 1/2) ln x
             - ln prod_{j=1..7} (x + j) - 8,
     brings the series into range.  Every element takes both paths, the
@@ -201,14 +203,11 @@ def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
     low = x < 8.0
     t = np.minimum(x, 8.0)
     u = t + 8.0
-    inv = 1.0 / np.where(low, u, x)
-    r = inv * inv
-    series = power_series(STIRLING_SERIES, r)
     # (t + j)(t + 8 - j) = t (t + 8) + j (8 - j)
     w = t * u
     shift = (u - 0.5) * np.log(u) - (t + 0.5) * np.log(t) \
         - np.log((w + 7.0) * (w + 12.0) * (w + 15.0) * (t + 4.0)) - 8.0
-    return series * inv + np.where(low, shift, 0.0)
+    return log_gamma_remainder(np.where(low, u, x)) + np.where(low, shift, 0.0)
 
 
 def beta_mad_scale(s: float) -> float:

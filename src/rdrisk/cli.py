@@ -265,7 +265,7 @@ class _ZeroError(_Family):
     def bound_row(self, row, n, p):
         row["mi"] = zero_error.mutual_information_exact(n)
         row["rd_lower_risk"] = zero_error.risk_lower_l1(n, row["mi"])
-        row["reference_upper"] = zero_error.estimator_risk_rederived(n).l1
+        row["reference_upper"] = 2.0 * zero_error.estimator_risk_rederived(n)
 
     def simulate(self, n, p, seed, trials, chunks, threads):
         return zero_error.simulate_estimator_risk(n, trials, seed, chunks=chunks,

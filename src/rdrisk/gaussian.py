@@ -4,7 +4,7 @@ bounds, and a conjugate plug-in simulator.
 
 Model: theta ~ N(0, I/d); class y in {1, 2} has x | y ~ N(+-theta, sigma2 I)
 with uniform labels (sign s = 3 - 2y).  Any orthogonal basis of R^d is a
-sufficient interpolation set, so d_star = d_interp = d and M = 2.
+sufficient interpolation set, so d_star = d and M = 2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import InterpolationSpec, risk_lower_from_mi
+from .rdcore import risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma
 
 
@@ -41,20 +41,15 @@ def _log_gamma_ratio(x: float) -> float:
     return 0.5 * math.log(x) - z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
 
 
-class EntropyLowerBound(NamedTuple):
-    total: float
-    per_coord: float
+def entropy_lower_nu(d: int, sigma2: float) -> float:
+    """Closed-form lower bound d nu on the expected posterior entropy; returns nu.
 
-
-def entropy_lower_nu(d: int, sigma2: float) -> EntropyLowerBound:
-    """Closed-form lower bound on the expected posterior entropy.
-
-    total = (d/2) psi(d/2) + (d/2) ln(16 pi (1/(d sigma2) + 1) / (d sigma2))
-            - d (Gamma((d+1)/2) / Gamma(d/2)) sqrt(4 (1/(d sigma2) + 1)
-                                                   / (pi d sigma2))
-            - 3d/2 - 2d ln 2,
-    and nu = total / d.  Valid but loose: the gap to the true entropy can
-    exceed 2 ln 2 per coordinate.
+    d nu = (d/2) psi(d/2) + (d/2) ln(16 pi (1/(d sigma2) + 1) / (d sigma2))
+           - d (Gamma((d+1)/2) / Gamma(d/2)) sqrt(4 (1/(d sigma2) + 1)
+                                                  / (pi d sigma2))
+           - 3d/2 - 2d ln 2.
+    Valid but loose: the gap to the true entropy can exceed 2 ln 2 per
+    coordinate.
     """
     _check_params(d, sigma2)
     if not math.isfinite(math.pi * d * sigma2):
@@ -69,7 +64,7 @@ def entropy_lower_nu(d: int, sigma2: float) -> EntropyLowerBound:
     if not math.isfinite(nu):
         raise DomainError(f"the entropy bound nu is not finite at d={d}, sigma2={sigma2}; "
                           "d * sigma2 is too small")
-    return EntropyLowerBound(total=d * nu, per_coord=nu)
+    return nu
 
 
 def mutual_information_exact(n: int, d: int, sigma2: float) -> Nats:
@@ -112,10 +107,9 @@ def bayes_risk_lower_l1(n: int, d: int, sigma2: float) -> L1RiskBound:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    nu = entropy_lower_nu(d, sigma2).per_coord
+    nu = entropy_lower_nu(d, sigma2)
     printed = math.sqrt(sigma2 * d / (sigma2 * d + n)) * math.exp(nu - 1.0)
-    pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2), d * nu,
-                                  InterpolationSpec(d_star=d, d_interp=d, num_classes=2), 1.0)
+    pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2), d * nu, d, 2, 1.0)
     return L1RiskBound(printed=printed, pipeline=pipeline)
 
 

@@ -5,8 +5,8 @@ simulator.
 Observations are count vectors of k trials over d categories; the class-2
 category probabilities theta follow Dir(gamma) and class 1 uses the
 reciprocal ratios R_i = theta_i / (1 - theta_i).  The sufficient
-interpolation set is {k e_1, ..., k e_{d-1}}, so d_star = d_interp = d - 1
-and M = 2.  Where gamma0 - gamma_i enters ln B or psi it is taken from
+interpolation set is {k e_1, ..., k e_{d-1}}, so d_star = d - 1 and M = 2.
+Where gamma0 - gamma_i enters ln B or psi it is taken from
 categorical.complements, so that it stays positive next to a large gamma_i.
 """
 
@@ -19,12 +19,12 @@ from .categorical import (INT64_MAX, DirichletPrior, complements, posterior_entr
                           sample_dirichlet, sample_multinomial)
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .rdcore import InterpolationSpec, mi_clarke_barron, risk_lower_from_mi
+from .rdcore import mi_clarke_barron, risk_lower_from_mi
 from .specfun import LossOrder, Nats, checked_fsum, digamma, expit, log_beta_multivariate
 
 
 class MultinomialFamily:
-    __slots__ = ("d", "k", "prior", "spec")
+    __slots__ = ("d", "k", "prior")
 
     def __init__(self, d: int, k: int, prior: DirichletPrior):
         if d < 2:
@@ -34,7 +34,6 @@ class MultinomialFamily:
         if prior.num_classes != d:
             raise DomainError(f"prior must have d={d} components, got {prior.num_classes}")
         self.d, self.k, self.prior = d, k, prior
-        self.spec = InterpolationSpec(d_star=d - 1, d_interp=d - 1, num_classes=2)
 
 
 def entropy_lower(family: MultinomialFamily) -> Nats:
@@ -91,7 +90,7 @@ def mutual_information(n: int, family: MultinomialFamily) -> Nats:
 def xbayes_risk_lower(n: int, family: MultinomialFamily, p: LossOrder) -> float:
     """Worst-case-over-test-points L_p risk lower bound via the pipeline."""
     mi = mutual_information(n, family)
-    return risk_lower_from_mi(mi, entropy_lower(family), family.spec, p)
+    return risk_lower_from_mi(mi, entropy_lower(family), family.d - 1, 2, p)
 
 
 def reference_risk_lower(n: int, family: MultinomialFamily) -> float:

@@ -22,41 +22,22 @@ from .mc import MonteCarloEstimate
 from .specfun import LossOrder, Nats, cp_constant, log_gamma, validate_loss_order
 
 
-class InterpolationSpec:
-    """Geometry of the interpolation sets a bound is evaluated on.
-
-    d_star: cardinality of the interpolation set the entropy refers to.
-    d_interp: interpolation dimension of the family (upper-bound side).
-    num_classes: class count M >= 2.
-    """
-
-    __slots__ = ("d_star", "d_interp", "num_classes")
-
-    def __init__(self, d_star: int, d_interp: int, num_classes: int):
-        if d_star < 1 or d_interp < 1:
-            raise DomainError("interpolation cardinality/dimension must be >= 1")
-        if num_classes < 2:
-            raise DomainError("num_classes must be >= 2")
-        self.d_star, self.d_interp, self.num_classes = d_star, d_interp, num_classes
-
-
-def rd_lower_pointwise(h_ws: Nats, spec: InterpolationSpec, p: LossOrder,
+def rd_lower_pointwise(h_ws: Nats, d_star: int, m: int, p: LossOrder,
                        distortion: float) -> Nats:
     """Rate-distortion lower bound [h_ws - d_star (M-1) (ln D + C_p)]^+.
 
-    D = ``distortion``.  At the entropy h_ws of the regression values on one
+    D = ``distortion``, M = ``m`` classes and d_star the cardinality of the
+    interpolation set.  At the entropy h_ws of the regression values on one
     interpolation set this is the worst-case-over-test-points bound; at an
     expected entropy over the test points it is the average bound.
     """
     if not distortion > 0.0:
         raise DomainError(f"distortion must be positive, got {distortion}")
-    m = spec.num_classes
-    bracket = h_ws - spec.d_star * (m - 1) * (math.log(distortion) + cp_constant(p, m))
+    bracket = h_ws - d_star * (m - 1) * (math.log(distortion) + cp_constant(p, m))
     return max(bracket, 0.0)
 
 
-def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
-                       p: LossOrder) -> float:
+def risk_lower_from_mi(mi: Nats, h_ws: Nats, d_star: int, m: int, p: LossOrder) -> float:
     """Smallest Bayes risk consistent with a mutual-information budget.
 
     D_min = exp((h_ws - mi) / (d_star (M-1)) - C_p), the exact algebraic
@@ -65,8 +46,8 @@ def risk_lower_from_mi(mi: Nats, h_ws: Nats, spec: InterpolationSpec,
     asymptotic expansion evaluated at small n) is accepted; the inverse
     simply extrapolates.
     """
-    m = spec.num_classes
-    return math.exp((h_ws - mi) / (spec.d_star * (m - 1)) - cp_constant(p, m))
+    cp = cp_constant(p, m)  # checks M >= 2 before the division
+    return math.exp((h_ws - mi) / (d_star * (m - 1)) - cp)
 
 
 def mi_clarke_barron(n: int, dim: int, mean_log_sqrt_det: float, entropy: Nats) -> Nats:
@@ -91,7 +72,7 @@ def _as_sample_cube(w_samples) -> np.ndarray:
     elif w.ndim == 2:
         w = w[:, :, None]
     if w.ndim != 3:
-        raise DomainError("w_samples must have shape (N, d_interp, M-1)")
+        raise DomainError("w_samples must have shape (N, d_star, M-1)")
     if w.shape[0] < 1:
         raise DomainError("w_samples is empty")
     return w
@@ -103,7 +84,7 @@ def ratio_coordinates(w_samples) -> np.ndarray:
     For each interpolation point i with regression row W_i (length M-1) and
     S_i = sum(W_i), the coordinates are N_i = W_i (1 + 2 S_i) / (1 + S_i),
     the normalization fixing the M-th coordinate to 1.  For continuous
-    models the per-row Jacobian terms converge on d_interp (M-1) ln 2 as
+    models the per-row Jacobian terms converge on d_star (M-1) ln 2 as
     the class count grows (not asserted numerically anywhere).
     """
     w = _as_sample_cube(w_samples)

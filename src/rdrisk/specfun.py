@@ -18,9 +18,10 @@ numpy nor scipy:
   Bernoulli terms to B_16) is used; the shift terms and the series are added with one
   ``math.fsum``.
 * ``log_gamma_remainder`` and ``digamma_remainder`` are the asymptotic
-  series of mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 and of
-  rho(x) = psi(x) - ln x + 1/(2x), for x >= 10: a caller that cancels the
-  leading terms of ln Gamma and psi in closed form adds these.
+  series of mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, for
+  x >= 8 on floats or numpy arrays, and of rho(x) = psi(x) - ln x + 1/(2x),
+  for x >= 10: a caller that cancels the leading terms of ln Gamma and psi
+  in closed form adds these.
 * ``harmonic`` is the ``math.fsum`` of the float terms 1/i up to n = 1e5,
   so it is the correctly rounded sum of those terms, and the
   Euler-Maclaurin series above that.
@@ -71,7 +72,7 @@ _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1
 # Asymptotic series of the Stirling remainder, 1/(12x) - 1/(360x^3) + ...,
 # in powers of 1/x^2 (Bernoulli terms B_2 .. B_12).  At x >= 8 the first
 # omitted term, 1/(156 x^13), is below 1.2e-14.
-STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 def validate_loss_order(p: LossOrder) -> float:
@@ -129,15 +130,17 @@ def power_series(coefficients: tuple[float, ...], z):
 
 def digamma_remainder(x: float) -> float:
     """rho(x) = psi(x) - ln x + 1/(2x) for x >= 10, by its asymptotic series."""
+    if x * x == math.inf:  # x > 1.3e154: rho is -1/(12 x^2) to float precision
+        return -(1.0 / x) / (12.0 * x)
     z = 1.0 / (x * x)
     return -z * power_series(_DIGAMMA_SERIES, z)
 
 
-def log_gamma_remainder(x: float) -> float:
-    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x >= 10,
-    by its asymptotic series."""
+def log_gamma_remainder(x):
+    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x >= 8,
+    by its asymptotic series; x may be a numpy array."""
     inv = 1.0 / x
-    return inv * power_series(STIRLING_SERIES, inv * inv)
+    return inv * power_series(_STIRLING_SERIES, inv * inv)
 
 
 def expit(x):

@@ -98,12 +98,7 @@ def risk_lower_l1(n: int, mi: Nats | None = None) -> float:
     return math.exp(-(mi + 1.0)) / 2.0
 
 
-class EstimatorRisk(NamedTuple):
-    e_abs: float
-    l1: float
-
-
-def estimator_risk_exact(n: int) -> EstimatorRisk:
+def estimator_risk_exact(n: int) -> float:
     """Published midpoint-estimator risk: E|theta - midpoint| = 1 / (4(n+1)).
 
     The published chain quarters an unweighted mean spacing 1/(n+1), but
@@ -114,12 +109,11 @@ def estimator_risk_exact(n: int) -> EstimatorRisk:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    e_abs = 1.0 / (4.0 * (n + 1))
-    return EstimatorRisk(e_abs=e_abs, l1=2.0 * e_abs)
+    return 1.0 / (4.0 * (n + 1))
 
 
-def estimator_risk_rederived(n: int) -> EstimatorRisk:
-    """Midpoint-estimator risk from the size-biased interval width.
+def estimator_risk_rederived(n: int) -> float:
+    """Midpoint-estimator risk E|theta - midpoint| from the size-biased width.
 
     The width of the threshold-consistent interval has mean
     E[theta_r - theta_l] = 2/(n+2) (theta lands in a spacing with
@@ -129,8 +123,7 @@ def estimator_risk_rederived(n: int) -> EstimatorRisk:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    e_abs = 1.0 / (2.0 * (n + 2))
-    return EstimatorRisk(e_abs=e_abs, l1=2.0 * e_abs)
+    return 1.0 / (2.0 * (n + 2))
 
 
 def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,

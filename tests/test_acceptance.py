@@ -20,9 +20,8 @@ from rdrisk.cli import main
 from rdrisk.knn import knn_entropy, knn_entropy_detail
 from rdrisk.mc import rng_stream
 from rdrisk.multinomial import MultinomialFamily
-from rdrisk.rdcore import (InterpolationSpec, generalized_gaussian_entropy,
-                           posterior_entropy_change_of_var, ratio_coordinates,
-                           rd_lower_pointwise)
+from rdrisk.rdcore import (generalized_gaussian_entropy, posterior_entropy_change_of_var,
+                           ratio_coordinates, rd_lower_pointwise)
 from rdrisk.specfun import EULER_GAMMA, cp_constant, harmonic
 
 
@@ -52,7 +51,7 @@ def test_criterion_02_estimator_simulation_matches_published_value():
     details, ok = [], True
     for n in (1, 9, 99):
         est = zero_error.simulate_estimator_risk(n, trials=10 ** 6, seed=1100 + n)
-        published = zero_error.estimator_risk_exact(n).e_abs
+        published = zero_error.estimator_risk_exact(n)
         good = abs(est.mean - published) <= 3 * est.stderr
         ok &= good
         details.append(f"n={n}: sim {est.mean:.6f} vs published {published:.6f}")
@@ -66,7 +65,7 @@ def test_criterion_02_estimator_simulation_matches_published_value():
 
 def test_criterion_02_estimator_risk_slope():
     ns = np.unique(np.round(np.geomspace(10, 10 ** 4, 40)).astype(int))
-    y = np.log([zero_error.estimator_risk_exact(int(n)).e_abs for n in ns])
+    y = np.log([zero_error.estimator_risk_exact(int(n)) for n in ns])
     slope = float(np.polyfit(np.log(ns), y, 1)[0])
     ok = abs(slope + 1.0) <= 0.01
     assert check("2 zero-error exact-risk log-log slope -1 +- 0.01", ok,
@@ -171,7 +170,6 @@ def test_criterion_09_corollary_and_max_entropy_identities():
         d_star = int(rng.integers(1, 4))
         m = int(rng.integers(2, 6))
         dist = float(rng.uniform(0.001, 0.5))
-        spec = InterpolationSpec(d_star=d_star, d_interp=d_star, num_classes=m)
         c = d_star * (m - 1)
         forms = {
             1.0: h - c * math.log(2 * math.e * dist / (m - 1)),
@@ -179,7 +177,7 @@ def test_criterion_09_corollary_and_max_entropy_identities():
             math.inf: h - c * math.log(2 * dist),
         }
         for p, core in forms.items():
-            delta = abs(rd_lower_pointwise(h, spec, p, dist) - max(core, 0.0))
+            delta = abs(rd_lower_pointwise(h, d_star, m, p, dist) - max(core, 0.0))
             worst_corollary = max(worst_corollary, delta)
     worst_identity = 0.0
     for _ in range(100):
@@ -218,7 +216,7 @@ def test_criterion_10_gaussian_entropy_bound_honored():
         w = gaussian.sample_regression_values(d, s2, draws=10 ** 5,
                                               rng=rng_stream(1601, d))
         est = knn_entropy_detail(w, k=4)
-        total = gaussian.entropy_lower_nu(d, s2).total
+        total = d * gaussian.entropy_lower_nu(d, s2)
         ok &= total <= est.mean + 3 * est.stderr
         details.append(f"(d={d},s2={s2}): {total:.3f} <= {est.mean:.3f}")
     assert check("10 gaussian entropy lower bound honored", ok, "; ".join(details))
@@ -229,7 +227,7 @@ def test_criterion_10_gaussian_entropy_gap_within_log2():
     for d, s2 in GAUSSIAN_CASES:
         w = gaussian.sample_regression_values(d, s2, draws=10 ** 5,
                                               rng=rng_stream(1602, d))
-        gap = knn_entropy(w, k=4) - gaussian.entropy_lower_nu(d, s2).total
+        gap = knn_entropy(w, k=4) - d * gaussian.entropy_lower_nu(d, s2)
         allowed = d * (math.log(2.0) + 0.3)
         ok &= gap <= allowed
         details.append(f"(d={d},s2={s2}): gap={gap:.3f} allowed={allowed:.3f}")

@@ -14,7 +14,7 @@ from rdrisk.categorical import (DirichletPrior, bayes_risk_lower, beta_mad, beta
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy
 from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, rd_lower_pointwise
+from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import digamma
 
 UNIFORM2 = DirichletPrior((1.0, 1.0))
@@ -172,12 +172,11 @@ def test_bayes_risk_lower_sqrt_n_scaling():
 def test_bayes_risk_lower_inversion_round_trip():
     # the round trip is exact whenever the bracket is active (mi >= 0)
     prior = DirichletPrior((2.0, 1.0, 0.5))
-    spec = InterpolationSpec(1, 1, 3)
     for n in (100, 1000):
         mi = mutual_information(n, prior)
         assert mi > 0.0
         risk = bayes_risk_lower(n, prior, 1.0)
-        assert rd_lower_pointwise(posterior_entropy(prior), spec, 1.0, risk) \
+        assert rd_lower_pointwise(posterior_entropy(prior), 1, 3, 1.0, risk) \
             == pytest.approx(mi, abs=1e-10)
 
 
@@ -215,6 +214,21 @@ def test_kamath_bounds_structure():
         0.0377111102697249530739220464913, rel=1e-12)
     with pytest.raises(DomainError):
         kamath_bounds(100, 2, 0.5)
+
+
+@pytest.mark.parametrize("m,kappa", [(2, 5e307), (3, 1e308 / 3)])
+def test_kamath_lower_finite_at_huge_kappa(m, kappa):
+    # m (1 - m kappa) overflows here; the quotient that follows does not
+    n = 10
+    with mpmath.workdps(40):
+        mk = m * mpmath.mpf(kappa)
+        lead = mpmath.sqrt(2 * mpmath.mpf(m - 1) / (mpmath.pi * n))
+        slack = 4 * mpmath.sqrt(m) * mpmath.mpf(m - 1) ** 0.25 / mpmath.mpf(n) ** 0.75
+        exact = lead * (1 - m / (2 * (m - 1) * mpmath.mpf(kappa))) - slack \
+            - m * (1 - mk) / (n + mk)
+    lower = kamath_bounds(n, m, kappa).lower
+    assert math.isfinite(lower)
+    assert lower == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_simulator_n0_matches_prior_dispersion():

@@ -17,7 +17,7 @@ from rdrisk.gaussian import (ANTITHETIC_PAIRS, antithetic_chi2,
                              sample_regression_values, simulate_bayes_risk)
 from rdrisk.knn import knn_entropy_detail
 from rdrisk.mc import MonteCarloEstimate, mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, mi_clarke_barron, rd_lower_pointwise
+from rdrisk.rdcore import mi_clarke_barron, rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA
 
 
@@ -38,24 +38,21 @@ def test_entropy_lower_nu_fixture():
         + 0.5 * math.log(32.0 * math.pi) \
         - (1.0 / math.sqrt(math.pi)) * math.sqrt(8.0 / math.pi) \
         - 1.5 - 2.0 * math.log(2.0)
-    assert got.total == pytest.approx(manual, rel=1e-13)
-    assert got.total == pytest.approx(-2.4631327959631450674953576211, rel=1e-13)
-    assert entropy_lower_nu(2, 0.5).per_coord == pytest.approx(
+    assert got == pytest.approx(manual, rel=1e-13)
+    assert got == pytest.approx(-2.4631327959631450674953576211, rel=1e-13)
+    assert entropy_lower_nu(2, 0.5) == pytest.approx(
         -2.28388286161918873732461503285, rel=1e-13)
 
 
 def test_entropy_lower_nu_structure():
-    for d, s2 in [(1, 1.0), (2, 0.5), (4, 2.0)]:
-        bound = entropy_lower_nu(d, s2)
-        assert bound.total == pytest.approx(d * bound.per_coord, rel=1e-14)
     # the ln(1/sigma2) term sends the bound to -infinity as noise dominates
-    assert entropy_lower_nu(1, 1e8).total < -10.0
-    assert entropy_lower_nu(1, 1e12).total < entropy_lower_nu(1, 1e8).total
+    assert entropy_lower_nu(1, 1e8) < -10.0
+    assert entropy_lower_nu(1, 1e12) < entropy_lower_nu(1, 1e8)
 
 
 def test_entropy_lower_nu_rejects_overflow():
     # 16 pi q / (d sigma2) overflows below d sigma2 ~ 3e-153, making nu NaN
-    assert math.isfinite(entropy_lower_nu(1, 1e-150).per_coord)
+    assert math.isfinite(entropy_lower_nu(1, 1e-150))
     for d, s2 in [(1, 1e-160), (4, 1e-300), (1, 5e-324)]:
         with pytest.raises(DomainError, match="not finite"):
             entropy_lower_nu(d, s2)
@@ -77,7 +74,7 @@ def test_gamma_ratio_at_large_d(d):
             - ratio * mpmath.sqrt(4 * q / (mpmath.pi * dm)) - mpmath.mpf(3) / 2 \
             - 2 * mpmath.log(2)
         scale = mpmath.sqrt(1 / dm + 1) * mpmath.sqrt(2) * ratio
-    assert entropy_lower_nu(d, 1.0).per_coord == pytest.approx(float(nu), abs=1e-13)
+    assert entropy_lower_nu(d, 1.0) == pytest.approx(float(nu), abs=1e-13)
     assert interpolation_scale(d, 1.0) == pytest.approx(float(scale), rel=1e-13)
 
 
@@ -138,15 +135,14 @@ def test_exact_vs_asymptotic_gap():
 
 
 def test_rd_bracket_l1():
-    # the L1 bracket is the rdcore bracket at the family's spec and nu total
+    # the L1 bracket is the rdcore bracket at d_star = d, M = 2 and total d nu
     d, s2 = 2, 0.5
-    spec = InterpolationSpec(d_star=d, d_interp=d, num_classes=2)
-    total = entropy_lower_nu(d, s2).total
-    assert rd_lower_pointwise(total, spec, 1.0, 0.04) == pytest.approx(
+    total = d * entropy_lower_nu(d, s2)
+    assert rd_lower_pointwise(total, d, 2, 1.0, 0.04) == pytest.approx(
         max(total - d * math.log(2 * math.e * 0.04), 0.0), abs=1e-12)
     # halving D adds d ln 2 before the clamp whenever the bracket is active
-    lo_fine = rd_lower_pointwise(total, spec, 1.0, 1e-6)
-    lo_coarse = rd_lower_pointwise(total, spec, 1.0, 2e-6)
+    lo_fine = rd_lower_pointwise(total, d, 2, 1.0, 1e-6)
+    lo_coarse = rd_lower_pointwise(total, d, 2, 1.0, 2e-6)
     assert lo_fine - lo_coarse == pytest.approx(d * math.log(2.0), abs=1e-10)
 
 
@@ -154,14 +150,13 @@ def test_risk_bound_variants():
     for d, s2 in [(1, 1.0), (4, 1.0), (2, 0.5)]:
         for n in (0, 10, 1000):
             bound = bayes_risk_lower_l1(n, d, s2)
-            nu = entropy_lower_nu(d, s2).per_coord
+            nu = entropy_lower_nu(d, s2)
             assert bound.printed == pytest.approx(
                 math.sqrt(s2 * d / (s2 * d + n)) * math.exp(nu - 1.0), rel=1e-13)
             # the pipeline inversion carries exactly an extra factor 1/2
             assert bound.pipeline / bound.printed == pytest.approx(0.5, abs=1e-12)
     b = bayes_risk_lower_l1(0, 3, 2.0)
-    assert b.printed == pytest.approx(math.exp(entropy_lower_nu(3, 2.0).per_coord - 1.0),
-                                      rel=1e-13)
+    assert b.printed == pytest.approx(math.exp(entropy_lower_nu(3, 2.0) - 1.0), rel=1e-13)
     # bound(n) * sqrt(sigma2 d + n) does not depend on n
     vals = [bayes_risk_lower_l1(n, 2, 1.0).printed * math.sqrt(2.0 + n)
             for n in (0, 7, 123, 9000)]
@@ -192,7 +187,7 @@ def test_interpolation_scale():
 def test_entropy_lower_below_knn(d, s2):
     w = sample_regression_values(d, s2, draws=100_000, rng=rng_stream(603, d))
     est = knn_entropy_detail(w, k=4)
-    assert entropy_lower_nu(d, s2).total <= est.mean + 3 * est.stderr
+    assert d * entropy_lower_nu(d, s2) <= est.mean + 3 * est.stderr
 
 
 def test_simulator_n0_prior_only():

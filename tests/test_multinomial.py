@@ -24,8 +24,6 @@ FAM211 = fam(2, 1, (1.0, 1.0))
 
 
 def test_family_validation():
-    assert FAM211.spec.d_star == FAM211.spec.d_interp == 1
-    assert FAM211.spec.num_classes == 2
     with pytest.raises(DomainError):
         fam(1, 1, (1.0, 1.0))
     with pytest.raises(DomainError):
@@ -154,20 +152,20 @@ def test_mutual_information_matches_published_expansion(k, gamma):
 
 
 def test_rd_bracket():
-    # the worst-case bracket is the rdcore bracket at the family's spec
+    # the worst-case bracket is the rdcore bracket at d_star = d - 1, M = 2
     f = fam(3, 2, (1.0, 1.0, 1.0))
-    lower = rd_lower_pointwise(entropy_lower(f), f.spec, 1.0, 0.05)
+    lower = rd_lower_pointwise(entropy_lower(f), f.d - 1, 2, 1.0, 0.05)
     # p = 1 reduces to entropy_lower - (d-1) ln(2 e D) before the clamp
     expected = entropy_lower(f) - (f.d - 1) * math.log(2 * math.e * 0.05)
     assert lower == pytest.approx(max(expected, 0.0), abs=1e-12)
     # halving D raises the lower bound by (d-1) ln 2 while the bracket is active
     h = entropy_lower(FAM211)
-    lo1 = rd_lower_pointwise(h, FAM211.spec, 1.0, 0.01)
-    lo2 = rd_lower_pointwise(h, FAM211.spec, 1.0, 0.02)
+    lo1 = rd_lower_pointwise(h, 1, 2, 1.0, 0.01)
+    lo2 = rd_lower_pointwise(h, 1, 2, 1.0, 0.02)
     assert lo1 > 0.0 and lo2 > 0.0
     assert lo1 - lo2 == pytest.approx((FAM211.d - 1) * math.log(2.0), abs=1e-12)
     with pytest.raises(DomainError):
-        rd_lower_pointwise(entropy_lower(f), f.spec, 1.0, 0.0)
+        rd_lower_pointwise(entropy_lower(f), f.d - 1, 2, 1.0, 0.0)
 
 
 def test_xbayes_risk_lower_fixture_and_scaling():

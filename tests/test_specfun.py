@@ -8,8 +8,8 @@ import pytest
 
 from rdrisk.errors import DomainError
 from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, cp_constant, digamma,
-                            expit, harmonic, log_beta_multivariate, log_gamma,
-                            validate_loss_order)
+                            digamma_remainder, expit, harmonic, log_beta_multivariate,
+                            log_gamma, log_gamma_remainder, validate_loss_order)
 
 # Accuracy grid: (0.05, 3), (3, 50), 50 to 1e9 and the half-integers to 60.
 ACCURACY_GRID = [float(x) for x in np.concatenate([
@@ -173,6 +173,47 @@ def test_log_beta_multivariate_accuracy_against_mpmath(shape):
     with mpmath.workdps(40):
         worst = max((error(x), x) for x in ACCURACY_GRID)
     assert worst[0] <= MAX_ULPS, f"off by {worst[0]} ulp at x={worst[1]}"
+
+
+# Stirling-form remainders from the smallest argument each is stated for
+# to 1e300, with the points around x = 1.3e154, where x * x overflows.
+REMAINDER_GRID = sorted({*(float(x) for x in np.geomspace(8.0, 1e300, 121)), 8.0, 9.5,
+                         10.0, 12.0, 20.0, 1.3e154, 1.35e154, 1e155, 3e161})
+REMAINDER_ULPS = 4.0
+
+
+def _remainders_by_mpmath(x):
+    """mu(x), rho(x) and the first omitted terms of their series,
+    1/(156 x^13) and B_18/(18 x^18), at 40 digits beyond the cancellation
+    of the ln Gamma and psi terms."""
+    with mpmath.workdps(40 + 2 * int(math.log10(x))):
+        v = mpmath.mpf(x)
+        mu = mpmath.loggamma(v) - (v - mpmath.mpf(0.5)) * mpmath.log(v) + v \
+            - mpmath.log(2 * mpmath.pi) / 2
+        rho = mpmath.digamma(v) - mpmath.log(v) + 1 / (2 * v)
+        return (float(mu), float(rho), float(1 / (156 * v ** 13)),
+                float(mpmath.mpf(43867) / 798 / 18 / v ** 18))
+
+
+def test_remainders_against_mpmath():
+    # Each is within its series' truncation bound plus REMAINDER_ULPS ulp of
+    # the exact value, rho down to the subnormal values past x = 1.3e154.
+    worst_mu = worst_rho = (-math.inf, None)
+    for x in REMAINDER_GRID:
+        mu, rho, mu_tail, rho_tail = _remainders_by_mpmath(x)
+        worst_mu = max(worst_mu, ((abs(log_gamma_remainder(x) - mu) - mu_tail)
+                                  / math.ulp(mu), x))
+        if x >= 10.0:
+            worst_rho = max(worst_rho, ((abs(digamma_remainder(x) - rho) - rho_tail)
+                                        / math.ulp(rho), x))
+    assert worst_mu[0] <= REMAINDER_ULPS, f"mu off by {worst_mu[0]} ulp at x={worst_mu[1]}"
+    assert worst_rho[0] <= REMAINDER_ULPS, f"rho off by {worst_rho[0]} ulp at x={worst_rho[1]}"
+
+
+def test_log_gamma_remainder_on_arrays():
+    # an array argument gives each element the float argument's value
+    x = np.array(REMAINDER_GRID)
+    assert log_gamma_remainder(x).tolist() == [log_gamma_remainder(v) for v in REMAINDER_GRID]
 
 
 def test_expit_limits_without_warning():

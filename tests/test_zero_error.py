@@ -7,7 +7,7 @@ from scipy import stats
 
 from rdrisk.errors import DomainError
 from rdrisk.mc import mc_mean, rng_stream
-from rdrisk.rdcore import InterpolationSpec, rd_lower_pointwise
+from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA, harmonic
 from rdrisk.zero_error import (_interval_widths, estimator_risk_exact,
                                estimator_risk_rederived, mi_monte_carlo,
@@ -15,10 +15,11 @@ from rdrisk.zero_error import (_interval_widths, estimator_risk_exact,
                                sample_complexity, simulate_estimator_risk)
 
 # The threshold posterior has one interpolation point (theta) and two
-# classes.  The published rate-distortion bound is rd_lower_pointwise at
-# posterior entropy 0; the re-derived one, from maximizing the entropy at
-# moment D^p / 2, is the same bound at entropy (ln 2) / p.
-THRESHOLD = InterpolationSpec(1, 1, 2)
+# classes, so THRESHOLD = (d_star, M) = (1, 2).  The published
+# rate-distortion bound is rd_lower_pointwise at posterior entropy 0; the
+# re-derived one, from maximizing the entropy at moment D^p / 2, is the
+# same bound at entropy (ln 2) / p.
+THRESHOLD = (1, 2)
 
 
 def test_mutual_information_exact_values():
@@ -114,23 +115,23 @@ def test_mi_monte_carlo_stderr_scales():
 
 def test_rd_lower_values():
     # published: [-ln(2 Gamma(1 + 1/p)) - (1/p) ln(p e) - ln D]^+
-    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 1.0 / (2.0 * math.e)) == pytest.approx(
+    assert rd_lower_pointwise(0.0, *THRESHOLD, 1.0, 1.0 / (2.0 * math.e)) == pytest.approx(
         0.0, abs=1e-12)
-    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 0.01) == pytest.approx(
+    assert rd_lower_pointwise(0.0, *THRESHOLD, 1.0, 0.01) == pytest.approx(
         2.91202300542814605861875078791, rel=1e-13)
-    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 1.0) == 0.0
-    assert rd_lower_pointwise(0.0, THRESHOLD, 1.0, 2.0) == 0.0
+    assert rd_lower_pointwise(0.0, *THRESHOLD, 1.0, 1.0) == 0.0
+    assert rd_lower_pointwise(0.0, *THRESHOLD, 1.0, 2.0) == 0.0
     with pytest.raises(DomainError):
-        rd_lower_pointwise(0.0, THRESHOLD, 1.0, 0.0)
+        rd_lower_pointwise(0.0, *THRESHOLD, 1.0, 0.0)
 
 
 def test_rd_lower_at_huge_finite_p():
     # p e overflows above about 6.6e307; the bound must not collapse to 0
-    at_1e307 = rd_lower_pointwise(0.0, THRESHOLD, 1e307, 1e-3)
-    assert rd_lower_pointwise(0.0, THRESHOLD, 7e307, 1e-3) == pytest.approx(at_1e307,
+    at_1e307 = rd_lower_pointwise(0.0, *THRESHOLD, 1e307, 1e-3)
+    assert rd_lower_pointwise(0.0, *THRESHOLD, 7e307, 1e-3) == pytest.approx(at_1e307,
                                                                           rel=1e-15)
     assert at_1e307 == pytest.approx(-math.log(2e-3), rel=1e-12)
-    assert rd_lower_pointwise(math.log(2.0) / 7e307, THRESHOLD, 7e307, 1e-3) \
+    assert rd_lower_pointwise(math.log(2.0) / 7e307, *THRESHOLD, 7e307, 1e-3) \
         == pytest.approx(at_1e307, rel=1e-15)
 
 
@@ -138,8 +139,8 @@ def test_rd_lower_rederived_offset():
     # the entropy-maximizing route adds exactly (1/p) ln 2 pre-clamp
     for p in (1.0, 2.0, 4.0):
         for dist in (0.001, 0.01):
-            published = rd_lower_pointwise(0.0, THRESHOLD, p, dist)
-            rederived = rd_lower_pointwise(math.log(2.0) / p, THRESHOLD, p, dist)
+            published = rd_lower_pointwise(0.0, *THRESHOLD, p, dist)
+            rederived = rd_lower_pointwise(math.log(2.0) / p, *THRESHOLD, p, dist)
             assert rederived - published == pytest.approx(math.log(2.0) / p, abs=1e-12)
 
 
@@ -155,16 +156,16 @@ def test_chain_discrepancy_logged():
 
 
 def test_estimator_risk_exact_published_values():
-    assert estimator_risk_exact(0) == (0.25, 0.5)
-    assert estimator_risk_exact(1) == (0.125, 0.25)
-    assert estimator_risk_exact(99) == (1.0 / 400.0, 1.0 / 200.0)
+    assert estimator_risk_exact(0) == 0.25
+    assert estimator_risk_exact(1) == 0.125
+    assert estimator_risk_exact(99) == 1.0 / 400.0
 
 
 def test_estimator_risk_rederived_values():
     # size-biased width: E[width] = 2/(n+2), so e_abs = 1/(2(n+2))
-    assert estimator_risk_rederived(0) == (0.25, 0.5)
-    assert estimator_risk_rederived(1) == pytest.approx((1.0 / 6.0, 1.0 / 3.0), rel=1e-15)
-    assert estimator_risk_rederived(99) == pytest.approx((1.0 / 202.0, 1.0 / 101.0), rel=1e-15)
+    assert estimator_risk_rederived(0) == 0.25
+    assert estimator_risk_rederived(1) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert estimator_risk_rederived(99) == pytest.approx(1.0 / 202.0, rel=1e-15)
 
 
 def reference_interval(rng, n, count):
@@ -231,7 +232,7 @@ def test_simulator_matches_rederived_law(n):
         # the width is 1, so every trial returns 1/4 exactly
         assert est.mean == 0.25 and est.stderr == 0.0
     else:
-        assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 3 * est.stderr
+        assert abs(est.mean - estimator_risk_rederived(n)) < 3 * est.stderr
 
 
 def estimator_trials(u, n):
@@ -259,7 +260,7 @@ def test_simulator_at_huge_n(n):
     # both terms of E[W | E1] stay positive, so nothing cancels to 0
     est = simulate_estimator_risk(n, trials=100_000, seed=723)
     assert math.isfinite(est.mean) and est.stderr > 0.0
-    assert abs(est.mean - estimator_risk_rederived(n).e_abs) < 4 * est.stderr
+    assert abs(est.mean - estimator_risk_rederived(n)) < 4 * est.stderr
 
 
 def simulate_risk_by_place(n, trials, seed):
@@ -336,8 +337,8 @@ def test_simulator_decreasing_in_n():
 
 def test_risk_lower_l1_below_achievable():
     for n in (0, 1, 10, 100):
-        assert risk_lower_l1(n) <= estimator_risk_rederived(n).l1
-        assert risk_lower_l1(n) <= estimator_risk_exact(n).l1
+        assert risk_lower_l1(n) <= 2.0 * estimator_risk_rederived(n)
+        assert risk_lower_l1(n) <= 2.0 * estimator_risk_exact(n)
 
 
 def test_risk_lower_l1_from_mi_is_exp_minus_harmonic():
@@ -370,7 +371,7 @@ def test_sample_complexity():
 
 def test_exact_risk_slope_is_minus_one():
     ns = np.unique(np.round(np.geomspace(10, 10 ** 4, 40)).astype(int))
-    y = np.log([estimator_risk_exact(int(n)).e_abs for n in ns])
+    y = np.log([estimator_risk_exact(int(n)) for n in ns])
     slope = np.polyfit(np.log(ns), y, 1)[0]
     assert abs(slope + 1.0) < 0.01
 
