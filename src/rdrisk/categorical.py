@@ -19,9 +19,8 @@ from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import mi_clarke_barron, risk_lower_from_mi
-from .specfun import (LossOrder, Nats, checked_fsum, digamma, digamma_remainder,
-                      log_beta_multivariate, log_gamma, log_gamma_remainder,
-                      validate_loss_order)
+from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms,
+                      log_gamma_remainder, validate_loss_order)
 
 # numpy draws counts as int64, so no count above this can be drawn.
 INT64_MAX = 2 ** 63 - 1
@@ -43,45 +42,16 @@ class DirichletPrior:
         self.gamma, self.num_classes = g, len(g)
 
 
-# posterior_entropy takes Stirling's form for every gamma_i (and gamma0) at
-# or above this.  Against 60-digit mpmath, that form was within 12 ulp of
-# max(|h|, 1) on priors with a largest gamma_i of 10 or more, and the
-# plain form up to 56 ulp at (10, 10) and 7e4 at (1e4, 1e4).
-_ENTROPY_STIRLING_MIN = 10.0
-
-
-def _entropy_terms(x: float, k: int) -> list[float]:
-    """Terms whose sum is x + ln Gamma(x) - (x - k) psi(x).
-
-    At or above _ENTROPY_STIRLING_MIN they are Stirling's
-    (k - 1/2) ln x + (1 + ln 2 pi)/2 - k/(2x) + mu(x) - (x - k) rho(x),
-    mu = log_gamma_remainder and rho = digamma_remainder, in which the
-    terms of size x ln x and x have cancelled in closed form.
-    """
-    if x < _ENTROPY_STIRLING_MIN:
-        return [x, log_gamma(x), -(x - k) * digamma(x)]
-    return [(k - 0.5) * math.log(x), 0.5, 0.5 * math.log(2.0 * math.pi), -k / (2.0 * x),
-            log_gamma_remainder(x), -(x - k) * digamma_remainder(x)]
-
-
 def posterior_entropy(prior: DirichletPrior) -> Nats:
     """Differential entropy of (theta_1 .. theta_{M-1}) under Dir(gamma).
 
-    ln B(gamma) - (M - gamma0) psi(gamma0) - sum_i (gamma_i - 1) psi(gamma_i).
-    Its terms grow like gamma ln gamma while the entropy grows like
-    ln gamma, so once any gamma_i reaches _ENTROPY_STIRLING_MIN it is
-    summed as sum_i T(gamma_i, 1) - T(gamma0, M) with
-    T(x, k) = x + ln Gamma(x) - (x - k) psi(x) (the x terms add up to 0),
-    each T at or above the cutoff in Stirling's form (see _entropy_terms).
+    ln B(gamma) - (M - gamma0) psi(gamma0) - sum_i (gamma_i - 1) psi(gamma_i),
+    summed as sum_i T(gamma_i, 1) - T(gamma0, M) with the kernel T of
+    specfun.entropy_terms (the x terms add up to 0), so it keeps its digits
+    at any gamma.
     """
-    g = prior.gamma
-    m = prior.num_classes
-    g0 = prior.gamma0
-    if max(g) < _ENTROPY_STIRLING_MIN:
-        return log_beta_multivariate(g) - (m - g0) * digamma(g0) \
-            - checked_fsum((gi - 1.0) * digamma(gi) for gi in g)
-    terms = [t for gi in g for t in _entropy_terms(gi, 1)]
-    return checked_fsum([*terms, *(-t for t in _entropy_terms(g0, m))])
+    terms = [t for gi in prior.gamma for t in entropy_terms(gi, 1)]
+    return checked_fsum([*terms, *(-t for t in entropy_terms(prior.gamma0, prior.num_classes))])
 
 
 def mutual_information(n: int, prior: DirichletPrior) -> Nats:
@@ -150,9 +120,8 @@ def kamath_bounds(n: int, m: int, kappa: float) -> KamathBounds:
         raise DomainError("need n >= 1 and M >= 2")
     lead = math.sqrt(2.0 * (m - 1) / (math.pi * n))
     slack = 4.0 * math.sqrt(m) * (m - 1) ** 0.25 / n ** 0.75
-    tail = m * (1.0 - m * kappa) / (n + m * kappa)
-    if math.isinf(tail):  # m (1 - m kappa) overflowed; divide before multiplying
-        tail = m * ((1.0 - m * kappa) / (n + m * kappa))
+    # divided before multiplying by m: m (1 - m kappa) overflows at large kappa
+    tail = m * ((1.0 - m * kappa) / (n + m * kappa))
     lower = lead * (1.0 - m / (2.0 * (m - 1) * kappa)) - slack - tail
     upper = lead + slack
     return KamathBounds(lower=lower, upper=upper)

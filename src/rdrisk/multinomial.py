@@ -6,8 +6,10 @@ Observations are count vectors of k trials over d categories; the class-2
 category probabilities theta follow Dir(gamma) and class 1 uses the
 reciprocal ratios R_i = theta_i / (1 - theta_i).  The sufficient
 interpolation set is {k e_1, ..., k e_{d-1}}, so d_star = d - 1 and M = 2.
-Where gamma0 - gamma_i enters ln B or psi it is taken from
+Where gamma0 - gamma_i enters ln Gamma or psi it is taken from
 categorical.complements, so that it stays positive next to a large gamma_i.
+The entropy bounds sum the kernel specfun.entropy_terms; the printed one
+adds the terms of the published derivation's two slips.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .categorical import (INT64_MAX, DirichletPrior, complements, posterior_entr
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import mi_clarke_barron, risk_lower_from_mi
-from .specfun import LossOrder, Nats, checked_fsum, digamma, expit, log_beta_multivariate
+from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms, expit,
+                      log_beta_multivariate)
 
 
 class MultinomialFamily:
@@ -39,38 +42,37 @@ class MultinomialFamily:
 def entropy_lower(family: MultinomialFamily) -> Nats:
     """Lower bound on the entropy of the regression values at {k e_i}.
 
-    Per coordinate: ln B(gamma_i, gamma0 - gamma_i)
-    + (k + gamma_i - gamma0) psi(gamma0 - gamma_i)
-    + (gamma0 - 2k) psi(gamma0) + (k - gamma_i) psi(gamma_i)
-    + ln k - 2 ln 2.
+    Per coordinate, with r_i = gamma0 - gamma_i: ln B(gamma_i, r_i)
+    + (k - gamma_i) psi(gamma_i) + (k - r_i) psi(r_i)
+    + (gamma0 - 2k) psi(gamma0) + ln k - 2 ln 2, summed as
+    T(gamma_i, k) + T(r_i, k) - T(gamma0, 2k) + ln k - 2 ln 2 with the
+    kernel T of specfun.entropy_terms, so it keeps its digits at any gamma.
 
     This is the entropy chain h(V) >= h(R) + ln k - 2 ln 2
     - 2k E[(ln R)+] + (k-1) E[ln R] with the beta-prime closed forms
     substituted and E[(ln R)+] <= psi(gamma0) - psi(gamma0 - gamma_i);
     see reference_entropy_lower_printed for the looser published variant.
     """
-    g, g0, k = family.prior.gamma, family.prior.gamma0, family.k
-    return checked_fsum(log_beta_multivariate((gi, ri)) + (k + gi - g0) * digamma(ri)
-                        + (g0 - 2.0 * k) * digamma(g0) + (k - gi) * digamma(gi)
-                        + math.log(k) - 2.0 * math.log(2.0)
-                        for gi, ri in zip(g[: family.d - 1], complements(g)))
+    g, g0, k, d = family.prior.gamma, family.prior.gamma0, family.k, family.d
+    common = (math.log(k) - 2.0 * math.log(2.0), *(-t for t in entropy_terms(g0, 2 * k)))
+    return checked_fsum([t for gi, ri in zip(g[: d - 1], complements(g))
+                         for t in (*entropy_terms(gi, k), *entropy_terms(ri, k), *common)])
 
 
 def reference_entropy_lower_printed(family: MultinomialFamily) -> Nats:
     """Published closed form, for side-by-side reporting only.
 
-    Not a valid lower bound for k >= 2 (its derivation divides the
-    log(1+R^k) term by k and flips the gamma0 terms of h(R)); kept so the
+    entropy_lower plus, per coordinate, the published derivation's two
+    slips: 2 [(gamma0 + 1 - k) psi(r_i) - (gamma0 - 1 - k) psi(gamma0)] from
+    the flipped gamma0 terms of h(R), and 2 ln 2 (1 - 1/k) from dividing the
+    log(1+R^k) term by k.  Not a valid lower bound for k >= 2; kept so the
     discrepancy is visible data.
     """
-    g, g0, k = family.prior.gamma, family.prior.gamma0, family.k
-    total = (family.d - 1) * (math.log(k) - 2.0 * math.log(2.0) / k)
-    for gi, ri in zip(g[: family.d - 1], complements(g)):
-        total += log_beta_multivariate((gi, ri)) \
-            + (g0 + gi + 2.0 - k) * digamma(ri) \
-            - (g0 - 2.0) * digamma(g0) \
-            + (k - gi) * digamma(gi)
-    return total
+    g, g0, k, d = family.prior.gamma, family.prior.gamma0, family.k, family.d
+    common = (-(g0 - 1.0 - k) * digamma(g0), math.log(2.0) * (1.0 - 1.0 / k))
+    slips = [2.0 * t for ri in complements(g)[: d - 1]
+             for t in ((g0 + 1.0 - k) * digamma(ri), *common)]
+    return checked_fsum([entropy_lower(family), *slips])
 
 
 def mutual_information(n: int, family: MultinomialFamily) -> Nats:
@@ -110,8 +112,11 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
         + (g[d - 1] - 1.0) / (d - 1) * digamma(g[d - 1]) \
         + math.fsum((k - 0.5) * digamma(gi) + (g0 + gi + 2.0 - k) * digamma(ri)
                     for gi, ri in zip(g[: d - 1], complements(g))) / (d - 1)
-    return k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) \
-        * math.exp(expo)
+    try:
+        scale = math.exp(expo)
+    except OverflowError:
+        raise DomainError("the published X-Bayes bound overflows the float range") from None
+    return k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) * scale
 
 
 def _interpolation_regression(theta_cols: np.ndarray, psi_cols: np.ndarray,

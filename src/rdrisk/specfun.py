@@ -22,6 +22,9 @@ numpy nor scipy:
   x >= 8 on floats or numpy arrays, and of rho(x) = psi(x) - ln x + 1/(2x),
   for x >= 10: a caller that cancels the leading terms of ln Gamma and psi
   in closed form adds these.
+* ``entropy_terms(x, k)`` sums to T(x, k) = x + ln Gamma(x) - (x - k) psi(x),
+  the kernel of every Dirichlet entropy; from x = 10 up in Stirling's form,
+  where the terms of size x ln x and x cancel in closed form.
 * ``harmonic`` is the ``math.fsum`` of the float terms 1/i up to n = 1e5,
   so it is the correctly rounded sum of those terms, and the
   Euler-Maclaurin series above that.
@@ -33,7 +36,10 @@ Measured against 40-digit mpmath on the grid of ``tests/test_specfun.py``
 (0.05 <= x <= 1e9), ``log_gamma`` and ``digamma`` are within 3 units of
 ``ulp(max(|f|, 1))``.  ``log_beta_multivariate`` is a difference of ln Gamma
 values, so its error is counted in ulps of its largest term (or of
-``max(|f|, 1)`` if that is larger): within 7.5 on the same grid.
+``max(|f|, 1)`` if that is larger): within 7.5 on the same grid.  Sums of
+``entropy_terms`` (the Dirichlet entropies) are within 12 ulp of max(|f|, 1)
+on the gamma sweep (1e-300 to 1e300) of ``tests/test_multinomial.py``, and
+within 22 on random priors with every gamma_i in [0.01, 10).
 """
 
 from __future__ import annotations
@@ -69,6 +75,10 @@ _DIGAMMA_SHIFT = 10.0
 _DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12,
                    -3617 / 8160)
 
+# entropy_terms takes Stirling's form at or above this: its plain terms, of
+# size x ln x, put a Dirichlet entropy 56 ulp off at (10, 10), 7e4 at (1e4, 1e4).
+_ENTROPY_STIRLING_MIN = 10.0
+
 # Asymptotic series of the Stirling remainder, 1/(12x) - 1/(360x^3) + ...,
 # in powers of 1/x^2 (Bernoulli terms B_2 .. B_12).  At x >= 8 the first
 # omitted term, 1/(156 x^13), is below 1.2e-14.
@@ -97,12 +107,16 @@ def log_gamma(x: float) -> float:
 
 
 def checked_fsum(terms: Iterable[float]) -> float:
-    """``math.fsum`` of ``terms``; a sum beyond the float range is a DomainError."""
+    """``math.fsum`` of ``terms``; a sum beyond the float range, or with a
+    term that overflowed to inf, is a DomainError."""
     try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError("a sum overflows the float range; "
-                          "the parameters are too small or too large") from None
+        total = math.fsum(terms)
+        if math.isfinite(total):
+            return total
+    except (OverflowError, ValueError):  # ValueError: an inf and a -inf term
+        pass
+    raise DomainError("a sum overflows the float range; "
+                      "the parameters are too small or too large")
 
 
 def digamma(x: float) -> float:
@@ -141,6 +155,17 @@ def log_gamma_remainder(x):
     by its asymptotic series; x may be a numpy array."""
     inv = 1.0 / x
     return inv * power_series(_STIRLING_SERIES, inv * inv)
+
+
+def entropy_terms(x: float, k: float) -> list[float]:
+    """Terms whose sum is T(x, k) = x + ln Gamma(x) - (x - k) psi(x), x > 0: at
+    x >= _ENTROPY_STIRLING_MIN, (k - 1/2) ln x + (1 + ln 2 pi)/2 - k/(2x) + mu(x)
+    - (x - k) rho(x) (mu = log_gamma_remainder, rho = digamma_remainder), in
+    which the terms of size x ln x and x have cancelled in closed form."""
+    if x < _ENTROPY_STIRLING_MIN:
+        return [x, log_gamma(x), -(x - k) * digamma(x)]
+    return [(k - 0.5) * math.log(x), 0.5, 0.5 * math.log(2.0 * math.pi), -k / (2.0 * x),
+            log_gamma_remainder(x), -(x - k) * digamma_remainder(x)]
 
 
 def expit(x):

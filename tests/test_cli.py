@@ -608,8 +608,10 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--trials", "200", "--test-points", "100"),
     ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
     # digamma terms near -1e308 overflow the sums of the Dirichlet entropy
-    # and Fisher term; ln Gamma overflows above about 2.6e305 (the
-    # multinomial entropy bound takes ln B(gamma_i, gamma0 - gamma_i))
+    # and Fisher term; the printed multinomial entropy bound, whose terms
+    # grow like gamma0 psi(gamma0 - gamma_i), overflows at 5e307 and at
+    # (1e300, 1e-300); the published X-Bayes bound exp(...) overflows at
+    # (1e155, 2, 3e158)
     ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
@@ -617,6 +619,10 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "5e307,5e307",
      "--n", "10"),
     ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "3", "--k", "2", "--gamma", "1e155,2,3e158",
+     "--n", "1"),
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e300,1e-300",
+     "--n", "10"),
     # integer options beyond the float range
     ("bounds", "--family", "zero-error", "--n", BEYOND_FLOAT),
     ("bounds", "--family", "categorical", "--gamma", "1,1", "--n-grid", "1," + BEYOND_FLOAT),

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from rdrisk import categorical
 from rdrisk.categorical import DirichletPrior, posterior_entropy
 from rdrisk.errors import DomainError
 from rdrisk.knn import knn_entropy, knn_entropy_detail
@@ -149,6 +151,90 @@ def test_mutual_information_matches_published_expansion(k, gamma):
         mi = mutual_information(n, f)
         assert mi == pytest.approx(cb + log_sqrt_det + h, rel=1e-13, abs=1e-13)
         assert mi - cb - h == pytest.approx(log_sqrt_det, rel=1e-13, abs=1e-12)
+
+
+# Priors from 1e-300 to 1e300: symmetric, mixed, and tiny components next to
+# large ones.
+SWEEP_PRIORS = [(1e-300, 1e-300), (1e-10, 1e-10), (0.5, 0.5), (1.0, 1.0), (3.0, 3.0, 3.0),
+                (10.0, 10.0), (1e4, 1e4), (1e10, 1e10), (1e15, 1e15), (1e100, 1e100, 1e100),
+                (1e300, 1e300), (1.0, 1e12, 3.0), (1e155, 2.0, 3e158), (0.01, 7.5, 9.99),
+                (8.0, 9.0, 10.0), (1e-3, 1e8), (2.5, 1e300), (1e-300, 1e300),
+                (1e-300, 1.0, 1e300), (1.0, 1e-20), (1.0, 1e-17, 1e-17), (1e-300, 1e15)]
+SWEEP_ULPS = 16.0
+SWEEP_N = 10
+
+
+def dirichlet_closed_forms_by_mpmath(gamma, k, n=SWEEP_N):
+    """{name: (value, scale)} for the five closed forms built from ln Gamma
+    and psi of a Dirichlet prior, each in its plain (published) form, at 70
+    digits past the size of the largest gamma.  ``scale`` is the size an
+    error is counted in ulps of: max(|f|, 1) for the two entropies; for the
+    printed entropy bound, which cancels by its own construction, its
+    largest term; for the two mutual informations, which add three
+    separately rounded Clarke-Barron summands (asymptotic term, Fisher
+    term, entropy), the largest of those and 1."""
+    lg, ps = mpmath.loggamma, mpmath.digamma
+    with mpmath.workdps(70 + max(0, int(math.log10(sum(gamma))))):
+        g = [mpmath.mpf(v) for v in gamma]
+        g0, m = mpmath.fsum(g), len(g)
+        pairs = [(gi, g0 - gi) for gi in g[:-1]]
+        h = mpmath.fsum(lg(v) for v in g) - lg(g0) - (m - g0) * ps(g0) \
+            - mpmath.fsum((v - 1) * ps(v) for v in g)
+        lower = mpmath.fsum(lg(gi) + lg(ri) - lg(g0) + (k - gi) * ps(gi) + (k - ri) * ps(ri)
+                            + (g0 - 2 * k) * ps(g0) + mpmath.log(k) - 2 * mpmath.log(2)
+                            for gi, ri in pairs)
+        printed = [t for gi, ri in pairs
+                   for t in (lg(gi) + lg(ri) - lg(g0), (g0 + gi + 2 - k) * ps(ri),
+                             -(g0 - 2) * ps(g0), (k - gi) * ps(gi),
+                             mpmath.log(k) - 2 * mpmath.log(2) / k)]
+        cb = (m - 1) * mpmath.log(n / (2 * mpmath.pi * mpmath.e)) / 2
+        cat_det = (m - 1) * ps(g0) / 2 - mpmath.fsum(ps(v) for v in g[:-1]) / 2
+        mult_det = (m - 1) * mpmath.log(mpmath.mpf(k) / 2) / 2 \
+            - mpmath.fsum(ps(gi) + ps(ri) - 2 * ps(g0) for gi, ri in pairs) / 2
+        return {"posterior_entropy": (h, max(abs(h), 1)),
+                "entropy_lower": (lower, max(abs(lower), 1)),
+                "reference_entropy_lower_printed": (mpmath.fsum(printed),
+                                                    max(abs(t) for t in printed)),
+                "categorical.mutual_information": (cb + cat_det + h,
+                                                   max(abs(cb), abs(cat_det), abs(h), 1)),
+                "multinomial.mutual_information": (cb + mult_det + h,
+                                                   max(abs(cb), abs(mult_det), abs(h), 1))}
+
+
+def dirichlet_closed_forms(gamma, k, n=SWEEP_N):
+    """The package's five closed forms, as callables, for the same arguments."""
+    f = fam(len(gamma), k, gamma)
+    return {"posterior_entropy": lambda: posterior_entropy(f.prior),
+            "entropy_lower": lambda: entropy_lower(f),
+            "reference_entropy_lower_printed": lambda: reference_entropy_lower_printed(f),
+            "categorical.mutual_information": lambda: categorical.mutual_information(n, f.prior),
+            "multinomial.mutual_information": lambda: mutual_information(n, f)}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("gamma", SWEEP_PRIORS, ids=str)
+def test_dirichlet_closed_forms_keep_their_digits(gamma, k):
+    # Every one is a sum of ln Gamma and psi terms that grow like gamma ln gamma
+    # (or like 1/gamma) while the entropies grow like ln gamma: entropy_lower,
+    # summed as ln B + psi terms, read -12.52008342 at (1e10, 1e10), k = 1,
+    # where mpmath gives -12.52000206.
+    exact = dirichlet_closed_forms_by_mpmath(gamma, k)
+    for name, fn in dirichlet_closed_forms(gamma, k).items():
+        value, scale = exact[name]
+        error = abs(fn() - float(value)) / math.ulp(float(scale))
+        assert error <= SWEEP_ULPS, f"{name} off by {error} ulp"
+
+
+@pytest.mark.parametrize("name,gamma,k", [
+    ("posterior_entropy", (1e-308,) * 3, 1),
+    ("entropy_lower", (1e-308,) * 3, 3),
+    ("reference_entropy_lower_printed", (8e307, 8e307), 1),
+])
+def test_dirichlet_closed_forms_beyond_the_float_range_raise(name, gamma, k):
+    value, _ = dirichlet_closed_forms_by_mpmath(gamma, k)[name]
+    assert abs(value) > sys.float_info.max
+    with pytest.raises(DomainError):
+        dirichlet_closed_forms(gamma, k)[name]()
 
 
 def test_rd_bracket():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rdrisk.errors import DomainError
-from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, cp_constant, digamma,
-                            digamma_remainder, expit, harmonic, log_beta_multivariate,
-                            log_gamma, log_gamma_remainder, validate_loss_order)
+from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, checked_fsum, cp_constant,
+                            digamma, digamma_remainder, entropy_terms, expit, harmonic,
+                            log_beta_multivariate, log_gamma, log_gamma_remainder,
+                            validate_loss_order)
 
 # Accuracy grid: (0.05, 3), (3, 50), 50 to 1e9 and the half-integers to 60.
 ACCURACY_GRID = [float(x) for x in np.concatenate([
@@ -173,6 +174,37 @@ def test_log_beta_multivariate_accuracy_against_mpmath(shape):
     with mpmath.workdps(40):
         worst = max((error(x), x) for x in ACCURACY_GRID)
     assert worst[0] <= MAX_ULPS, f"off by {worst[0]} ulp at x={worst[1]}"
+
+
+# The Dirichlet entropy kernel from 0.05 to 1e300, on both sides of the
+# cutoff of its Stirling form at 10.
+ENTROPY_KERNEL_GRID = sorted({*(float(x) for x in np.geomspace(0.05, 1e300, 200)),
+                              0.5, 1.0, 2.0, 9.5, 9.999999999999998, 10.0})
+ENTROPY_KERNEL_ULPS = 4.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_entropy_terms_against_mpmath(k):
+    # Below 10 the plain terms x, ln Gamma(x) and (x - k) psi(x) set the
+    # floor, so the unit is the ulp of the largest of them; at 10 and above
+    # Stirling's form has cancelled them, and the unit is ulp(max(|T|, 1)).
+    def error(x):
+        with mpmath.workdps(60 + max(0, int(math.log10(x)))):
+            v = mpmath.mpf(x)
+            terms = [v, mpmath.loggamma(v), -(v - k) * mpmath.digamma(v)]
+            exact = mpmath.fsum(terms)
+        scale = max(abs(t) for t in terms) if x < 10.0 else exact
+        return _ulps(math.fsum(entropy_terms(x, k)), exact, scale)
+
+    worst = max((error(x), x) for x in ENTROPY_KERNEL_GRID)
+    assert worst[0] <= ENTROPY_KERNEL_ULPS, f"off by {worst[0]} ulp at x={worst[1]}"
+
+
+def test_checked_fsum_rejects_sums_beyond_the_float_range():
+    assert checked_fsum([1e308, 1.0, -1e308]) == 1.0
+    for terms in ([1e308, 1e308], [math.inf, -math.inf], [-math.inf, 1.0], [math.nan]):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            checked_fsum(terms)
 
 
 # Stirling-form remainders from the smallest argument each is stated for
