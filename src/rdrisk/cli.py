@@ -428,7 +428,7 @@ def _build_parser() -> _Parser:
         _add_mc_options(sub, "10000")
         sub.add_argument("--test-points", type=int, dest="test_points",
                          help="test points per trial (default 1000), split between "
-                              "the trial's antithetic pair")
+                              "the trial's (r, b) members")
 
     m = subs.add_parser("mi", help="mutual information for one n")
     _add_family_options(m)

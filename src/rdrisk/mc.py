@@ -10,6 +10,7 @@ samplers draw the same way (see SAMPLER_VERSION).
 from __future__ import annotations
 
 import math
+import time
 from typing import Callable, NamedTuple
 
 from ._numpy import np
@@ -20,12 +21,22 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-# Version 9 is the zero-error estimator trial that integrates the far
-# spacing out (see zero_error.simulate_estimator_risk).
-SAMPLER_VERSION = 9
+# Version 10 is the Gaussian trial of several (r, b) members with stratified
+# test points (see gaussian.simulate_bayes_risk).
+SAMPLER_VERSION = 10
 
-# Most worker threads mc_mean may use; its pool starts at most one per chunk.
+# Most threads mc_mean may use, the calling thread included; its pool starts
+# fewer threads than there are chunks.
 MAX_THREADS = 256
+
+# mc_mean starts a thread pool only when its first chunk, run on the calling
+# thread, took longer than this many seconds.  Below it the pool's start-up
+# and the handing over of the interpreter lock between numpy calls cost more
+# than a second thread wins: on 2 cores, two threads ran Gaussian chunks of
+# 0.40, 0.71, 1.7 and 2.4 ms at 0.54, 0.90, 1.15 and 1.57 times the speed
+# of one, and zero-error chunks of 0.11, 0.46 and 1.1 ms at 0.52, 0.89 and
+# 1.82 times.
+POOL_MIN_CHUNK_S = 1e-3
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -84,8 +95,12 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     ``sampler(rng, count)`` must return a 1-D array of ``count`` values and
     must depend only on the generator handed to it.  ``chunks`` must lie in
     [1, trials], ``threads`` in [1, MAX_THREADS] and ``seed`` must be >= 0,
-    all checked before any chunk runs.  Chunks run on up to ``threads``
-    workers and are reduced in chunk order, so the output is bit-reproducible.
+    all checked before any chunk runs.  Chunk 0 runs on the calling thread
+    and is timed; when ``threads`` > 1 and it took longer than
+    POOL_MIN_CHUNK_S, the other chunks run on up to ``threads`` threads,
+    the calling one and a pool, else on the calling thread alone.  The
+    timing decides only where chunks run, never what they draw, and chunks
+    are reduced in chunk order, so the output is bit-reproducible.
 
     Squared deviations of tiny values underflow, and of huge ones
     overflow, so each chunk sums them scaled by the power of two that
@@ -105,10 +120,9 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
-    def run_chunk(args):
-        idx, size = args
-        rng = rng_stream(seed, idx)
-        values = np.asarray(sampler(rng, size), dtype=float)
+    def run_chunk(job):
+        idx, size = job
+        values = np.asarray(sampler(rng_stream(seed, idx), size), dtype=float)
         if values.shape != (size,):
             raise DomainError(
                 f"sampler returned shape {values.shape}, expected ({size},)")
@@ -126,13 +140,39 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
 
     base, extra = divmod(trials, chunks)
     jobs = [(i, base + (1 if i < extra else 0)) for i in range(chunks)]
-    if threads > 1:
+    # Reading np.random loads numpy and numpy.random before the clock
+    # starts, so that a first call's imports are not taken for chunk work.
+    np.random
+    start = time.perf_counter()
+    parts = [run_chunk(jobs[0])]
+    rest = iter(jobs[1:])
+    workers = min(threads, chunks - 1)
+    if workers > 1 and time.perf_counter() - start > POOL_MIN_CHUNK_S:
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(threads, chunks)) as pool:
-            parts = list(pool.map(run_chunk, jobs))
+        # The calling thread works as one of the ``threads`` workers, so no
+        # more threads than that hold chunk memory; each worker takes the
+        # next chunk left until none is.
+        lock = threading.Lock()
+
+        def drain():
+            done = []
+            while True:
+                with lock:
+                    job = next(rest, None)
+                if job is None:
+                    return done
+                done.append((job[0], run_chunk(job)))
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(drain) for _ in range(workers - 1)]
+            done = drain()
+            for future in others:
+                done += future.result()
+        parts += [part for _, part in sorted(done)]
     else:
-        parts = [run_chunk(j) for j in jobs]
+        parts += map(run_chunk, rest)
 
     # One scale for the merge, no finer than any chunk's and bounding every
     # gap between chunk means, so no scaled term can overflow.

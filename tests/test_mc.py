@@ -1,10 +1,13 @@
+import math
 import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import rdrisk.mc as mc
 from rdrisk.errors import DomainError
+from rdrisk.gaussian import simulate_bayes_risk
 from rdrisk.mc import MAX_THREADS, mc_mean, rng_stream
 
 
@@ -109,17 +112,51 @@ def test_mc_mean_rejects_bad_threads_and_seed_before_sampling(option, value):
     assert calls == []
 
 
-def test_mc_mean_starts_no_more_threads_than_chunks():
+def test_mc_mean_starts_no_more_threads_than_chunks(monkeypatch):
+    # chunk 0 runs on the calling thread, which then works next to the
+    # pool: with the pool forced on, the two other chunks start at most one
+    # worker however many threads are allowed
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
     before = threading.active_count()
-    alive = []
+    caller = threading.get_ident()
+    seen = []
 
     def sampler(rng, m):
-        alive.append(threading.active_count())
+        seen.append((threading.get_ident(), threading.active_count()))
         return np.zeros(m)
 
-    est = mc_mean(sampler, trials=1000, seed=0, chunks=2, threads=MAX_THREADS)
-    assert est.trials == 1000 and len(alive) == 2
-    assert max(alive) <= before + 2
+    est = mc_mean(sampler, trials=1000, seed=0, chunks=3, threads=MAX_THREADS)
+    assert est.trials == 1000 and len(seen) == 3
+    assert seen[0] == (caller, before)
+    assert max(alive for _, alive in seen) <= before + 1
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+@pytest.mark.parametrize("pool_min", [0.0, math.inf], ids=["pool", "no-pool"])
+def test_mc_mean_pool_rule_changes_no_bytes(monkeypatch, pool_min, threads):
+    # the pool rule decides where chunks run, never what they draw, on 2, 3
+    # or 8 threads
+    def sampler(rng, m):
+        return rng.standard_normal(size=m) ** 2
+
+    base = mc_mean(sampler, trials=20_000, seed=4, chunks=16, threads=1)
+    gauss = simulate_bayes_risk(10, 4, 1.0, trials=200, test_points=1000, seed=5, chunks=8)
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", pool_min)
+    starts = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self, start=threading.Thread.start:
+                        starts.append(self) or start(self))
+    assert mc_mean(sampler, trials=20_000, seed=4, chunks=16, threads=threads) == base
+    assert simulate_bayes_risk(10, 4, 1.0, trials=200, test_points=1000, seed=5, chunks=8,
+                               threads=threads) == gauss
+    assert bool(starts) == (pool_min == 0.0)
+
+
+def test_mc_mean_runs_cheap_chunks_on_the_calling_thread():
+    caller = threading.get_ident()
+    seen = set()
+    mc_mean(lambda rng, m: seen.add(threading.get_ident()) or np.zeros(m), trials=1000,
+            seed=0, chunks=8, threads=2)
+    assert seen == {caller}
 
 
 def test_mc_mean_rejects_sampler_of_wrong_shape():
