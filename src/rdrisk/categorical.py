@@ -140,7 +140,8 @@ def sample_dirichlet(gamma: np.ndarray, rng: np.random.Generator, size: int) -> 
     if not np.all(total > 0.0):
         raise DomainError("every Gamma draw of a Dirichlet row underflowed to 0; "
                           "gamma is too small to simulate")
-    return raw / total
+    raw /= total
+    return raw
 
 
 def sample_multinomial(n, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -273,8 +274,16 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
         if p == 2.0:
-            bias = g0 * theta - gamma[None, :]
-            total = (bias * bias + n * theta * (1.0 - theta)).sum(axis=1)
+            # bias^2 + n theta (1 - theta), in place; theta is not needed after
+            bias, spread = np.empty((2, *theta.shape))
+            np.multiply(theta, g0, out=bias)
+            bias -= gamma
+            bias *= bias
+            np.subtract(1.0, theta, out=spread)
+            theta *= n
+            theta *= spread
+            bias += theta
+            total = bias.sum(axis=1)
             return np.ldexp(np.ldexp(total, -exponent) / (mantissa * mantissa), -exponent)
         counts = sample_multinomial(n, theta, rng)
         if not posterior_mad:

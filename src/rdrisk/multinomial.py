@@ -22,7 +22,7 @@ from .categorical import (INT64_MAX, DirichletPrior, complements, posterior_entr
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import mi_clarke_barron, risk_lower_from_mi
-from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms, expit,
+from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms,
                       log_beta_multivariate)
 
 
@@ -119,14 +119,83 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
     return k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) * scale
 
 
-def _interpolation_regression(theta_cols: np.ndarray, psi_cols: np.ndarray,
-                              k: int) -> np.ndarray:
-    # W(k e_i) rows for per-trial class parameter matrices (rows, d-1 slices).
-    # A component that is exactly 0 (tiny concentrations) has log -inf, so W
-    # is exactly 0 or 1; theta and psi are never 0 together.
-    with np.errstate(divide="ignore"):
-        log_ratio = k * (np.log(theta_cols) - np.log(psi_cols))
-    return expit(-log_ratio)
+# A trial subtracts CONTROL_WEIGHT (C - EC) / (sqrt(EC) (1 + EC)) from its
+# loss; see simulate_interpolation_risk.
+CONTROL_WEIGHT = 0.4
+
+
+def _regression_in_place(log_theta: np.ndarray, log_psi: np.ndarray, k: int) -> np.ndarray:
+    # W = 1 / (1 + (theta / psi)^k), written over log_theta.  A component
+    # that is exactly 0 (tiny concentrations) has log -inf, so W is exactly
+    # 0 or 1; theta and psi are never 0 together.
+    log_theta -= log_psi
+    log_theta *= k
+    np.exp(log_theta, out=log_theta)
+    log_theta += 1.0
+    return np.divide(1.0, log_theta, out=log_theta)
+
+
+def _loss_and_control(theta: np.ndarray, psi: np.ndarray, n1: np.ndarray, n2: np.ndarray,
+                      agg1: np.ndarray, agg2: np.ndarray, gamma: np.ndarray, g0: float,
+                      k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the loss max_i 2 |W_i - W_hat_i|, the control C and its
+    conditional mean EC given (theta, n1); see simulate_interpolation_risk.
+
+    Row r holds theta, psi, the class sizes n1, n2 and the class-1 and
+    class-2 counts agg1, agg2 (over all d columns) of one trial.  Every
+    (rows, d - 1) value is computed in place in one work buffer.
+    """
+    last = theta.shape[1] - 1
+    th, ps, g = theta[:, :last], psi[:, :last], gamma[:last]
+    big_n1, big_n2 = k * n1, k * n2
+    s1, s2 = g0 + big_n1, g0 + big_n2
+    inv_s1, inv_s2 = 1.0 / s1[:, None], 1.0 / s2[:, None]
+    w, a, b, q2, y = np.empty((5, theta.shape[0], last))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _regression_in_place(np.log(th, out=w), np.log(ps, out=a), k)
+        theta_hat = np.add(agg2[:, :last], g, out=a)
+        theta_hat /= s2[:, None]
+        psi_hat = np.add(agg1[:, :last], g, out=b)
+        psi_hat /= s1[:, None]
+        w_hat = _regression_in_place(np.log(theta_hat, out=a), np.log(psi_hat, out=b), k)
+        loss = 2.0 * np.abs(np.subtract(w, w_hat, out=b), out=b).max(axis=1)
+        # q_i^2 / (2k)^2 = (W_i (1 - W_i))^2; the factor (2k)^2 is applied to
+        # the row sums
+        np.subtract(1.0, w, out=q2)
+        q2 *= w
+        q2 *= q2
+        inv_th, inv_ps = np.divide(1.0, th, out=a), np.divide(1.0, ps, out=b)
+        # r_i = theta_hat_i / theta_i - psi_hat_i / psi_i
+        r = np.add(agg2[:, :last], g, out=w)
+        r *= inv_th
+        r *= inv_s2
+        np.add(agg1[:, :last], g, out=y)
+        y *= inv_ps
+        y *= inv_s1
+        r -= y
+        r *= r
+        r *= q2
+        c = r.sum(axis=1)
+        # E[r_i | theta, n1] = (g_i / theta_i - g0) / s2 - (g_i / psi_i - g0) / s1
+        mean = np.multiply(inv_th, g, out=w)
+        mean -= g0
+        mean *= inv_s2
+        np.multiply(inv_ps, g, out=y)
+        y -= g0
+        y *= inv_s1
+        mean -= y
+        mean *= mean
+        # Var[r_i | theta, n1] = N2 (1/theta_i - 1) / s2^2 + N1 (1/psi_i - 1) / s1^2
+        for inv, big_n, inv_s in ((inv_th, big_n2, inv_s2), (inv_ps, big_n1, inv_s1)):
+            inv -= 1.0
+            inv *= big_n[:, None] * inv_s * inv_s
+            mean += inv
+        mean *= q2
+        ec = mean.sum(axis=1)
+        scale = 4.0 * k * k
+        c *= scale
+        ec *= scale
+    return loss, c, ec
 
 
 def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
@@ -135,13 +204,33 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     """Simulated plug-in risk, maximized over the interpolation points.
 
     Per trial: theta ~ Dir(gamma) parameterizes class 2; class 1 draws from
-    the normalized reciprocal vector (1 - theta_i) / (d - 1) (identical to
-    the ratio construction at d = 2); n observations get uniform labels and
-    per-class Dirichlet posterior means are plugged into the regression
+    the normalized reciprocal vector psi = (1 - theta) / (d - 1) (identical
+    to the ratio construction at d = 2); n observations get uniform labels
+    and per-class Dirichlet posterior means are plugged into the regression
     function; the loss is max over {k e_1, .., k e_{d-1}} of 2 |W - What|.
     Max over the interpolation set under-covers the sup over all test
     points, so this is one-sided ordering evidence only.  A class draws up
     to k n counts, so k n must not exceed INT64_MAX.
+
+    A trial subtracts a control variate of conditional mean 0 from the loss.
+    To first order 2 (W_hat_i - W_i) is -lin_i, with lin_i = q_i r_i,
+    q_i = 2k W_i (1 - W_i) and r_i = theta_hat_i / theta_i - psi_hat_i / psi_i
+    (that is, u_i (theta_hat_i - theta_i) - v_i (psi_hat_i - psi_i) with
+    u_i = q_i / theta_i and v_i = q_i / psi_i), so the loss is close to
+    max_i |lin_i| and moves with C = sum_i lin_i^2.
+    Given (theta, n1) the class-2 count of category i is
+    Bin(N2, theta_i) and the class-1 count Bin(N1, psi_i), N_c = k n_c,
+    independent of each other, so with s_c = gamma0 + N_c
+    E[C | theta, n1] = EC = sum_i q_i^2 (m_i^2 + v_i),
+    m_i = (g_i / theta_i - g0) / s2 - (g_i / psi_i - g0) / s1,
+    v_i = N2 (1 / theta_i - 1) / s2^2 + N1 (1 / psi_i - 1) / s1^2.
+    The trial is loss - b (C - EC) with b = CONTROL_WEIGHT / (sqrt(EC) (1 + EC)),
+    and b = 0 where EC is 0, infinite or not a number (a theta_i or psi_i
+    of exactly 0).  Because b is a function of (theta, n1) alone,
+    E[b (C - EC) | theta, n1] = b (E[C | theta, n1] - EC) = 0, so the mean is
+    the plug-in risk for any prior, k and n.  b must never be fitted to a
+    chunk's own draws: a coefficient that depends on the counts breaks that
+    identity and biases the mean.
     """
     check_simulation(n, trials)
     if family.k * n > INT64_MAX:
@@ -152,15 +241,15 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
 
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
-        psi = (1.0 - theta) / (d - 1.0)
+        psi = 1.0 - theta
+        psi /= d - 1.0
         n1 = rng.binomial(n, 0.5, size=count)
         n2 = n - n1
         agg1 = sample_multinomial(k * n1, psi, rng)
         agg2 = sample_multinomial(k * n2, theta, rng)
-        theta_hat = (gamma[None, :] + agg2) / (g0 + k * n2)[:, None]
-        psi_hat = (gamma[None, :] + agg1) / (g0 + k * n1)[:, None]
-        w_true = _interpolation_regression(theta[:, : d - 1], psi[:, : d - 1], k)
-        w_hat = _interpolation_regression(theta_hat[:, : d - 1], psi_hat[:, : d - 1], k)
-        return (2.0 * np.abs(w_true - w_hat)).max(axis=1)
+        loss, c, ec = _loss_and_control(theta, psi, n1, n2, agg1, agg2, gamma, g0, k)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            control = (c - ec) * (CONTROL_WEIGHT / (np.sqrt(ec) * (1.0 + ec)))
+            return loss - np.where((ec > 0.0) & (ec < math.inf), control, 0.0)
 
     return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
+from rdrisk import mc
 from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
 from rdrisk.mc import MAX_THREADS, rng_stream
 
@@ -217,6 +218,22 @@ def test_simulate_thread_invariance(tmp_path, capsys, threads):
     assert base.read_bytes() == other.read_bytes()
 
 
+@pytest.mark.parametrize("pool_min", [0.0, math.inf], ids=["pool", "no-pool"])
+def test_simulate_multinomial_same_bytes_at_any_thread_count(capsys, monkeypatch, pool_min):
+    # the control variate's work buffer is per chunk, so chunks run on the
+    # pool or on the calling thread write the same bytes
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", pool_min)
+    argv = ("simulate", "--family", "multinomial", "--d", "5", "--k", "3",
+            "--gamma", "1,1,1,1,1", "--n-grid", "1,10,100", "--trials", "4000",
+            "--chunks", "8", "--seed", "6")
+    outputs = []
+    for threads in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_simulate_zero_error_estimator_value(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--family", "zero-error",
                            "--n-grid", "1", "--trials", "100000", "--seed", "8")
@@ -356,7 +373,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 10
+    assert payload["metadata"]["sampler_version"] == 11
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -377,7 +394,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 10
+    assert payload["sampler_version"] == 11
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 
