@@ -21,10 +21,10 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # Version of the simulators' draw sequences, one for every family.  It is
 # bumped whenever any sampler draws differently, so seeded outputs are
 # byte-stable only for a fixed (seed, trials, chunks, SAMPLER_VERSION).
-# Version 11 is the multinomial trial less a control variate of conditional
-# mean 0, built from the counts' exact first two moments given the class
-# parameters and sizes (see multinomial.simulate_interpolation_risk).
-SAMPLER_VERSION = 11
+# Version 12 is the zero-error estimator trial less a control variate of
+# exact mean 0, ln U + ln(1 - U) + 2, at a closed-form weight of n alone
+# (see zero_error.simulate_estimator_risk).
+SAMPLER_VERSION = 12
 
 # Most threads mc_mean may use, the calling thread included; its pool starts
 # fewer threads than there are chunks.

@@ -233,8 +233,11 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     identity and biases the mean.
     """
     check_simulation(n, trials)
-    if family.k * n > INT64_MAX:
-        raise DomainError(f"k * n must be <= 2^63 - 1 to draw the counts, got {family.k} * {n}")
+    # k itself is checked too: at n = 0 the product passes whatever k is,
+    # and k * n1 then overflows numpy's int64 in the sampler
+    if max(family.k, family.k * n) > INT64_MAX:
+        raise DomainError(f"k and k * n must be <= 2^63 - 1 to draw the counts, "
+                          f"got {family.k} * {n}")
     gamma = np.asarray(family.prior.gamma)
     g0 = family.prior.gamma0
     d, k = family.d, family.k

@@ -134,6 +134,29 @@ def digamma(x: float) -> float:
     return math.fsum(terms)
 
 
+def digamma_secant(x: float, h: float) -> float:
+    """(psi(x + h) - psi(x)) / h for x > 0 and h > 0, to a few ulp at any h.
+
+    psi(y + 1) - psi(y) = 1/y turns the difference below y = x + K >= 10
+    into the terms 1/(y (y + h)); from there the asymptotic series of psi
+    is differenced term by term, as log1p(h / y) / h for ln y,
+    1/(2 y (y + h)) for -1/(2y), and y^-2j expm1(-2j log1p(h / y)) / h for
+    y^-2j, so no term is a small difference of large ones.
+    """
+    if not (x > 0.0 and h > 0.0):
+        raise DomainError(f"digamma_secant requires x > 0 and h > 0, got {x}, {h}")
+    x, h = float(x), float(h)
+    terms = []
+    while x < _DIGAMMA_SHIFT:
+        terms.append(1.0 / (x * (x + h)))
+        x += 1.0
+    log_ratio = math.log1p(h / x)
+    terms += (log_ratio / h, 0.5 / (x * (x + h)))
+    terms += (-c * x ** (-2 * j) * math.expm1(-2 * j * log_ratio) / h
+              for j, c in enumerate(_DIGAMMA_SERIES, 1))
+    return math.fsum(terms)
+
+
 def power_series(coefficients: tuple[float, ...], z):
     """sum_k coefficients[k] z^k by Horner's rule; z may be a numpy array."""
     total = 0.0

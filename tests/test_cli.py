@@ -373,7 +373,7 @@ def test_compare_json_metadata(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
-    assert payload["metadata"]["sampler_version"] == 11
+    assert payload["metadata"]["sampler_version"] == 12
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -394,7 +394,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
-    assert payload["sampler_version"] == 11
+    assert payload["sampler_version"] == 12
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 

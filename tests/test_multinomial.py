@@ -294,9 +294,11 @@ def test_simulator_d3_runs():
         simulate_interpolation_risk(10, f, trials=10, seed=0)
 
 
-@pytest.mark.parametrize("k,n", [(45_000_000_000_000_000, 1000), (3, 2 ** 63 - 1)])
+@pytest.mark.parametrize("k,n", [(45_000_000_000_000_000, 1000), (3, 2 ** 63 - 1),
+                                 (10 ** 22, 0), (2 ** 63, 0)])
 def test_simulator_rejects_k_n_beyond_int64_count_draws(k, n):
-    # k n = 4.5e19 used to wrap in int64 to 1.8e18 and draw wrong counts
+    # k n = 4.5e19 used to wrap in int64 to 1.8e18 and draw wrong counts;
+    # at n = 0, k above 2^63 - 1 ended in OverflowError from k * n1
     with pytest.raises(DomainError, match=r"2\^63 - 1"):
         simulate_interpolation_risk(n, fam(2, k, (1.0, 1.0)), trials=1000, seed=0)
 

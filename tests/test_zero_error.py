@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,9 +10,10 @@ from rdrisk.errors import DomainError
 from rdrisk.mc import mc_mean, rng_stream
 from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA, harmonic
-from rdrisk.zero_error import (_interval_widths, estimator_risk_exact,
-                               estimator_risk_rederived, mi_monte_carlo,
-                               mutual_information_exact, risk_lower_l1,
+from rdrisk import zero_error
+from rdrisk.zero_error import (CONTROL_MAX_N, _interval_widths, control_weight,
+                               estimator_risk_exact, estimator_risk_rederived,
+                               mi_monte_carlo, mutual_information_exact, risk_lower_l1,
                                sample_complexity, simulate_estimator_risk)
 
 # The threshold posterior has one interpolation point (theta) and two
@@ -91,7 +93,8 @@ def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate, zer
     # U = 0 gives E = -ln 0 = inf, so its width is 1 and its antithetic
     # partner's E is 0: every trial stays finite, and log(0) stays silent.
     # The MI draws (U1, U2) for each trial and the estimator one U, whose
-    # E[W | E1 = inf] is 1 as well.
+    # E[W | E1 = inf] is 1 as well; the estimator's control takes
+    # ln 0 = -ln(2 pi 2^53) there.
     widths = _interval_widths(ZeroedUniforms(rng_stream(730, 0), [(0, 0), (1, 1)]), 10, 1000)
     assert widths[0, 0] == widths[0, 1] == 1.0
     assert np.isfinite(widths).all() and (widths > 0.0).all()
@@ -102,8 +105,13 @@ def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate, zer
     assert [stub.calls for stub in stubs] == [[draws]]
     assert math.isfinite(est.mean) and est.stderr > 0.0
     if simulate is simulate_estimator_risk:
-        trials = estimator_trials(ZeroedUniforms(rng_stream(731, 0), zeros).random(1000), 10)
-        assert trials[0] == pytest.approx((1.0 + 1.0 / 11.0) / 8.0, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trials = drawn_estimator_trials(
+                monkeypatch, 10, ZeroedUniforms(rng_stream(731, 0), zeros), 1000)
+        log_zero = -math.log(2.0 * math.pi * 2.0 ** 53)
+        assert trials[0] == pytest.approx((1.0 + 1.0 / 11.0) / 8.0
+                                          - control_weight(10) * (log_zero + 2.0), rel=1e-15)
         assert est.mean == trials.mean()
 
 
@@ -235,24 +243,82 @@ def test_simulator_matches_rederived_law(n):
         assert abs(est.mean - estimator_risk_rederived(n)) < 3 * est.stderr
 
 
-def estimator_trials(u, n):
-    """The version-9 estimator trials at uniforms ``u``, written out: the
-    mean of E[W | E1] / 4 at E1 = -ln U and at E1 = -ln(1 - U), where
-    E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1))."""
+def controlled_trials(u, n):
+    """Estimator trials at uniforms ``u``, written out from their definition,
+    and the largest of their terms: the mean of E[W | E1] / 4 at
+    E1 = -ln U and at E1 = -ln(1 - U), where
+    E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1)), less
+    control_weight(n) (ln U + ln(1 - U) + 2)."""
     with np.errstate(divide="ignore"):
-        x = np.expm1(np.log(np.stack([u, 1.0 - u])) / float(n + 1))
-    return 0.25 / (n + 1) - 0.125 * (n / (n + 1)) * (x[0] + x[1])
+        logs = np.log(np.stack([u, 1.0 - u]))
+    x = np.expm1(logs / float(n + 1))
+    control = np.maximum(logs.sum(axis=0), -math.log(2.0 * math.pi * 2.0 ** 53)) + 2.0
+    terms = np.stack([np.full_like(u, 0.25 / (n + 1)), -0.125 * (n / (n + 1)) * x[0],
+                      -0.125 * (n / (n + 1)) * x[1], -control_weight(n) * control])
+    return terms.sum(axis=0), np.abs(terms).max(axis=0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 1000])
-def test_simulator_trial_is_the_mean_width_given_e1(n):
+def drawn_estimator_trials(monkeypatch, n, rng, count):
+    """The ``count`` trials simulate_estimator_risk draws from ``rng``."""
+    samplers = []
+    with monkeypatch.context() as patch:
+        patch.setattr(zero_error, "mc_mean", lambda sampler, *args, **kw: samplers.append(
+            sampler) or mc_mean(sampler, *args, **kw))
+        simulate_estimator_risk(n, trials=1000, seed=0)
+    return samplers[0](rng, count)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, CONTROL_MAX_N, CONTROL_MAX_N + 1])
+def test_simulator_trial_is_the_mean_width_given_e1(monkeypatch, n):
     # one chunk draws the uniforms of stream 0 and nothing else; a trial is
-    # the antithetic mean of E[W | E1] / 4, bit for bit
+    # the antithetic mean of E[W | E1] / 4 less its control, to within
+    # rounding of its largest term, and without the control above the cutoff
+    trials = drawn_estimator_trials(monkeypatch, n, rng_stream(720, 0), 10_000)
+    expected, largest = controlled_trials(rng_stream(720, 0).random(10_000), n)
+    assert (np.abs(trials - expected) <= 8 * np.spacing(largest)).all()
+    if n == 0 or n > CONTROL_MAX_N:
+        assert control_weight(n) == 0.0
     est = simulate_estimator_risk(n, trials=10_000, seed=720, chunks=1)
-    trials = estimator_trials(rng_stream(720, 0).random(10_000), n)
     assert est.mean == trials.mean()
     assert est.stderr == pytest.approx(trials.std(ddof=1) / math.sqrt(trials.size),
                                        rel=1e-12, abs=0.0)
+
+
+def control_weight_mp(n):
+    """b(n) = Cov(trial, c) / Var(c) in 50-digit mpmath, at a = 1/(n+1)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(1) / (n + 1)
+        slope = mpmath.mpf(n) / (8 * (n + 1))
+        cov = -2 * slope * (a / (a + 1) ** 2
+                            - (mpmath.digamma(2 + a) - mpmath.digamma(2)) / (a + 1))
+        return cov / (4 - mpmath.pi ** 2 / 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 11, 100, 1000, 10 ** 6, CONTROL_MAX_N - 1,
+                               CONTROL_MAX_N])
+def test_control_weight_matches_mpmath(n):
+    assert control_weight(n) == pytest.approx(float(control_weight_mp(n)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0, CONTROL_MAX_N + 1, 2 ** 63 - 1, 1e300, 1.5e308])
+def test_control_weight_is_zero_at_n_0_and_above_the_cutoff(n):
+    assert control_weight(n) == 0.0
+
+
+def test_control_has_mean_zero():
+    # on draws, within 4 stderr of 0 ...
+    u = rng_stream(760, 0).random(10 ** 6)
+    control = np.log(u) + np.log1p(-u) + 2.0
+    assert abs(control.mean()) < 4 * control.std(ddof=1) / math.sqrt(control.size)
+    # ... and over numpy's whole grid of uniforms k 2^-53, k < 2^53, with
+    # ln 0 taken as -ln(2 pi 2^53): sum_k ln(k/N) + sum_k ln(1 - k/N) by
+    # ln Gamma, which leaves 2e-33
+    with mpmath.workdps(60):
+        grid = mpmath.mpf(2) ** 53
+        total = (mpmath.loggamma(grid) - (grid - 1) * mpmath.log(grid)
+                 + mpmath.loggamma(grid + 1) - grid * mpmath.log(grid)
+                 - mpmath.log(2 * mpmath.pi * grid))
+        assert abs(total / grid + 2) < 1e-32
 
 
 @pytest.mark.parametrize("n", [2 ** 63 - 1, 1e300])
@@ -263,9 +329,9 @@ def test_simulator_at_huge_n(n):
     assert abs(est.mean - estimator_risk_rederived(n)) < 4 * est.stderr
 
 
-def simulate_risk_by_place(n, trials, seed):
-    """The version-4 sampler: draws a Beta(2, n) width and theta's uniform
-    place U in the interval, and returns width * |U - 1/2| per trial."""
+def simulate_model_risk(n, trials, seed):
+    """The model, trial by trial: a Beta(2, n) width and theta's uniform
+    place U in the interval, for |theta - midpoint| = width * |U - 1/2|."""
     def sampler(rng, count):
         widths = rng.beta(2.0, n, size=count)
         return widths * np.abs(rng.uniform(size=count) - 0.5)
@@ -273,60 +339,37 @@ def simulate_risk_by_place(n, trials, seed):
     return mc_mean(sampler, trials, seed)
 
 
-def simulate_risk_by_width_pairs(n, trials, seed):
-    """The version-8 sampler: (W + W') / 8 over one antithetic pair of widths."""
-    return mc_mean(lambda rng, count: 0.125 * _interval_widths(rng, n, count).sum(axis=0),
-                   trials, seed)
-
-
-@pytest.mark.parametrize("n, gain", [(1, 8.0), (2, 1.8), (5, 1.8), (100, 1.8), (1000, 1.8)])
-def test_simulator_agrees_with_width_pair_sampler(n, gain):
-    # integrating E2 out keeps the law of the version-8 trial and lowers
-    # its variance (Rao-Blackwell), most at small n
-    est = simulate_estimator_risk(n, trials=200_000, seed=752)
-    ref = simulate_risk_by_width_pairs(n, 200_000, seed=753)
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
+def test_simulator_agrees_with_place_drawing_sampler(n):
+    # the model's law at ``gain`` times less variance per trial (6.3e3,
+    # 3.1e3, 3.5e3, 3.4e5 and 3.1e7 measured on these rows)
+    gain = {1: 5000.0, 2: 2500.0, 5: 2800.0, 100: 2.7e5, 1000: 2.5e7}[n]
+    est = simulate_estimator_risk(n, trials=100_000, seed=721)
+    ref = simulate_model_risk(n, 100_000, seed=722)
     assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
     assert (ref.stderr / est.stderr) ** 2 >= gain
 
 
-def simulate_risk_by_width(n, trials, seed):
-    """The version-5 sampler: width / 4 for one Beta(2, n) width per trial."""
-    return mc_mean(lambda rng, count: 0.25 * rng.beta(2.0, n, size=count), trials, seed)
-
-
-def mi_by_width(n, trials, seed):
-    """The version-5 Monte-Carlo MI: -ln width for one Beta(2, n) width per trial."""
-    return mc_mean(lambda rng, count: -np.log(rng.beta(2.0, n, size=count)), trials, seed)
-
-
-def variance_ratio(n):
-    """Var(width |U - 1/2|) / Var(width / 4) for a Beta(2, n) width, from
-    E|U - 1/2| = 1/4, E(U - 1/2)^2 = 1/12 and r = E W^2 / (E W)^2."""
-    r = 3.0 * (n + 2) / (2.0 * (n + 3))
-    return (4.0 * r / 3.0 - 1.0) / (r - 1.0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
-def test_simulator_agrees_with_place_drawing_sampler(n):
-    est = simulate_estimator_risk(n, trials=100_000, seed=721)
-    ref = simulate_risk_by_place(n, 100_000, seed=722)
-    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
-    # width / 4 has variance_ratio(n) times less variance than the
-    # version-4 trial (Rao-Blackwell), and averaging a negatively
-    # correlated pair of them at least halves it again
-    assert (ref.stderr / est.stderr) ** 2 >= 2.0 * variance_ratio(n)
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
 def test_antithetic_pairs_agree_with_one_width_samplers(n):
-    # same laws as the version-5 samplers, with at least 5x (estimator)
-    # and 4.5x (MI) less variance per trial
-    for simulate, reference, gain in ((simulate_estimator_risk, simulate_risk_by_width, 5.0),
-                                      (mi_monte_carlo, mi_by_width, 4.5)):
+    # the laws of the one-width trials, width / 4 and -ln width for a
+    # Beta(2, n) width: means 1/(2(n+2)) and H_{n+1} - 1, variances
+    # (E W^2 - (E W)^2) / 16 with E W^k = (k+1)! (n+1)! / (n+k+1)!, and
+    # psi'(2) - psi'(n+2).  The estimator's controlled pair has at least
+    # 1.2e3x-1e7x less variance per trial (1.5e3, 9.6e2, 1.3e3, 1.4e5 and
+    # 1.3e7 measured on these rows) and the MI's antithetic pair 4.5x-9x
+    # (4.9, 6.5, 8.2, 9.7 and 9.8)
+    estimator_gain = {1: 1200.0, 2: 770.0, 5: 1000.0, 100: 1.1e5, 1000: 1e7}[n]
+    mi_gain = {1: 4.5, 2: 6.0, 5: 7.5, 100: 9.0, 1000: 9.0}[n]
+    width_variance = (6.0 / ((n + 2) * (n + 3)) - 4.0 / (n + 2) ** 2) / 16.0
+    log_variance = float(mpmath.psi(1, 2) - mpmath.psi(1, n + 2))
+    for simulate, law, variance, gain in (
+            (simulate_estimator_risk, estimator_risk_rederived(n), width_variance,
+             estimator_gain),
+            (mi_monte_carlo, mutual_information_exact(n), log_variance, mi_gain)):
         est = simulate(n, trials=200_000, seed=750)
-        ref = reference(n, 200_000, seed=751)
-        assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
-        assert (ref.stderr / est.stderr) ** 2 >= gain
+        assert abs(est.mean - law) <= 4 * est.stderr
+        assert variance / (est.stderr ** 2 * est.trials) >= gain
 
 
 def test_simulator_decreasing_in_n():
