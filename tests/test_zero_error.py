@@ -350,6 +350,18 @@ def test_simulator_agrees_with_place_drawing_sampler(n):
     assert (ref.stderr / est.stderr) ** 2 >= gain
 
 
+@pytest.mark.parametrize("n, gain", [(1, 8.0), (2, 1.8), (5, 1.8), (100, 1.8), (1000, 1.8)])
+def test_simulator_agrees_with_width_pair_sampler(n, gain):
+    # a trial is (W + W') / 8 over the antithetic pair of widths that
+    # _interval_widths draws, with E2 integrated out (Rao-Blackwell) and a
+    # mean-zero control subtracted: the same law at less variance per trial
+    est = simulate_estimator_risk(n, trials=200_000, seed=752)
+    ref = mc_mean(lambda rng, count: 0.125 * _interval_widths(rng, n, count).sum(axis=0),
+                  200_000, seed=753)
+    assert abs(est.mean - ref.mean) <= 4 * math.hypot(est.stderr, ref.stderr)
+    assert (ref.stderr / est.stderr) ** 2 >= gain
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
 def test_antithetic_pairs_agree_with_one_width_samplers(n):
     # the laws of the one-width trials, width / 4 and -ln width for a
