@@ -24,7 +24,7 @@ from typing import NamedTuple
 from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .specfun import EULER_GAMMA, Nats, digamma_secant, harmonic
+from .specfun import EULER_GAMMA, Nats, digamma_secant_at_2, harmonic
 
 
 def mutual_information_exact(n: int) -> Nats:
@@ -165,7 +165,7 @@ def control_weight(n) -> float:
         return 0.0
     a = 1.0 / (n + 1)
     slope = 0.125 * (n / (n + 1))
-    bracket = a / (a + 1.0) * (1.0 / (a + 1.0) - digamma_secant(2.0, a))
+    bracket = a / (a + 1.0) * (1.0 / (a + 1.0) - digamma_secant_at_2(a))
     return -2.0 * slope * bracket / _CONTROL_VARIANCE
 
 
@@ -208,9 +208,10 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
     # = base - 2b - slope (x + x' + ratio (y + y')), ratio = b (n + 1) / slope.
     base, slope = 0.25 / (n + 1), 0.125 * (n / (n + 1))
     weight = control_weight(n)
-    if weight:
-        ratio = weight * (n + 1) / slope
-        floor = _LOG_ZERO_UNIFORM / (n + 1)
+    # At weight 0 (n = 0, where slope is 0, and above CONTROL_MAX_N) the
+    # control is +-0, and adding it leaves the uncontrolled trial's bytes.
+    ratio = weight * (n + 1) / slope if weight else 0.0
+    floor = _LOG_ZERO_UNIFORM / (n + 1)
 
     def sampler(rng, count):
         # x[0] at U and x[1] at 1 - U (exact: numpy's uniforms are
@@ -221,15 +222,13 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
         with np.errstate(divide="ignore"):
             np.log(x, out=x)
         x /= float(n + 1)
-        if weight:
-            # y + y', with y = -inf (U = 0) lifted to the control's floor
-            control = np.add(x[0], x[1])
-            np.maximum(control, floor, out=control)
-            control *= ratio
+        # y + y', with y = -inf (U = 0) lifted to the control's floor
+        control = np.add(x[0], x[1])
+        np.maximum(control, floor, out=control)
+        control *= ratio
         np.expm1(x, out=x)
         trial = np.add(x[0], x[1])
-        if weight:
-            trial += control
+        trial += control
         trial *= -slope
         trial += base - 2.0 * weight
         return trial

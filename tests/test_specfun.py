@@ -8,7 +8,7 @@ import pytest
 
 from rdrisk.errors import DomainError
 from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, checked_fsum, cp_constant,
-                            digamma, digamma_remainder, digamma_secant, entropy_terms,
+                            digamma, digamma_remainder, digamma_secant_at_2, entropy_terms,
                             expit, harmonic,
                             log_beta_multivariate, log_gamma, log_gamma_remainder,
                             validate_loss_order)
@@ -65,23 +65,21 @@ def test_digamma_domain():
         digamma(-1.0)
 
 
-def test_digamma_secant_against_mpmath():
-    # relative error at x below, at and above the shift point 10, and at h
-    # from far below to far above 1, where psi(x + h) - psi(x) loses every
-    # digit it has in plain floats; h -> 0 takes psi'(x) + h psi''(x) / 2
-    worst = (0.0, (0.0, 0.0))
+def test_digamma_secant_at_2_against_mpmath():
+    # relative error over the h = 1/(n + 1) of the zero-error control
+    # weight, n = 1 to 2^24, and 2^-25 below them; near h = 2^-24 the plain
+    # psi(2 + h) - psi(2) loses half the digits it has in floats
+    worst = (0.0, 0.0)
     with mpmath.workdps(60):
-        for x in (0.05, 0.5, 1.0, 2.0, 2.5, 9.5, 10.0, 37.0, 1e6):
-            for h in (1e-300, 1e-12, 6e-8, 1e-3, 0.1, 0.5, 1.0, 3.0, 100.0, 1e8):
-                got = digamma_secant(x, h)
-                v, dv = mpmath.mpf(x), mpmath.mpf(h)
-                exact = (mpmath.psi(1, v) + dv * mpmath.psi(2, v) / 2 if h < 1e-20
-                         else (mpmath.digamma(v + dv) - mpmath.digamma(v)) / dv)
-                worst = max(worst, (abs(got - float(exact)) / math.ulp(got), (x, h)))
-    assert worst[0] <= 2.0, f"off by {worst[0]} ulp at (x, h) = {worst[1]}"
-    for x, h in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)):
+        for h in (2.0 ** -25, 1.0 / (2 ** 24 + 1), 2.0 ** -24, 6e-8, 1e-6, 1e-3, 1.0 / 11,
+                  0.1, 1.0 / 3, 0.5):
+            got = digamma_secant_at_2(h)
+            exact = (mpmath.digamma(2 + mpmath.mpf(h)) - mpmath.digamma(2)) / h
+            worst = max(worst, (abs(got - float(exact)) / math.ulp(got), h))
+    assert worst[0] <= 2.0, f"off by {worst[0]} ulp at h = {worst[1]}"
+    for h in (0.0, -1.0, 0.6, math.nan):
         with pytest.raises(DomainError):
-            digamma_secant(x, h)
+            digamma_secant_at_2(h)
 
 
 def test_log_beta_multivariate_values():

@@ -268,20 +268,41 @@ def drawn_estimator_trials(monkeypatch, n, rng, count):
     return samplers[0](rng, count)
 
 
+def uncontrolled_trials(u, n):
+    """The estimator trials at uniforms ``u`` without the control (sampler
+    version 11), written out: the mean of E[W | E1] / 4 at E1 = -ln U and
+    at E1 = -ln(1 - U)."""
+    with np.errstate(divide="ignore"):
+        x = np.expm1(np.log(np.stack([u, 1.0 - u])) / float(n + 1))
+    return 0.25 / (n + 1) - 0.125 * (n / (n + 1)) * (x[0] + x[1])
+
+
 @pytest.mark.parametrize("n", [0, 1, 1000, CONTROL_MAX_N, CONTROL_MAX_N + 1])
 def test_simulator_trial_is_the_mean_width_given_e1(monkeypatch, n):
     # one chunk draws the uniforms of stream 0 and nothing else; a trial is
     # the antithetic mean of E[W | E1] / 4 less its control, to within
-    # rounding of its largest term, and without the control above the cutoff
-    trials = drawn_estimator_trials(monkeypatch, n, rng_stream(720, 0), 10_000)
-    expected, largest = controlled_trials(rng_stream(720, 0).random(10_000), n)
-    assert (np.abs(trials - expected) <= 8 * np.spacing(largest)).all()
+    # rounding of its largest term.  At n = 0 and above the cutoff the
+    # weight is 0 and the trial is the uncontrolled one, bit for bit.
+    u = rng_stream(720, 0).random(10_000)
+    trials = drawn_estimator_trials(monkeypatch, n, rng_stream(720, 0), u.size)
+    est = simulate_estimator_risk(n, trials=u.size, seed=720, chunks=1)
     if n == 0 or n > CONTROL_MAX_N:
         assert control_weight(n) == 0.0
-    est = simulate_estimator_risk(n, trials=10_000, seed=720, chunks=1)
-    assert est.mean == trials.mean()
-    assert est.stderr == pytest.approx(trials.std(ddof=1) / math.sqrt(trials.size),
-                                       rel=1e-12, abs=0.0)
+        expected = uncontrolled_trials(u, n)
+        assert (trials == expected).all()
+        assert est.mean == expected.mean()
+        assert est.stderr == pytest.approx(expected.std(ddof=1) / math.sqrt(u.size),
+                                           rel=1e-12, abs=0.0)
+    else:
+        expected, largest = controlled_trials(u, n)
+        error = 8 * np.spacing(largest)
+        assert (np.abs(trials - expected) <= error).all()
+        # centring shrinks a difference of trials, so the standard
+        # deviations differ by no more than the largest error
+        assert abs(est.mean - expected.mean()) <= error.max()
+        stderr = expected.std(ddof=1) / math.sqrt(u.size)
+        assert abs(est.stderr - stderr) <= (error.max() * math.sqrt(u.size / (u.size - 1.0))
+                                            / math.sqrt(u.size) + 1e-12 * stderr)
 
 
 def control_weight_mp(n):
