@@ -112,7 +112,15 @@ class KamathBounds(NamedTuple):
 def kamath_bounds(n: int, m: int, kappa: float) -> KamathBounds:
     """Published minimax L1 reference bounds for symmetric priors kappa >= 1.
 
-    lower may be negative for small n and is reported as-is.
+    They bound the L1 risk only, so the CLI prints them at p = 1 alone.
+    lower may be negative for small n and is reported as-is.  For large M
+    the pair is vacuous: the tail term m (1 - m kappa) / (n + m kappa) is
+    negative, so subtracting it adds about m (m kappa - 1) / (n + m kappa).
+    At kappa = 1, lower exceeds upper at M = 20 for n from 13 to 359, at
+    M = 50 for n from 6 to 29297 and at M = 100 for every n from 4 to at
+    least 2e5 (45.90 against 4.78 at n = 100), and it exceeds 2, the
+    largest L1 distance between two distributions, up to n = 108, 999 and
+    4457.  The values are kept as transcribed, as data.
     """
     if kappa < 1.0:
         raise DomainError(f"reference bounds require kappa >= 1, got {kappa}")

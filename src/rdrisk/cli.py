@@ -165,7 +165,7 @@ class _Categorical(_Family):
             row["printed_bound"] = categorical.reference_risk_lower(n, self.prior, p)
         row["mi"] = categorical.mutual_information(n, self.prior)
         g = self.prior.gamma
-        if len(set(g)) == 1 and g[0] >= 1.0:
+        if p == 1.0 and len(set(g)) == 1 and g[0] >= 1.0:
             ref = categorical.kamath_bounds(n, len(g), g[0])
             row["reference_lower"], row["reference_upper"] = ref.lower, ref.upper
 
@@ -187,14 +187,21 @@ class _Multinomial(_Family):
         self.model = multinomial.MultinomialFamily(d=args.d, k=args.k, prior=prior)
 
     def header(self) -> dict:
-        return {"gamma": ",".join(repr(g) for g in self.model.prior.gamma),
-                "d": self.model.d, "k": self.model.k,
-                "mi_method": "clarke_barron_asymptotic",
-                "bound_variants": "rd_lower_risk=pipeline; printed_bound=published "
-                                  "closed form (unbalanced bracket read best-effort)",
-                "entropy_lower": repr(multinomial.entropy_lower(self.model)),
-                "entropy_lower_printed": repr(
-                    multinomial.reference_entropy_lower_printed(self.model))}
+        header = {"gamma": ",".join(repr(g) for g in self.model.prior.gamma),
+                  "d": self.model.d, "k": self.model.k,
+                  "mi_method": "clarke_barron_asymptotic",
+                  "bound_variants": "rd_lower_risk=pipeline; printed_bound=published "
+                                    "closed form (unbalanced bracket read best-effort)",
+                  "entropy_lower": repr(multinomial.entropy_lower(self.model))}
+        # the published form is reported only, so where it overflows the
+        # float range it is left empty and the pipeline columns still print
+        try:
+            printed = repr(multinomial.reference_entropy_lower_printed(self.model))
+        except DomainError:
+            return {**header, "entropy_lower_printed": None,
+                    "note": "entropy_lower_printed is not printed: the published form "
+                            "overflows the float range"}
+        return {**header, "entropy_lower_printed": printed}
 
     def bound_row(self, row, n, p):
         row["rd_lower_risk"] = multinomial.xbayes_risk_lower(n, self.model, p)
@@ -303,7 +310,7 @@ def _emit(meta: dict, rows: list[dict], fmt: str, output: str | None) -> None:
     if fmt == "json":
         text = json.dumps({"metadata": meta, "rows": rows}, indent=2) + "\n"
     else:
-        lines = [f"# {key}={value}" for key, value in meta.items()]
+        lines = [f"# {key}={'' if value is None else value}" for key, value in meta.items()]
         lines.append(",".join(COLUMNS))
         lines.extend(",".join(_fmt_cell(row[c]) for c in COLUMNS) for row in rows)
         text = "\n".join(lines) + "\n"

@@ -216,6 +216,15 @@ def test_kamath_bounds_structure():
         kamath_bounds(100, 2, 0.5)
 
 
+def test_kamath_pair_is_vacuous_at_1x100():
+    # the tail term lifts lower above upper, and above 2, the largest L1
+    # distance between two distributions
+    ref = kamath_bounds(100, 100, 1.0)
+    assert ref.lower == pytest.approx(45.90297075661628, rel=1e-12)
+    assert ref.upper == pytest.approx(4.783847393994908, rel=1e-12)
+    assert ref.lower > ref.upper
+
+
 @pytest.mark.parametrize("m,kappa", [(2, 5e307), (3, 1e308 / 3)])
 def test_kamath_lower_finite_at_huge_kappa(m, kappa):
     # m (1 - m kappa) overflows here; the quotient that follows does not
@@ -284,9 +293,9 @@ def l2_risk_law(n, prior):
 
 
 def simulate_by_counts(n, prior, p, trials, seed):
-    """The count-drawing sampler of every p up to version 6 (version 3 at
-    p = 2): draws theta and the counts and averages the inner loss of the
-    posterior mean against the drawn theta, as p > 2 still does."""
+    """The model: draws theta and the category counts of n observations,
+    which are sufficient, and averages the inner loss of the posterior mean
+    against the drawn theta, as the simulator's p > 2 trial does."""
     gamma = np.asarray(prior.gamma)
 
     def sampler(rng, count):
@@ -354,7 +363,7 @@ def mad(a, b):
                                        ((2.0, 0.25), 2 ** 63 - 1, 1.0),
                                        ((2.0, 0.25), 2 ** 63 - 1, math.inf)])
 def test_trial_is_posterior_mad_of_the_drawn_counts(monkeypatch, gamma, n, p):
-    # the sampler draws theta and the counts as the version-6 sampler did,
+    # the sampler draws theta and the counts as simulate_by_counts does,
     # and a trial is sum_i MAD(a_i, b_i) (MAD(a_1, b_1) for p = inf, M = 2)
     samplers = []
 

@@ -625,10 +625,10 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--trials", "200", "--test-points", "100"),
     ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
     # digamma terms near -1e308 overflow the sums of the Dirichlet entropy
-    # and Fisher term; the printed multinomial entropy bound, whose terms
-    # grow like gamma0 psi(gamma0 - gamma_i), overflows at 5e307 and at
-    # (1e300, 1e-300); the published X-Bayes bound exp(...) overflows at
-    # (1e155, 2, 3e158)
+    # and Fisher term, and at (1e-308, 1e-308, 1e-308) the multinomial
+    # entropy bound of the header, which the pipeline uses; the published
+    # X-Bayes bound, printed_bound, overflows at 5e307 (its sum) and at
+    # (1e155, 2, 3e158) (its exp)
     ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
@@ -638,8 +638,8 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
     ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "3", "--k", "2", "--gamma", "1e155,2,3e158",
      "--n", "1"),
-    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e300,1e-300",
-     "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "3", "--k", "3",
+     "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     # integer options beyond the float range
     ("bounds", "--family", "zero-error", "--n", BEYOND_FLOAT),
     ("bounds", "--family", "categorical", "--gamma", "1,1", "--n-grid", "1," + BEYOND_FLOAT),
@@ -659,6 +659,42 @@ def test_extreme_parameters_exit_with_one_message(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(f"rdrisk: {kind}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_print_where_the_published_entropy_overflows(capsys, fmt):
+    # at (1e300, 1e-300) only the published entropy bound, a header value
+    # kept for reporting, is beyond the float range: it is left empty (null
+    # in JSON) with a note, and every column prints
+    code, out, err = run_cli(capsys, "bounds", "--family", "multinomial", "--d", "2",
+                             "--k", "1", "--gamma", "1e300,1e-300", "--n", "10",
+                             "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        meta, row = payload["metadata"], payload["rows"][0]
+        assert meta["entropy_lower_printed"] is None
+    else:
+        meta, rows = parse_csv(out)
+        row = {key: float(value) for key, value in rows[0].items() if value}
+        assert meta["entropy_lower_printed"] == ""
+    assert meta["note"].startswith("entropy_lower_printed is not printed")
+    assert float(meta["entropy_lower"]) == pytest.approx(-1e300, rel=1e-12)
+    assert row["rd_lower_risk"] == 0.0 and math.isfinite(row["mi"])
+
+
+@pytest.mark.parametrize("p", ["1", "2", "inf"])
+def test_kamath_pair_printed_at_p1_only(capsys, p):
+    # the pair bounds the L1 risk; at 1x100 its lower is above its upper
+    code, out, _ = run_cli(capsys, "bounds", "--family", "categorical",
+                           "--gamma", ",".join(["1"] * 100), "--p", p, "--n", "100")
+    assert code == 0
+    _, rows = parse_csv(out)
+    cells = rows[0]["reference_lower"], rows[0]["reference_upper"]
+    if p == "1":
+        assert float(cells[0]) > float(cells[1])
+    else:
+        assert cells == ("", "")
 
 
 def test_gaussian_bound_at_huge_d(capsys):

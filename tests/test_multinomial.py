@@ -310,9 +310,12 @@ def test_simulator_draws_up_to_int64_counts():
     assert 0.0 <= est.mean < 2.0
 
 
-def version10_risk(n, family, trials, seed, chunks=64):
-    """The version-10 trial, the loss without a control variate, for
-    comparison only."""
+def plug_in_model_risk(n, family, trials, seed, chunks=64):
+    """The plug-in model: n observations with uniform labels, each of k
+    draws from psi = (1 - theta) / (d - 1) in class 1 and from theta in
+    class 2, seen through each class's category totals, which are
+    sufficient; a trial is the largest 2 |W - W_hat| over the interpolation
+    points for the posterior means, with no control variate."""
     gamma = np.asarray(family.prior.gamma)
     g0, d, k = family.prior.gamma0, family.d, family.k
 
@@ -338,10 +341,10 @@ def version10_risk(n, family, trials, seed, chunks=64):
 
 @pytest.mark.parametrize("d,k,gamma,n", [(2, 1, (1.0, 1.0), 0), (3, 2, (0.5, 2.0, 3.0), 7),
                                          (5, 3, (1.0,) * 5, 100), (2, 3, (0.01, 0.01), 10)])
-def test_simulator_without_the_control_is_version_10(monkeypatch, d, k, gamma, n):
+def test_simulator_without_the_control_is_the_plug_in_model(monkeypatch, d, k, gamma, n):
     # same draws, same loss bit for bit: the control only subtracts
     f = fam(d, k, gamma)
-    ref = version10_risk(n, f, trials=2000, seed=507, chunks=8)
+    ref = plug_in_model_risk(n, f, trials=2000, seed=507, chunks=8)
     monkeypatch.setattr(multinomial, "CONTROL_WEIGHT", 0.0)
     assert simulate_interpolation_risk(n, f, trials=2000, seed=507, chunks=8) == ref
 
@@ -400,10 +403,10 @@ BENCHMARK_ROWS = [(20, 10), (20, 1000), (5, 10), (5, 100)]
 
 
 @pytest.mark.parametrize("d,n", BENCHMARK_ROWS)
-def test_simulator_agrees_with_version_10_at_lower_variance(d, n):
+def test_simulator_agrees_with_the_plug_in_model_at_lower_variance(d, n):
     f = fam(d, 3, (1.0,) * d)
     new = simulate_interpolation_risk(n, f, trials=40_000, seed=508)
-    ref = version10_risk(n, f, trials=40_000, seed=509)
+    ref = plug_in_model_risk(n, f, trials=40_000, seed=509)
     assert abs(new.mean - ref.mean) <= 4 * math.hypot(new.stderr, ref.stderr)
     # no row more noisy; the two rows where the count noise dominates at
     # less than half the variance (about 2.2x in a 1e5-trial measurement)
