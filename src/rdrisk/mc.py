@@ -26,8 +26,9 @@ Sampler = Callable[["np.random.Generator", int], "np.ndarray"]
 # (see zero_error.simulate_estimator_risk).
 SAMPLER_VERSION = 12
 
-# Most threads mc_mean may use, the calling thread included; its pool starts
-# fewer threads than there are chunks.
+# Most threads mc_mean may compute on.  Its pool starts at most
+# min(threads, chunks - 1) threads, one per chunk after the first, while the
+# calling thread waits.
 MAX_THREADS = 256
 
 # mc_mean starts a thread pool only when its first chunk, run on the calling
@@ -98,10 +99,12 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     [1, trials], ``threads`` in [1, MAX_THREADS] and ``seed`` must be >= 0,
     all checked before any chunk runs.  Chunk 0 runs on the calling thread
     and is timed; when ``threads`` > 1 and it took longer than
-    POOL_MIN_CHUNK_S, the other chunks run on up to ``threads`` threads,
-    the calling one and a pool, else on the calling thread alone.  The
-    timing decides only where chunks run, never what they draw, and chunks
-    are reduced in chunk order, so the output is bit-reproducible.
+    POOL_MIN_CHUNK_S, the other chunks run on a pool of up to
+    min(``threads``, ``chunks`` - 1) threads while the calling thread
+    waits, else on the calling thread alone.  The timing decides only where
+    chunks run, never what they draw, and chunks are reduced, and a failing
+    chunk reported, in chunk order, so the output is bit-reproducible and
+    the error names the same chunk at any thread count.
 
     Squared deviations of tiny values underflow, and of huge ones
     overflow, so each chunk sums them scaled by the power of two that
@@ -146,34 +149,16 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     np.random
     start = time.perf_counter()
     parts = [run_chunk(jobs[0])]
-    rest = iter(jobs[1:])
     workers = min(threads, chunks - 1)
     if workers > 1 and time.perf_counter() - start > POOL_MIN_CHUNK_S:
-        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        # The calling thread works as one of the ``threads`` workers, so no
-        # more threads than that hold chunk memory; each worker takes the
-        # next chunk left until none is.
-        lock = threading.Lock()
-
-        def drain():
-            done = []
-            while True:
-                with lock:
-                    job = next(rest, None)
-                if job is None:
-                    return done
-                done.append((job[0], run_chunk(job)))
-
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(drain) for _ in range(workers - 1)]
-            done = drain()
-            for future in others:
-                done += future.result()
-        parts += [part for _, part in sorted(done)]
+        # The calling thread waits while the pool runs the other chunks;
+        # map hands back results, and raises, in chunk order.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts += pool.map(run_chunk, jobs[1:])
     else:
-        parts += map(run_chunk, rest)
+        parts += map(run_chunk, jobs[1:])
 
     # One scale for the merge, no finer than any chunk's and bounding every
     # gap between chunk means, so no scaled term can overflow.

@@ -108,9 +108,19 @@ def log_gamma(x: float) -> float:
 
 def checked_fsum(terms: Iterable[float]) -> float:
     """``math.fsum`` of ``terms``; a sum beyond the float range, or with a
-    term that overflowed to inf, is a DomainError."""
+    term that overflowed to inf, is a DomainError.
+
+    fsum overflows when a partial sum leaves the float range even where the
+    exact sum lies inside it; the sum is then retried over the halved terms,
+    which rescues partial sums up to twice the largest float and is exact
+    save for the last bit of subnormal terms.
+    """
+    terms = list(terms)
     try:
-        total = math.fsum(terms)
+        try:
+            total = math.fsum(terms)
+        except OverflowError:  # a partial sum beyond the float range
+            total = 2.0 * math.fsum(t / 2.0 for t in terms)
         if math.isfinite(total):
             return total
     except (OverflowError, ValueError):  # ValueError: an inf and a -inf term

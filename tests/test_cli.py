@@ -624,12 +624,13 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
     ("compare", "--family", "gaussian", "--d", "1", "--sigma2", "1e-160", "--n-grid", "10",
      "--trials", "200", "--test-points", "100"),
     ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
-    # digamma terms near -1e308 overflow the sums of the Dirichlet entropy
-    # and Fisher term, and at (1e-308, 1e-308, 1e-308) the multinomial
-    # entropy bound of the header, which the pipeline uses; the published
-    # X-Bayes bound, printed_bound, overflows at 5e307 (its sum) and at
-    # (1e155, 2, 3e158) (its exp)
-    ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308", "--n", "10"),
+    # digamma terms near -1e308 overflow the Dirichlet entropy at
+    # (1e-308, 1e-308, 1e-308), the multinomial Fisher term at
+    # (1e-308, 1e-308), and at (1e-308, 1e-308, 1e-308), k = 3 the
+    # multinomial entropy bound of the header, which the pipeline uses;
+    # the published X-Bayes bound, printed_bound, overflows at 5e307 (its
+    # sum) and at (1e155, 2, 3e158) (its exp)
+    ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
      "--n", "10"),
@@ -707,6 +708,18 @@ def test_gaussian_bound_at_huge_d(capsys):
     nu = 0.5 * math.log(8 * math.pi) - math.sqrt(2 / math.pi) - 1.5 - 2 * math.log(2)
     assert float(parse_csv(out)[1][0]["printed_bound"]) == pytest.approx(math.exp(nu - 1),
                                                                         rel=1e-12)
+
+
+def test_bounds_where_partial_sums_overflow(capsys):
+    # at (1e-308, 1e-308) the Clarke-Barron terms reach 1e308 and their
+    # partial sums leave the float range, while the mutual information is
+    # -7.5e307 (mpmath: -7.500000000000001e307); the bound is then 0
+    code, out, err = run_cli(capsys, "bounds", "--family", "categorical",
+                             "--gamma", "1e-308,1e-308", "--n", "10")
+    assert code == 0 and err == ""
+    row = parse_csv(out)[1][0]
+    assert float(row["mi"]) == pytest.approx(-7.5e307, rel=1e-15)
+    assert float(row["rd_lower_risk"]) == 0.0
 
 
 EDGE_GAMMAS = ("1,1", "1e-6,1e-6", "1e-3,1e-3", "0.01,0.01", "1e308,1e308", "1e-300,1",

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -113,22 +114,27 @@ def test_mc_mean_rejects_bad_threads_and_seed_before_sampling(option, value):
 
 
 def test_mc_mean_starts_no_more_threads_than_chunks(monkeypatch):
-    # chunk 0 runs on the calling thread, which then works next to the
-    # pool: with the pool forced on, the two other chunks start at most one
-    # worker however many threads are allowed
+    # chunk 0 runs on the calling thread, which then waits on the pool:
+    # with the pool forced on, it starts at most min(threads, chunks - 1)
+    # threads, capped by the chunks left at (3, MAX_THREADS) and by
+    # threads at (9, 2)
     monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
-    before = threading.active_count()
     caller = threading.get_ident()
-    seen = []
+    for chunks, threads in [(3, MAX_THREADS), (9, 2)]:
+        before = threading.active_count()
+        seen = []
 
-    def sampler(rng, m):
-        seen.append((threading.get_ident(), threading.active_count()))
-        return np.zeros(m)
+        def sampler(rng, m):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return np.zeros(m)
 
-    est = mc_mean(sampler, trials=1000, seed=0, chunks=3, threads=MAX_THREADS)
-    assert est.trials == 1000 and len(seen) == 3
-    assert seen[0] == (caller, before)
-    assert max(alive for _, alive in seen) <= before + 1
+        est = mc_mean(sampler, trials=1000, seed=0, chunks=chunks, threads=threads)
+        assert est.trials == 1000 and len(seen) == chunks
+        assert seen[0] == (caller, before)
+        cap = min(threads, chunks - 1)
+        pool = {ident for ident, _ in seen[1:]}
+        assert caller not in pool and len(pool) <= cap
+        assert max(alive for _, alive in seen) <= before + cap
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
@@ -175,6 +181,21 @@ def test_mc_mean_rejects_non_finite_chunk(bad):
     with pytest.raises(DomainError, match="non-finite values in chunk 3"):
         mc_mean(sampler, trials=1003, seed=0, chunks=4)
 
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_mc_mean_reports_the_first_failing_chunk_at_any_thread_count(monkeypatch, threads):
+    # chunks 2 and 6 both fail, and chunk 2 is slow, so on a pool chunk 6
+    # fails first: the error still names chunk 2, as on one thread
+    monkeypatch.setattr(mc, "rng_stream", lambda seed, idx: idx)
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
+
+    def sampler(idx, m):
+        if idx == 2:
+            time.sleep(0.05)
+        return np.full(m, np.nan if idx in (2, 6) else 1.0)
+
+    with pytest.raises(DomainError, match="non-finite values in chunk 2"):
+        mc_mean(sampler, trials=800, seed=0, chunks=8, threads=threads)
 
 
 def unscaled_mc_mean(sampler, trials, seed, chunks):

@@ -220,6 +220,7 @@ def test_entropy_terms_against_mpmath(k):
 
 def test_checked_fsum_rejects_sums_beyond_the_float_range():
     assert checked_fsum([1e308, 1.0, -1e308]) == 1.0
+    assert checked_fsum([1e308, 1e308, -1e308]) == 1e308  # a partial sum overflows
     for terms in ([1e308, 1e308], [math.inf, -math.inf], [-math.inf, 1.0], [math.nan]):
         with pytest.raises(DomainError, match="overflows the float range"):
             checked_fsum(terms)
