@@ -83,9 +83,11 @@ def mutual_information(n: int, family: MultinomialFamily) -> Nats:
     (d-1)/2 ln(k/2) - 1/2 sum_{i<d} [psi(gamma_i) + psi(gamma0 - gamma_i) - 2 psi(gamma0)].
     """
     g, g0, d = family.prior.gamma, family.prior.gamma0, family.d
+    # Each psi is its own term: near gamma = 1e-308 two of them reach -1e308
+    # and their plain sum would overflow before checked_fsum saw it.
     mean_log_sqrt_det = (d - 1) / 2.0 * math.log(family.k / 2.0) \
-        - 0.5 * checked_fsum(digamma(gi) + digamma(ri) - 2.0 * digamma(g0)
-                             for gi, ri in zip(g[: d - 1], complements(g)))
+        - 0.5 * checked_fsum(term for gi, ri in zip(g[: d - 1], complements(g))
+                             for term in (digamma(gi), digamma(ri), -2.0 * digamma(g0)))
     return mi_clarke_barron(n, d - 1, mean_log_sqrt_det, posterior_entropy(family.prior))
 
 

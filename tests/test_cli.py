@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-import warnings
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,10 @@ import rdrisk
 from rdrisk import mc
 from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
 from rdrisk.mc import MAX_THREADS, rng_stream
+
+# main must turn every warning into its one-line message: a stray warning
+# is an error here, as it is on the stderr of the installed script
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run_cli(capsys, *argv):
@@ -151,9 +155,7 @@ def test_bounds_missing_family_param(capsys):
 ])
 @pytest.mark.parametrize("gamma", ["1,inf", "nan,1", "1e308,1e308"])
 def test_rejects_non_finite_gamma(capsys, argv, gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv, "--gamma", gamma)
+    code, out, err = run_cli(capsys, *argv, "--gamma", gamma)
     assert code == 1
     assert out == ""
     assert err.startswith("rdrisk: ") and err.count("\n") == 1 and "finite" in err
@@ -205,15 +207,71 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# One call down every sampler path: categorical at p = 1 and 3 (the counts,
+# then the posterior MAD or the inner loss), p = 2 (no counts) and p = inf
+# at M = 2; multinomial at d = 20; Gaussian at an odd and at a large number
+# of test points; zero-error compare on both sides of the control
+# variate's cutoff n = 2^24, and its Monte-Carlo mi.
+POOL_CASES = {
+    "categorical-p1": ("simulate", "--family", "categorical", "--gamma", "0.5,2,3", "--p", "1",
+                       "--n-grid", "1,10,100", "--trials", "1e4"),
+    "categorical-p2": ("simulate", "--family", "categorical", "--gamma", "0.5,2,3", "--p", "2",
+                       "--n-grid", "1,10,100", "--trials", "1e4"),
+    "categorical-p3": ("simulate", "--family", "categorical", "--gamma", "0.5,2,3", "--p", "3",
+                       "--n-grid", "1,10,100", "--trials", "1e4"),
+    "categorical-pinf": ("simulate", "--family", "categorical", "--gamma", "0.5,2", "--p", "inf",
+                         "--n-grid", "1,10,100", "--trials", "1e4"),
+    "multinomial-d20": ("simulate", "--family", "multinomial", "--d", "20", "--k", "3",
+                        "--gamma", ",".join(["1"] * 20), "--n-grid", "10,1000", "--trials", "1e4"),
+    "gaussian-T101": ("simulate", "--family", "gaussian", "--d", "3", "--sigma2", "2",
+                      "--n-grid", "1,10,100", "--trials", "1000", "--test-points", "101"),
+    "gaussian-T1000": ("simulate", "--family", "gaussian", "--d", "4", "--sigma2", "1",
+                       "--n-grid", "1,10", "--trials", "2000", "--test-points", "1000"),
+    "zero-error-compare": ("compare", "--family", "zero-error", "--n-grid", "1,10,100",
+                           "--trials", "1e4"),
+    "zero-error-compare-cutoff": ("compare", "--family", "zero-error",
+                                  "--n-grid", "16777215,16777216,16777217,16777218",
+                                  "--trials", "1e4"),
+    "zero-error-mi": ("mi", "--family", "zero-error", "--n", "100", "--method", "monte-carlo",
+                      "--trials", "1e4"),
+}
+
+
+@pytest.mark.parametrize("argv", list(POOL_CASES.values()), ids=list(POOL_CASES))
+def test_sampler_writes_the_same_bytes_on_the_pool(capsys, monkeypatch, argv):
+    # With POOL_MIN_CHUNK_S = 0 the seven chunks after the first run on the
+    # pool whenever --threads > 1; stdout, and stderr, where compare prints
+    # its violation summary, must not depend on the thread count.
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    outputs = []
+    for threads in ("1", "2", "3"):
+        started.clear()
+        code, out, err = run_cli(capsys, *argv, "--chunks", "8", "--threads", threads)
+        assert code == 0, err
+        assert bool(started) == (threads != "1")
+        outputs.append((out, err))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("threads", ["1", "4", "8"])
-def test_simulate_thread_invariance(tmp_path, capsys, threads):
+def test_simulate_thread_invariance(tmp_path, capsys, monkeypatch, threads):
+    # the pool is forced on, so --threads 4 and 8 run chunks on it
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
     base = tmp_path / "t1.csv"
     run_cli(capsys, "simulate", "--family", "categorical", "--gamma", "1,1",
-            "--n-grid", "10", "--trials", "1000", "--seed", "3",
+            "--n-grid", "10", "--trials", "1000", "--seed", "3", "--chunks", "8",
             "--threads", "1", "--output", str(base))
     other = tmp_path / f"t{threads}.csv"
     run_cli(capsys, "simulate", "--family", "categorical", "--gamma", "1,1",
-            "--n-grid", "10", "--trials", "1000", "--seed", "3",
+            "--n-grid", "10", "--trials", "1000", "--seed", "3", "--chunks", "8",
             "--threads", threads, "--output", str(other))
     assert base.read_bytes() == other.read_bytes()
 
@@ -261,7 +319,7 @@ def test_rejects_bad_mc_options(capsys, command, option, value):
     code, out, err = run_cli(capsys, *MC_COMMANDS[command], f"--{option}", value)
     assert code == 1
     assert out == ""
-    assert err.startswith("rdrisk: ") and option in err
+    assert err.startswith("rdrisk: ") and err.count("\n") == 1 and option in err
 
 
 @pytest.mark.parametrize("command", sorted(MC_COMMANDS))
@@ -293,9 +351,11 @@ def test_threads_are_capped(capsys, monkeypatch, command):
     ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10"),
     ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "10",
      "--method", "clarke-barron"),
-    ("mi", "--family", "categorical", "--gamma", "1,2", "--n", "10")])
+    ("mi", "--family", "categorical", "--gamma", "1,2", "--n", "10"),
+    ("mi", "--family", "zero-error", "--n", "10")])
 def test_mi_without_simulation_ignores_mc_options(capsys, argv, option, value):
-    # Only a simulation checks --seed, --chunks and --threads.
+    # Only a simulation checks --seed, --chunks and --threads; the
+    # zero-error mi is exact unless --method says otherwise.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert run_cli(capsys, *argv, f"--{option}", value) == (0, out, "")
@@ -410,6 +470,23 @@ def test_zero_error_exact_mi_at_huge_n(capsys, argv):
     assert value == pytest.approx(20.300481503347942, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "zero-error", "--method", "exact"),
+    ("mi", "--family", "zero-error", "--method", "monte-carlo", "--trials", "1000"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--method", "exact")])
+def test_mi_at_n_zero_and_below(capsys, argv, n):
+    # n = 0 carries no information: every zero-error width is 1, so the
+    # Monte-Carlo trials do not spread
+    code, out, err = run_cli(capsys, *argv, "--n", n)
+    if n == "-1":
+        assert (code, out, err) == (1, "", "rdrisk: domain error: n must be >= 0, got -1\n")
+        return
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == 0.0 and payload.get("stderr", 0.0) == 0.0
+
+
 def test_mi_rejects_exact_for_categorical(capsys):
     code, _, err = run_cli(capsys, "mi", "--family", "categorical",
                            "--gamma", "1,1", "--n", "10", "--method", "exact")
@@ -438,9 +515,7 @@ def test_entropy_without_data_prints_one_line(capsys, tmp_path, text, flags):
     # errors, that warning would escape main
     path = tmp_path / "samples.csv"
     path.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "entropy", "--input", str(path), *flags)
+    code, out, err = run_cli(capsys, "entropy", "--input", str(path), *flags)
     assert code == 1
     assert out == ""
     assert err.startswith("rdrisk: domain error: ") and err.count("\n") == 1
@@ -583,9 +658,10 @@ def test_log_grid_runs_from_start_to_stop(capsys, spec, start, stop):
     assert grid[0] == start and grid[-1] == stop
     assert all(start <= a < b <= stop for a, b in zip(grid, grid[1:]))
     if stop == 2**63 - 1:
-        code, out, _ = run_cli(capsys, "simulate", "--family", "categorical",
-                               "--gamma", "1,1", "--n-grid", spec, "--trials", "1000")
-        assert code == 0 and parse_csv(out)[1][-1]["n"] == str(stop)
+        for argv in (("simulate", "--family", "categorical", "--gamma", "1,1", "--trials", "1000"),
+                     ("bounds", "--family", "zero-error")):
+            code, out, _ = run_cli(capsys, *argv, "--n-grid", spec)
+            assert code == 0 and parse_csv(out)[1][-1]["n"] == str(stop)
 
 
 def test_grid_count_is_capped(capsys):
@@ -625,15 +701,15 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--trials", "200", "--test-points", "100"),
     ("bounds", "--family", "gaussian", "--d", "1000", "--sigma2", "1e306", "--n", "10"),
     # digamma terms near -1e308 overflow the Dirichlet entropy at
-    # (1e-308, 1e-308, 1e-308), the multinomial Fisher term at
-    # (1e-308, 1e-308), and at (1e-308, 1e-308, 1e-308), k = 3 the
-    # multinomial entropy bound of the header, which the pipeline uses;
+    # (1e-308, 1e-308, 1e-308), the multinomial mutual information there at
+    # k = 1, and at k = 3 the multinomial entropy bound of the header, which
+    # the pipeline uses;
     # the published X-Bayes bound, printed_bound, overflows at 5e307 (its
     # sum) and at (1e155, 2, 3e158) (its exp)
     ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
-    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e-308,1e-308",
-     "--n", "10"),
+    ("bounds", "--family", "multinomial", "--d", "3", "--k", "1",
+     "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "5e307,5e307",
      "--n", "10"),
     ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
@@ -660,6 +736,29 @@ def test_extreme_parameters_exit_with_one_message(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(f"rdrisk: {kind}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # m (1 - m kappa) in the reference lower bound overflows at 5e307
+    ("bounds", "--family", "categorical", "--gamma", "5e307,5e307", "--n", "10"),
+    # the entropy bound's ln B and psi terms grow like gamma ln gamma and
+    # cancel here; summed plainly they gave a bound of 9.2e5
+    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e15,1e15",
+     "--n", "10"),
+    # k n = 2^63 - 2: the control variate rests on count variances near 1e-19
+    ("simulate", "--family", "multinomial", "--d", "2", "--k", "3", "--gamma", "1,1",
+     "--n", "3074457345618258602", "--trials", "1000"),
+    # the chi-square draws pair at most 8 uniforms and draw the rest per member
+    ("simulate", "--family", "gaussian", "--d", "1000000000000", "--sigma2", "1", "--n", "10",
+     "--trials", "200", "--test-points", "100"),
+], ids=["categorical-huge-kappa", "multinomial-1e15", "multinomial-k-n-max",
+        "gaussian-huge-d"])
+def test_extreme_parameters_print_finite_rows(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    row = parse_csv(out)[1][0]
+    assert all(math.isfinite(float(cell)) for cell in row.values() if cell)
+    assert 0.0 <= float(row["rd_lower_risk"]) < 1.0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -954,7 +1053,7 @@ def test_categorical_l2_accepts_n_beyond_int64(capsys):
     assert float(parse_csv(out)[1][0]["simulated_mean"]) > 0
 
 
-@pytest.mark.parametrize("n", [10 ** 200, int(1.5e308)])
+@pytest.mark.parametrize("n", [10 ** 200, int(1.5e308), 2**63 - 1])
 @pytest.mark.parametrize("family", [("categorical", "--gamma", "1,1", "--p", "2"),
                                     ("categorical", "--gamma", ",".join(["1"] * 100), "--p", "2"),
                                     ("zero-error",)])
@@ -962,7 +1061,8 @@ def test_simulate_at_n_beyond_squared_float_range(capsys, family, n):
     # (gamma0 + n)^2 overflows a float and the trial values are near 1/n,
     # whose squared deviations underflow unscaled; near the top of the
     # float range the trial sum over 100 categories divided by the squared
-    # mantissa of gamma0 + n alone would overflow
+    # mantissa of gamma0 + n alone would overflow.  At n = 2^63 - 1, the
+    # largest count, the trials must still spread.
     code, out, err = run_cli(capsys, "simulate", "--family", *family,
                              "--n", str(n), "--trials", "1000")
     assert code == 0, err

@@ -241,10 +241,11 @@ def test_dirichlet_closed_forms_beyond_the_float_range_raise(name, gamma, k):
 @pytest.mark.parametrize("name,gamma", [
     ("entropy_lower", (1e-308,) * 3),
     ("categorical.mutual_information", (1e-308,) * 2),
+    ("multinomial.mutual_information", (1e-308,) * 2),
 ])
 def test_dirichlet_closed_forms_whose_partial_sums_overflow(name, gamma):
     # the terms reach 1e308 and their partial sums leave the float range,
-    # while the exact values, -1.67e308 and -7.5e307, are floats
+    # while the exact values, -1.67e308, -7.5e307 and -5e307, are floats
     value, scale = dirichlet_closed_forms_by_mpmath(gamma, 1)[name]
     assert -sys.float_info.max < value < -1e307
     error = abs(dirichlet_closed_forms(gamma, 1)[name]() - float(value)) / math.ulp(float(scale))
