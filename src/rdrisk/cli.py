@@ -10,13 +10,11 @@ thread count; no timestamps are written.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import __version__, categorical, gaussian, multinomial, zero_error
+from . import __version__
 from .errors import DomainError
-from .mc import SAMPLER_VERSION
 
 COLUMNS = ("n", "rd_lower_risk", "printed_bound", "simulated_mean",
            "simulated_stderr", "mi", "reference_lower", "reference_upper")
@@ -130,8 +128,10 @@ class _Family:
     library calls check the option values.  A family provides ``header()``
     (its metadata keys), ``bound_row(row, n, p)``, ``simulate(n, p, seed,
     trials, chunks, threads)`` and ``mi(method, n, seed, trials, chunks,
-    threads)``.  Family functions are looked up on their module at call
-    time, so wrappers installed on the module see every call.
+    threads)``.  Each method imports its family's module itself, so a call
+    loads only the modules of the family it names, and ``--version`` none.
+    Family functions are looked up on their module at call time, so
+    wrappers installed on the module see every call.
     """
 
     options: tuple[str, ...] = ()  # the family options it takes, all required
@@ -150,6 +150,8 @@ class _Categorical(_Family):
     options = ("gamma",)
 
     def __init__(self, args):
+        from . import categorical
+
         super().__init__(args)
         self.prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
 
@@ -160,6 +162,8 @@ class _Categorical(_Family):
                                   "published closed form (equal at p=1,inf)"}
 
     def bound_row(self, row, n, p):
+        from . import categorical
+
         row["rd_lower_risk"] = categorical.bayes_risk_lower(n, self.prior, p)
         if p in (1.0, 2.0) or math.isinf(p):
             row["printed_bound"] = categorical.reference_risk_lower(n, self.prior, p)
@@ -170,10 +174,14 @@ class _Categorical(_Family):
             row["reference_lower"], row["reference_upper"] = ref.lower, ref.upper
 
     def simulate(self, n, p, seed, trials, chunks, threads):
+        from . import categorical
+
         return categorical.simulate_bayes_risk(n, self.prior, p, trials, seed,
                                                chunks=chunks, threads=threads)
 
     def mi(self, method, n, seed, trials, chunks, threads):
+        from . import categorical
+
         return {"value": categorical.mutual_information(n, self.prior),
                 "method": "clarke_barron"}
 
@@ -182,11 +190,15 @@ class _Multinomial(_Family):
     options = ("d", "k", "gamma")
 
     def __init__(self, args):
+        from . import categorical, multinomial
+
         super().__init__(args)
         prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
         self.model = multinomial.MultinomialFamily(d=args.d, k=args.k, prior=prior)
 
     def header(self) -> dict:
+        from . import multinomial
+
         header = {"gamma": ",".join(repr(g) for g in self.model.prior.gamma),
                   "d": self.model.d, "k": self.model.k,
                   "mi_method": "clarke_barron_asymptotic",
@@ -204,12 +216,16 @@ class _Multinomial(_Family):
         return {**header, "entropy_lower_printed": printed}
 
     def bound_row(self, row, n, p):
+        from . import multinomial
+
         row["rd_lower_risk"] = multinomial.xbayes_risk_lower(n, self.model, p)
         if p == 1.0:
             row["printed_bound"] = multinomial.reference_risk_lower(n, self.model)
         row["mi"] = multinomial.mutual_information(n, self.model)
 
     def simulate(self, n, p, seed, trials, chunks, threads):
+        from . import multinomial
+
         if p != 1.0:
             raise UsageError(f"the {self.name} simulator measures the L1 "
                              "interpolation-point loss; use --p 1")
@@ -217,6 +233,8 @@ class _Multinomial(_Family):
                                                        chunks=chunks, threads=threads)
 
     def mi(self, method, n, seed, trials, chunks, threads):
+        from . import multinomial
+
         return {"value": multinomial.mutual_information(n, self.model),
                 "method": "clarke_barron"}
 
@@ -240,17 +258,23 @@ class _Gaussian(_Family):
                                   "rd_lower_risk=pipeline (printed/2)"}
 
     def bound_row(self, row, n, p):
+        from . import gaussian
+
         bound = gaussian.bayes_risk_lower_l1(n, self.d, self.sigma2)
         row["rd_lower_risk"] = bound.pipeline
         row["printed_bound"] = bound.printed
         row["mi"] = gaussian.mutual_information_exact(n, self.d, self.sigma2)
 
     def simulate(self, n, p, seed, trials, chunks, threads):
+        from . import gaussian
+
         return gaussian.simulate_bayes_risk(n, self.d, self.sigma2, trials,
                                             self.test_points, seed, chunks=chunks,
                                             threads=threads)
 
     def mi(self, method, n, seed, trials, chunks, threads):
+        from . import gaussian
+
         if method == "exact":
             value = gaussian.mutual_information_exact(n, self.d, self.sigma2)
             return {"value": value, "method": "exact"}
@@ -270,20 +294,28 @@ class _ZeroError(_Family):
                                    "width, 1/(n+2); published variant 1/(2(n+1))"}
 
     def bound_row(self, row, n, p):
+        from . import zero_error
+
         row["mi"] = zero_error.mutual_information_exact(n)
         row["rd_lower_risk"] = zero_error.risk_lower_l1(n, row["mi"])
         row["reference_upper"] = 2.0 * zero_error.estimator_risk_rederived(n)
 
     def simulate(self, n, p, seed, trials, chunks, threads):
+        from . import zero_error
+
         return zero_error.simulate_estimator_risk(n, trials, seed, chunks=chunks,
                                                   threads=threads)
 
     def mi(self, method, n, seed, trials, chunks, threads):
+        from . import zero_error
+
         if method == "exact":
             return {"value": zero_error.mutual_information_exact(n), "method": "exact"}
+        from .mc import SAMPLER_VERSION
+
         est = zero_error.mi_monte_carlo(n, trials, seed, chunks=chunks, threads=threads)
         return {"value": est.mean, "method": "monte_carlo", "stderr": est.stderr,
-                "sampler_version": SAMPLER_VERSION}
+                "sampler_version": SAMPLER_VERSION, "numpy": _numpy_version()}
 
 
 FAMILIES = {"categorical": _Categorical, "multinomial": _Multinomial,
@@ -298,6 +330,20 @@ def _fmt_cell(value) -> str:
     return format(value, ".17g")
 
 
+def _numpy_version() -> str:
+    """Version of the numpy a simulation drew with: seeded bytes depend on
+    its ``Generator``.  Called after the simulation, which has loaded it."""
+    from ._numpy import np
+
+    return np.__version__
+
+
+def _json(doc) -> str:
+    import json  # only JSON output needs it
+
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write(text: str, output: str | None) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
@@ -308,7 +354,7 @@ def _write(text: str, output: str | None) -> None:
 
 def _emit(meta: dict, rows: list[dict], fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = json.dumps({"metadata": meta, "rows": rows}, indent=2) + "\n"
+        text = _json({"metadata": meta, "rows": rows})
     else:
         lines = [f"# {key}={'' if value is None else value}" for key, value in meta.items()]
         lines.append(",".join(COLUMNS))
@@ -325,8 +371,11 @@ def _cmd_curve(args) -> int:
             "family": args.family, "p": "inf" if math.isinf(p) else p,
             "n_grid": ",".join(str(n) for n in n_grid)}
     if args.command != "bounds":
+        from .mc import SAMPLER_VERSION
+
+        # numpy's version is filled in once the rows have loaded numpy
         meta.update(seed=args.seed, trials=args.trials, chunks=args.chunks,
-                    sampler_version=SAMPLER_VERSION)
+                    sampler_version=SAMPLER_VERSION, numpy=None)
     family = FAMILIES[args.family](args)
     if family.l1_only and p != 1.0:
         raise UsageError(f"the {args.family} family provides L1 bounds only")
@@ -342,6 +391,8 @@ def _cmd_curve(args) -> int:
             est = family.simulate(n, p, args.seed + idx, args.trials, args.chunks, args.threads)
             row["simulated_mean"], row["simulated_stderr"] = est.mean, est.stderr
         rows.append(row)
+    if args.command != "bounds":
+        meta["numpy"] = _numpy_version()
     if args.command != "compare":
         _emit(meta, rows, args.format, args.output)
         return 0
@@ -369,7 +420,7 @@ def _cmd_mi(args) -> int:
     if method not in family.mi_methods:
         raise UsageError(f"{args.family} mi supports {' or '.join(family.mi_methods)}")
     payload = family.mi(method, args.n, args.seed, args.trials, args.chunks, args.threads)
-    _write(json.dumps(payload, indent=2) + "\n", args.output)
+    _write(_json(payload), args.output)
     return 0
 
 
@@ -387,7 +438,7 @@ def _cmd_entropy(args) -> int:
     payload = {"value": est.mean, "method": "knn", "stderr": est.stderr,
                "samples": est.trials, "k": int(args.k),
                "metric": "max-norm, eps = 2 x k-th neighbor distance"}
-    _write(json.dumps(payload, indent=2) + "\n", args.output)
+    _write(_json(payload), args.output)
     return 0
 
 

@@ -44,10 +44,14 @@ def risk_lower_from_mi(mi: Nats, h_ws: Nats, d_star: int, m: int, p: LossOrder) 
     inverse of rd_lower_pointwise at an active bracket.  The result may
     exceed 1; callers clamp for reporting if they wish.  Negative mi (an
     asymptotic expansion evaluated at small n) is accepted; the inverse
-    simply extrapolates.
+    simply extrapolates.  Where D_min exceeds the float range it raises
+    DomainError.
     """
     cp = cp_constant(p, m)  # checks M >= 2 before the division
-    return math.exp((h_ws - mi) / (d_star * (m - 1)) - cp)
+    try:
+        return math.exp((h_ws - mi) / (d_star * (m - 1)) - cp)
+    except OverflowError:
+        raise DomainError("the bound overflows the float range") from None
 
 
 def mi_clarke_barron(n: int, dim: int, mean_log_sqrt_det: float, entropy: Nats) -> Nats:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from rdrisk import categorical, gaussian, multinomial, zero_error
+from rdrisk import categorical, gaussian, mc, multinomial, zero_error
 from rdrisk.categorical import DirichletPrior
 from rdrisk.cli import main
 from rdrisk.knn import knn_entropy, knn_entropy_detail
@@ -250,7 +250,10 @@ def test_criterion_11_change_of_variable_cross_check():
                  f"jacobian route {est.mean:.4f} vs direct {direct:.4f}")
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, monkeypatch):
+    # every first chunk here is shorter than mc.POOL_MIN_CHUNK_S, so without
+    # this no call would start the pool that --threads 4 and 8 ask for
+    monkeypatch.setattr(mc, "POOL_MIN_CHUNK_S", 0.0)
     configs = {
         "zero-error": ["simulate", "--family", "zero-error", "--n-grid", "1,4",
                        "--trials", "2000", "--seed", "5"],

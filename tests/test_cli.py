@@ -78,7 +78,7 @@ def test_bounds_categorical_fixture(capsys):
     meta, rows = parse_csv(out)
     assert meta["family"] == "categorical"
     assert meta["mi_method"] == "clarke_barron_asymptotic"
-    assert "sampler_version" not in meta
+    assert "sampler_version" not in meta and "numpy" not in meta
     assert len(rows) == 1
     assert float(rows[0]["rd_lower_risk"]) == pytest.approx(0.04610685044478946, rel=1e-15)
     assert float(rows[0]["mi"]) == pytest.approx(1.383646559789373, rel=1e-15)
@@ -434,6 +434,7 @@ def test_compare_json_metadata(capsys):
     payload = json.loads(out)
     assert payload["metadata"]["violations"] == 0
     assert payload["metadata"]["sampler_version"] == 12
+    assert payload["metadata"]["numpy"] == np.__version__
     assert payload["rows"][0]["n"] == 2
     assert payload["rows"][0]["printed_bound"] is None
 
@@ -455,6 +456,7 @@ def test_mi_monte_carlo_zero_error(capsys):
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
     assert payload["sampler_version"] == 12
+    assert payload["numpy"] == np.__version__
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
 
 
@@ -567,36 +569,55 @@ def test_commands_run_without_scipy(tmp_path):
     assert payload["stderr"] == float(d * log_eps.std(ddof=1) / np.sqrt(n))
 
 
-def test_numpy_loaded_only_by_commands_that_build_arrays():
-    # In one fresh interpreter: --version, bounds of every family and the
-    # exact and Clarke-Barron mi leave numpy and dataclasses unloaded; a
-    # simulate loads numpy.
-    scalar = [["--version"]]
-    scalar += [["bounds", "--family", f, *FAMILY_ARGS[f], "--n-grid", "1,5"] for f in FAMILY_ARGS]
-    scalar += [["mi", "--family", f, *FAMILY_ARGS[f], "--n", "10", "--method", method]
-               for f, methods in (("categorical", ["clarke-barron"]),
-                                  ("multinomial", ["clarke-barron"]),
-                                  ("gaussian", ["exact", "clarke-barron"]),
-                                  ("zero-error", ["exact"]))
-               for method in methods]
-    simulate = ["simulate", "--family", "zero-error", "--n-grid", "1,10", "--trials", "1000"]
-    code = ("import contextlib, io, json, sys\n"
+# The package modules each family's CLI calls load: the multinomial model is
+# built on the categorical Dirichlet prior.
+FAMILY_MODULES = {"categorical": {"rdrisk.categorical"},
+                  "multinomial": {"rdrisk.categorical", "rdrisk.multinomial"},
+                  "gaussian": {"rdrisk.gaussian"}, "zero-error": {"rdrisk.zero_error"}}
+
+
+def loaded_by(argv):
+    """The modules of rdrisk, numpy, json and dataclasses that one CLI call
+    leaves loaded in a fresh interpreter; the call must exit 0."""
+    code = ("import contextlib, io, sys\n"
             "from rdrisk.cli import main\n"
-            "seen = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        try:\n"
-            "            status = main(argv)\n"
-            "        except SystemExit as exc:\n"
-            "            status = exc.code\n"
-            "    seen.append([status, 'numpy' in sys.modules, 'dataclasses' in sys.modules])\n"
-            "print(json.dumps(seen))\n")
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        status = main(sys.argv[1:])\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "tops = ('rdrisk', 'numpy', 'json', 'dataclasses')\n"
+            "print(status, *[m for m in sys.modules if m.partition('.')[0] in tops])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(rdrisk.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code, json.dumps(scalar + [simulate])],
+    done = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, check=True, env=env)
-    seen = json.loads(done.stdout)
-    assert seen[:-1] == [[0, False, False]] * len(scalar)
-    assert seen[-1][:2] == [0, True]
+    status, *modules = done.stdout.split()
+    assert status == "0", done.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_its_modules():
+    # One fresh interpreter per call.  --version loads no family module, no
+    # mc and no json; bounds and the exact and Clarke-Barron mi load their
+    # own family's modules only, and neither knn, numpy nor dataclasses;
+    # json only where they write JSON.  simulate loads numpy.
+    assert loaded_by(["--version"]) == {"rdrisk", "rdrisk.cli", "rdrisk.errors"}
+    calls = [(f, ["bounds", "--family", f, *FAMILY_ARGS[f], "--n-grid", "1,5"])
+             for f in FAMILY_ARGS]
+    calls += [(f, ["mi", "--family", f, *FAMILY_ARGS[f], "--n", "10", "--method", method])
+              for f, methods in (("categorical", ["clarke-barron"]),
+                                 ("multinomial", ["clarke-barron"]),
+                                 ("gaussian", ["exact", "clarke-barron"]),
+                                 ("zero-error", ["exact"]))
+              for method in methods]
+    every_family = set().union(*FAMILY_MODULES.values())
+    for family, argv in calls:
+        loaded = loaded_by(argv)
+        assert loaded & every_family == FAMILY_MODULES[family], argv
+        assert not loaded & {"rdrisk.knn", "numpy", "dataclasses"}, argv
+        assert ("json" in loaded) == (argv[0] == "mi"), argv
+    assert "numpy" in loaded_by(["simulate", "--family", "zero-error", "--n-grid", "1,10",
+                                 "--trials", "1000"])
 
 
 def test_multinomial_compare_zero_components_warn_nothing():
@@ -728,6 +749,14 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--n", "10"),
     ("simulate", "--family", "zero-error", "--n", "10", "--trials", "1000",
      "--chunks", BEYOND_FLOAT),
+    # the pipeline's D_min = exp((h - mi) / (d - 1) - C_p) overflows where
+    # tiny and huge components meet; simulate and compare print the bound too
+    ("bounds", "--family", "multinomial", "--d", "5", "--k", "1",
+     "--gamma", "1e-20,0.5,1e15,1e15,1e-20", "--n", "10"),
+    ("compare", "--family", "multinomial", "--d", "3", "--k", "2",
+     "--gamma", "1e200,1e200,1e-300", "--n", "1", "--trials", "200", "--chunks", "4"),
+    ("simulate", "--family", "multinomial", "--d", "3", "--k", "100",
+     "--gamma", "1.7e308,0.01,1e-308", "--n", "10", "--trials", "200", "--chunks", "4"),
 ])
 def test_extreme_parameters_exit_with_one_message(capsys, argv):
     # an integer option beyond the float range is a usage error
@@ -823,20 +852,26 @@ def test_bounds_where_partial_sums_overflow(capsys):
 
 EDGE_GAMMAS = ("1,1", "1e-6,1e-6", "1e-3,1e-3", "0.01,0.01", "1e308,1e308", "1e-300,1",
                "1e-308,1e-308")
+# multinomial priors draw each component on its own from these, so tiny and
+# huge components meet at d >= 3
+EDGE_COMPONENTS = ("1e-308", "1e-300", "1e-20", "1e-6", "0.01", "0.5", "1", "3", "1e15",
+                   "1e200", "1e308")
 EDGE_SIGMA2 = ("1", "1e-160", "1e-300", "5e-324")
 
 
 @st.composite
 def command_lines(draw):
-    """bounds, mi and small compare command lines at edge parameters."""
-    command = draw(st.sampled_from(["bounds", "mi", "compare"]))
+    """bounds, mi and small simulate and compare command lines at edge parameters."""
+    command = draw(st.sampled_from(["bounds", "mi", "simulate", "compare"]))
     family = draw(st.sampled_from(sorted(FAMILY_ARGS)))
     argv = [command, "--family", family]
     if family == "categorical":
         argv += ["--gamma", draw(st.sampled_from(EDGE_GAMMAS))]
     elif family == "multinomial":
-        argv += ["--d", "2", "--k", draw(st.sampled_from(["1", "3"])),
-                 "--gamma", draw(st.sampled_from(EDGE_GAMMAS))]
+        d = draw(st.sampled_from([2, 3, 5]))
+        gamma = draw(st.lists(st.sampled_from(EDGE_COMPONENTS), min_size=d, max_size=d))
+        argv += ["--d", str(d), "--k", str(draw(st.integers(1, 10 ** 6))),
+                 "--gamma", ",".join(gamma)]
     elif family == "gaussian":
         argv += ["--d", draw(st.sampled_from(["1", "3"])),
                  "--sigma2", draw(st.sampled_from(EDGE_SIGMA2))]
@@ -853,7 +888,7 @@ def command_lines(draw):
     return command, argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_lines())
 def test_exit_code_contract(command_line):
     # No exception escapes main; bad input exits 1 with one message, and a
@@ -913,7 +948,7 @@ def test_header_key_order(capsys, family, command):
     keys = [line[2:].partition("=")[0] for line in out.splitlines() if line.startswith("# ")]
     common = ["tool", "version", "command", "family", "p", "n_grid"]
     if command == "simulate":
-        common += ["seed", "trials", "chunks", "sampler_version"]
+        common += ["seed", "trials", "chunks", "sampler_version", "numpy"]
     assert keys == common + (HEADER_KEYS if command == "simulate" else BOUNDS_HEADER_KEYS)[family]
 
 

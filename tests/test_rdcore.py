@@ -108,6 +108,12 @@ def test_risk_lower_from_mi_monotone_limit():
     assert values[-1] < 1e-30
 
 
+def test_risk_lower_from_mi_overflow_is_a_domain_error():
+    # exp(1000 - C_1) is beyond the float range
+    with pytest.raises(DomainError, match="overflows the float range"):
+        risk_lower_from_mi(-1000.0, 0.0, 1, 2, 1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(h=st.floats(-4, 4), mi=st.floats(0.1, 30),
        d_star=st.integers(1, 4), m=st.integers(2, 6),
