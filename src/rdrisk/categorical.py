@@ -168,29 +168,9 @@ def inner_loss(p: float, w_true: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     return gap.max(axis=-1) if math.isinf(p) else (gap ** p).sum(axis=-1)
 
 
-def stirling_remainder(x: np.ndarray | float) -> np.ndarray:
-    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, elementwise for x > 0.
-
-    At x >= 8 this is log_gamma_remainder.  Below 8 one shift of 8,
-    mu(x) = mu(x + 8) + (x + 15/2) ln(x + 8) - (x + 1/2) ln x
-            - ln prod_{j=1..7} (x + j) - 8,
-    brings the series into range.  Every element takes both paths, the
-    shift terms evaluated at min(x, 8) so that they stay finite, and the
-    mask picks one: a fixed number of numpy calls, whatever the mix.
-    """
-    low = x < 8.0
-    t = np.minimum(x, 8.0)
-    u = t + 8.0
-    # (t + j)(t + 8 - j) = t (t + 8) + j (8 - j)
-    w = t * u
-    shift = (u - 0.5) * np.log(u) - (t + 0.5) * np.log(t) \
-        - np.log((w + 7.0) * (w + 12.0) * (w + 15.0) * (t + 4.0)) - 8.0
-    return log_gamma_remainder(np.where(low, u, x)) + np.where(low, shift, 0.0)
-
-
 def beta_mad_scale(s: float) -> float:
     """The factor 2 exp(mu(s)) / sqrt(2 pi s) of beta_mad that depends on s alone."""
-    return 2.0 * math.exp(float(stirling_remainder(s))) / math.sqrt(2.0 * math.pi * s)
+    return 2.0 * math.exp(log_gamma_remainder(s)) / math.sqrt(2.0 * math.pi * s)
 
 
 def beta_mad(ab: np.ndarray, s: float, scale: float) -> np.ndarray:
@@ -200,12 +180,13 @@ def beta_mad(ab: np.ndarray, s: float, scale: float) -> np.ndarray:
     total s = a + b, and ``scale`` is ``beta_mad_scale(s)``, which a caller
     with many pairs at one s computes once.  The closed form
     2 a^a b^b / (B(a, b) s^(s+1)) is evaluated through the Stirling
-    remainder mu (see stirling_remainder) as
+    remainder mu = specfun.log_gamma_remainder, on arrays and on the float
+    s alike, as
     2 exp(mu(s)) / sqrt(2 pi s) * f(a) f(b), f(x) = sqrt(x/s) exp(-mu(x)),
     which cancels no large terms at large a and b, and keeps its range
     when a and b are tiny.
     """
-    f = np.sqrt(ab / s) * np.exp(-stirling_remainder(ab))
+    f = np.sqrt(ab / s) * np.exp(-log_gamma_remainder(ab))
     return scale * f[0] * f[1]
 
 

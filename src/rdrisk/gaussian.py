@@ -16,7 +16,7 @@ from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate, check_simulation, mc_mean
 from .rdcore import risk_lower_from_mi
-from .specfun import Nats, digamma, expit, log_gamma
+from .specfun import Nats, digamma, expit, log_gamma, log_gamma_remainder
 
 
 def _check_params(d: int, sigma2: float) -> None:
@@ -30,15 +30,14 @@ def _log_gamma_ratio(x: float) -> float:
     """ln Gamma(x + 1/2) - ln Gamma(x) for x > 0.
 
     A difference of two ln Gamma values loses its digits as x grows (it is
-    exactly 0 from x = 5e15 on), so from x = 33 the asymptotic series
-    1/2 ln x - 1/(8x) + 1/(192x^3) - 1/(640x^5) + 17/(14336x^7) is used, in
-    powers of 1/x so that nothing overflows; it is within 1e-16 there.
+    exactly 0 from x = 5e15 on), so from x = 10 the terms of size x ln x
+    cancel in closed form, with mu = log_gamma_remainder:
+    1/2 ln x + x ln(1 + 1/(2x)) - 1/2 + mu(x + 1/2) - mu(x).
     """
-    if x < 33.0:
+    if x < 10.0:
         return log_gamma(x + 0.5) - log_gamma(x)
-    z = 1.0 / x
-    z2 = z * z
-    return 0.5 * math.log(x) - z * (1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * 17 / 14336)))
+    return math.fsum((0.5 * math.log(x), x * math.log1p(0.5 / x), -0.5,
+                      log_gamma_remainder(x + 0.5), -log_gamma_remainder(x)))
 
 
 def entropy_lower_nu(d: int, sigma2: float) -> float:

@@ -5,10 +5,10 @@ documentation alias for ``float``.  The loss order ``p`` is a float ``>= 1``
 and may be ``math.inf``, which selects the exact limiting form of each
 formula rather than a large-float approximation.
 
-Everything here is the standard library, except ``expit``, which is the
-only function that uses numpy, through the ``rdrisk._numpy`` stand-in that
-imports it on first use; importing the package therefore loads neither
-numpy nor scipy:
+Everything here is the standard library, except ``expit`` and
+``log_gamma_remainder`` on arrays, which use numpy through the
+``rdrisk._numpy`` stand-in that imports it on first use; importing the
+package therefore loads neither numpy nor scipy:
 
 * ``log_gamma`` is ``ln(math.gamma(x))`` below 10 and ``math.lgamma``
   above; ``log_beta_multivariate`` adds those values with ``math.fsum``.
@@ -17,11 +17,11 @@ numpy nor scipy:
   shifts x to at least 10, where the asymptotic series (A&S 6.3.18,
   Bernoulli terms to B_16) is used; the shift terms and the series are added with one
   ``math.fsum``.
-* ``log_gamma_remainder`` and ``digamma_remainder`` are the asymptotic
-  series of mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, for
-  x >= 8 on floats or numpy arrays, and of rho(x) = psi(x) - ln x + 1/(2x),
-  for x >= 10: a caller that cancels the leading terms of ln Gamma and psi
-  in closed form adds these.
+* ``log_gamma_remainder`` is mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2
+  at every x > 0, on a float or a numpy array: the asymptotic series from
+  x = 8, and below it one shift of 8 in numpy.  ``digamma_remainder`` is
+  the series of rho(x) = psi(x) - ln x + 1/(2x), for x >= 10.  A caller
+  that cancels the leading terms of ln Gamma and psi in closed form adds these.
 * ``entropy_terms(x, k)`` sums to T(x, k) = x + ln Gamma(x) - (x - k) psi(x),
   the kernel of every Dirichlet entropy; from x = 10 up in Stirling's form,
   where the terms of size x ln x and x cancel in closed form.
@@ -39,7 +39,8 @@ values, so its error is counted in ulps of its largest term (or of
 ``max(|f|, 1)`` if that is larger): within 7.5 on the same grid.  Sums of
 ``entropy_terms`` (the Dirichlet entropies) are within 12 ulp of max(|f|, 1)
 on the gamma sweep (1e-300 to 1e300) of ``tests/test_multinomial.py``, and
-within 22 on random priors with every gamma_i in [0.01, 10).
+``posterior_entropy`` within 29 on 300 random priors at each numpy seed 0-2
+(M from {2, 3, 5}, every gamma_i uniform in [0.01, 10)), against 60 digits.
 """
 
 from __future__ import annotations
@@ -183,10 +184,27 @@ def digamma_remainder(x: float) -> float:
 
 
 def log_gamma_remainder(x):
-    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x >= 8,
-    by its asymptotic series; x may be a numpy array."""
+    """mu(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 for x > 0, on a
+    float or elementwise on a numpy array.
+
+    A float at or above 8 takes the asymptotic series in plain Python.  An
+    array, or a float below 8, takes numpy and one shift of 8, mu(x) =
+    mu(x + 8) + (x + 15/2) ln(x + 8) - (x + 1/2) ln x - ln prod_{j=1..7} (x + j) - 8,
+    evaluated at min(x, 8) so that it stays finite; a mask picks each
+    element's path, in a fixed number of numpy calls whatever the mix.
+    """
+    shift = 0.0
+    if not (isinstance(x, float) and x >= 8.0):
+        low = x < 8.0
+        t = np.minimum(x, 8.0)
+        u = t + 8.0
+        # (t + j)(t + 8 - j) = t (t + 8) + j (8 - j)
+        w = t * u
+        shift = np.where(low, (u - 0.5) * np.log(u) - (t + 0.5) * np.log(t)
+                         - np.log((w + 7.0) * (w + 12.0) * (w + 15.0) * (t + 4.0)) - 8.0, 0.0)
+        x = np.where(low, u, x)
     inv = 1.0 / x
-    return inv * power_series(_STIRLING_SERIES, inv * inv)
+    return inv * power_series(_STIRLING_SERIES, inv * inv) + shift
 
 
 def entropy_terms(x: float, k: float) -> list[float]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rdrisk.errors import DomainError
+from rdrisk.gaussian import interpolation_scale
 from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, checked_fsum, cp_constant,
                             digamma, digamma_remainder, digamma_secant_at_2, entropy_terms,
                             expit, harmonic,
@@ -265,6 +266,20 @@ def test_log_gamma_remainder_on_arrays():
     # an array argument gives each element the float argument's value
     x = np.array(REMAINDER_GRID)
     assert log_gamma_remainder(x).tolist() == [log_gamma_remainder(v) for v in REMAINDER_GRID]
+
+
+def test_interpolation_scale_against_mpmath():
+    # sqrt(2) Gamma((d + 1)/2) / Gamma(d/2) takes ln Gamma's Stirling form
+    # from d = 20, where a difference of two ln Gamma values loses digits
+    # (128 ulp at d = 61)
+    worst = (0.0, None)
+    for d in [*range(1, 400), *(int(v) for v in np.geomspace(400, 1e12, 100))]:
+        with mpmath.workdps(60):
+            dm = mpmath.mpf(d)
+            exact = mpmath.sqrt(2 / dm + 2) * mpmath.exp(mpmath.loggamma((dm + 1) / 2)
+                                                         - mpmath.loggamma(dm / 2))
+        worst = max(worst, (_ulps(interpolation_scale(d, 1.0), exact, exact), d))
+    assert worst[0] <= 16.0, f"off by {worst[0]} ulp at d = {worst[1]}"
 
 
 def test_expit_limits_without_warning():
