@@ -206,8 +206,7 @@ def complements(values) -> list[float]:
 
 
 def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
-                        trials: int, seed: int, chunks: int = 64,
-                        threads: int = 1) -> MonteCarloEstimate:
+                        trials: int, seed: int, **run: int) -> MonteCarloEstimate:
     """Simulated L_p risk of the posterior-mean rule.
 
     Per trial: theta ~ Dir(gamma), counts ~ Multinomial(n, theta),
@@ -283,7 +282,7 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
             return 2.0 * mad if p == 1.0 else mad
         return beta_mad(np.stack((counts, n - counts)) + offsets, s, scale).sum(axis=1)
 
-    est = mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
+    est = mc_mean(sampler, trials, seed, **run)
     if math.isinf(p):
         return est
     stderr = est.stderr

@@ -126,9 +126,9 @@ class _Family:
     The constructor checks which family options the parsed ``args`` give
     and builds the model object a family's functions take, if any; the
     library calls check the option values.  A family provides ``header()``
-    (its metadata keys), ``bound_row(row, n, p)``, ``simulate(n, p, seed,
-    trials, chunks, threads)`` and ``mi(method, n, seed, trials, chunks,
-    threads)``.  Each method imports its family's module itself, so a call
+    (its metadata keys), ``bound_row(row, n, p)``, ``simulate(n, p, run)``
+    and ``mi(method, n, run)``, ``run`` being the simulator keywords of
+    ``_run``.  Each method imports its family's module itself, so a call
     loads only the modules of the family it names, and ``--version`` none.
     Family functions are looked up on their module at call time, so
     wrappers installed on the module see every call.
@@ -173,13 +173,12 @@ class _Categorical(_Family):
             ref = categorical.kamath_bounds(n, len(g), g[0])
             row["reference_lower"], row["reference_upper"] = ref.lower, ref.upper
 
-    def simulate(self, n, p, seed, trials, chunks, threads):
+    def simulate(self, n, p, run):
         from . import categorical
 
-        return categorical.simulate_bayes_risk(n, self.prior, p, trials, seed,
-                                               chunks=chunks, threads=threads)
+        return categorical.simulate_bayes_risk(n, self.prior, p, **run)
 
-    def mi(self, method, n, seed, trials, chunks, threads):
+    def mi(self, method, n, run):
         from . import categorical
 
         return {"value": categorical.mutual_information(n, self.prior),
@@ -223,16 +222,15 @@ class _Multinomial(_Family):
             row["printed_bound"] = multinomial.reference_risk_lower(n, self.model)
         row["mi"] = multinomial.mutual_information(n, self.model)
 
-    def simulate(self, n, p, seed, trials, chunks, threads):
+    def simulate(self, n, p, run):
         from . import multinomial
 
         if p != 1.0:
             raise UsageError(f"the {self.name} simulator measures the L1 "
                              "interpolation-point loss; use --p 1")
-        return multinomial.simulate_interpolation_risk(n, self.model, trials, seed,
-                                                       chunks=chunks, threads=threads)
+        return multinomial.simulate_interpolation_risk(n, self.model, **run)
 
-    def mi(self, method, n, seed, trials, chunks, threads):
+    def mi(self, method, n, run):
         from . import multinomial
 
         return {"value": multinomial.mutual_information(n, self.model),
@@ -265,14 +263,13 @@ class _Gaussian(_Family):
         row["printed_bound"] = bound.printed
         row["mi"] = gaussian.mutual_information_exact(n, self.d, self.sigma2)
 
-    def simulate(self, n, p, seed, trials, chunks, threads):
+    def simulate(self, n, p, run):
         from . import gaussian
 
-        return gaussian.simulate_bayes_risk(n, self.d, self.sigma2, trials,
-                                            self.test_points, seed, chunks=chunks,
-                                            threads=threads)
+        return gaussian.simulate_bayes_risk(n, self.d, self.sigma2,
+                                            test_points=self.test_points, **run)
 
-    def mi(self, method, n, seed, trials, chunks, threads):
+    def mi(self, method, n, run):
         from . import gaussian
 
         if method == "exact":
@@ -300,22 +297,19 @@ class _ZeroError(_Family):
         row["rd_lower_risk"] = zero_error.risk_lower_l1(n, row["mi"])
         row["reference_upper"] = 2.0 * zero_error.estimator_risk_rederived(n)
 
-    def simulate(self, n, p, seed, trials, chunks, threads):
+    def simulate(self, n, p, run):
         from . import zero_error
 
-        return zero_error.simulate_estimator_risk(n, trials, seed, chunks=chunks,
-                                                  threads=threads)
+        return zero_error.simulate_estimator_risk(n, **run)
 
-    def mi(self, method, n, seed, trials, chunks, threads):
-        from . import zero_error
+    def mi(self, method, n, run):
+        from . import mc, zero_error
 
         if method == "exact":
             return {"value": zero_error.mutual_information_exact(n), "method": "exact"}
-        from .mc import SAMPLER_VERSION
-
-        est = zero_error.mi_monte_carlo(n, trials, seed, chunks=chunks, threads=threads)
+        est = zero_error.mi_monte_carlo(n, **run)
         return {"value": est.mean, "method": "monte_carlo", "stderr": est.stderr,
-                "sampler_version": SAMPLER_VERSION, "numpy": _numpy_version()}
+                **mc.provenance(run["trials"], run["seed"], run["chunks"])}
 
 
 FAMILIES = {"categorical": _Categorical, "multinomial": _Multinomial,
@@ -328,14 +322,6 @@ def _fmt_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(value, ".17g")
-
-
-def _numpy_version() -> str:
-    """Version of the numpy a simulation drew with: seeded bytes depend on
-    its ``Generator``.  Called after the simulation, which has loaded it."""
-    from ._numpy import np
-
-    return np.__version__
 
 
 def _json(doc) -> str:
@@ -363,36 +349,41 @@ def _emit(meta: dict, rows: list[dict], fmt: str, output: str | None) -> None:
     _write(text, output)
 
 
+def _run(args) -> dict:
+    """The run options a family passes on to its simulator as keywords."""
+    return {"trials": args.trials, "seed": args.seed, "chunks": args.chunks,
+            "threads": args.threads}
+
+
 def _cmd_curve(args) -> int:
     """bounds, simulate and compare: one row per n of the grid."""
     p = _parse_p(args.p)
     n_grid = _parse_n_grid(args.n_grid)
-    meta = {"tool": "rdrisk", "version": __version__, "command": args.command,
-            "family": args.family, "p": "inf" if math.isinf(p) else p,
-            "n_grid": ",".join(str(n) for n in n_grid)}
-    if args.command != "bounds":
-        from .mc import SAMPLER_VERSION
-
-        # numpy's version is filled in once the rows have loaded numpy
-        meta.update(seed=args.seed, trials=args.trials, chunks=args.chunks,
-                    sampler_version=SAMPLER_VERSION, numpy=None)
+    simulating = args.command != "bounds"
     family = FAMILIES[args.family](args)
     if family.l1_only and p != 1.0:
         raise UsageError(f"the {args.family} family provides L1 bounds only")
-    meta.update((key, value) for key, value in family.header().items()
-                if args.command != "bounds" or key not in _SIMULATION_KEYS)
+    header = {key: value for key, value in family.header().items()
+              if simulating or key not in _SIMULATION_KEYS}
 
+    run = _run(args) if simulating else None
     rows = []
     for idx, n in enumerate(n_grid):
         row = dict.fromkeys(COLUMNS)
         row["n"] = n
         family.bound_row(row, n, p)
-        if args.command != "bounds":
-            est = family.simulate(n, p, args.seed + idx, args.trials, args.chunks, args.threads)
+        if simulating:
+            est = family.simulate(n, p, {**run, "seed": args.seed + idx})
             row["simulated_mean"], row["simulated_stderr"] = est.mean, est.stderr
         rows.append(row)
-    if args.command != "bounds":
-        meta["numpy"] = _numpy_version()
+    meta = {"tool": "rdrisk", "version": __version__, "command": args.command,
+            "family": args.family, "p": "inf" if math.isinf(p) else p,
+            "n_grid": ",".join(str(n) for n in n_grid)}
+    if simulating:
+        from . import mc
+
+        meta.update(mc.provenance(args.trials, args.seed, args.chunks))
+    meta.update(header)
     if args.command != "compare":
         _emit(meta, rows, args.format, args.output)
         return 0
@@ -419,7 +410,7 @@ def _cmd_mi(args) -> int:
     method = args.method or family.mi_methods[0]
     if method not in family.mi_methods:
         raise UsageError(f"{args.family} mi supports {' or '.join(family.mi_methods)}")
-    payload = family.mi(method, args.n, args.seed, args.trials, args.chunks, args.threads)
+    payload = family.mi(method, args.n, _run(args))
     _write(_json(payload), args.output)
     return 0
 
@@ -521,6 +512,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"rdrisk: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        print(f"rdrisk: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

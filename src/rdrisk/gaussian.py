@@ -142,6 +142,11 @@ def sample_regression_values(d: int, sigma2: float, draws: int,
 ANTITHETIC_PAIRS = 8  # most antithetic uniforms per chi-square
 MAX_MEMBERS = 50  # most (r, b) members per Gaussian trial
 RING_POINTS = 5  # test points per ring of a member's polar grid, about
+# Most test points per trial.  A trial's point arrays take at most 1.25 T
+# points with the pad points of its rings, so under mc.MAX_TRIALS a chunk's
+# three blocks of (point, trial) floats hold under 2^61 elements, and an
+# oversize run fails as a MemoryError, not as a ValueError of the shape.
+MAX_TEST_POINTS = 2 ** 16
 
 
 def antithetic_chi2(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -252,8 +257,7 @@ def grid_normals(grid: PolarGrid, rng: np.random.Generator, count: int) -> np.nd
 
 
 def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
-                        test_points: int, seed: int, chunks: int = 64,
-                        threads: int = 1) -> MonteCarloEstimate:
+                        test_points: int, seed: int, **run: int) -> MonteCarloEstimate:
     """Simulated L1 risk of the conjugate posterior-mean plug-in rule.
 
     Per trial: theta ~ N(0, I/d); labels y_i uniform with sign s_i = 3-2y_i
@@ -313,8 +317,8 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     """
     _check_params(d, sigma2)
     check_simulation(n, trials)
-    if test_points < 100:
-        raise DomainError(f"test_points must be >= 100, got {test_points}")
+    if not 100 <= test_points <= MAX_TEST_POINTS:
+        raise DomainError(f"test_points must be in [100, 2^16], got {test_points}")
     # 1 - c n and c sqrt(n), with c = 1 / (sigma2 d + n)
     shrink, spread = sigma2 * d / (sigma2 * d + n), math.sqrt(n) / (sigma2 * d + n)
     grid = polar_grid(test_points)
@@ -359,4 +363,4 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
         loss *= u
         return grid.weight @ loss.reshape(-1, count)
 
-    return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
+    return mc_mean(sampler, trials, seed, **run)

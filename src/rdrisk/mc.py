@@ -4,7 +4,9 @@ Trials are split into a fixed number of chunks, each drawing from its own
 counter-based RNG stream, and chunk statistics are merged in chunk order.
 The result is therefore bit-identical for a fixed (seed, trials, chunks)
 no matter how many worker threads evaluate the chunks, as long as the
-samplers draw the same way (see SAMPLER_VERSION).
+samplers draw the same way (see SAMPLER_VERSION).  The simulators pass
+``chunks`` and ``threads`` on to mc_mean unchanged, so their defaults live
+here alone, and ``provenance`` names what a run's output must record.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ MAX_THREADS = 256
 # 1.82 times.
 POOL_MIN_CHUNK_S = 1e-3
 
+# Most trials a simulator runs.  At 2^40 a chunk holds at most 2^40 trials,
+# so each sampler's arrays of (trial, test point or component) stay within
+# numpy's index range for up to 2^16 points or components per trial, and
+# an oversize run fails as a MemoryError, not as a ValueError of the shape.
+MAX_TRIALS = 2 ** 40
+
 
 class MonteCarloEstimate(NamedTuple):
     """Mean and standard error of a simulated quantity.
@@ -53,11 +61,23 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def check_simulation(n: int, trials: int, min_trials: int = 100) -> None:
-    """Reject a simulator's sample count n < 0 or trials below its floor."""
+    """Reject a simulator's sample count n < 0 or trials outside
+    [min_trials, MAX_TRIALS]."""
     if trials < min_trials:
         raise DomainError(f"trials must be >= {min_trials}, got {trials}")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must be <= 2^40, got {trials}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+
+
+def provenance(trials: int, seed: int, chunks: int) -> dict:
+    """What determines a simulation's bytes besides its model and n, in the
+    order outputs record it: the run's seed, trials and chunks, the
+    samplers' SAMPLER_VERSION and the version of numpy, whose ``Generator``
+    draws the samples (so this loads numpy)."""
+    return {"seed": seed, "trials": trials, "chunks": chunks,
+            "sampler_version": SAMPLER_VERSION, "numpy": np.__version__}
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:

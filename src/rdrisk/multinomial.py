@@ -201,8 +201,7 @@ def _loss_and_control(theta: np.ndarray, psi: np.ndarray, n1: np.ndarray, n2: np
 
 
 def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
-                                seed: int, chunks: int = 64,
-                                threads: int = 1) -> MonteCarloEstimate:
+                                seed: int, **run: int) -> MonteCarloEstimate:
     """Simulated plug-in risk, maximized over the interpolation points.
 
     Per trial: theta ~ Dir(gamma) parameterizes class 2; class 1 draws from
@@ -257,4 +256,4 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
             control = (c - ec) * (CONTROL_WEIGHT / (np.sqrt(ec) * (1.0 + ec)))
             return loss - np.where((ec > 0.0) & (ec < math.inf), control, 0.0)
 
-    return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
+    return mc_mean(sampler, trials, seed, **run)

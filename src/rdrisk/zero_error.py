@@ -66,8 +66,7 @@ def _interval_widths(rng: np.random.Generator, n: int, count: int) -> np.ndarray
     return np.negative(widths, out=widths)
 
 
-def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
-                   threads: int = 1) -> MonteCarloEstimate:
+def mi_monte_carlo(n: int, trials: int, seed: int, **run: int) -> MonteCarloEstimate:
     """Monte-Carlo I(Z^n; theta) as E[-ln(theta_r - theta_l)].
 
     The width is Beta(2, n), whose E[-ln width] = psi(n + 2) - psi(2) is
@@ -82,7 +81,7 @@ def mi_monte_carlo(n: int, trials: int, seed: int, chunks: int = 64,
     def sampler(rng, count):
         return -0.5 * np.log(_interval_widths(rng, n, count)).sum(axis=0)
 
-    return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
+    return mc_mean(sampler, trials, seed, **run)
 
 
 def risk_lower_l1(n: int, mi: Nats | None = None) -> float:
@@ -169,8 +168,8 @@ def control_weight(n) -> float:
     return -2.0 * slope * bracket / _CONTROL_VARIANCE
 
 
-def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
-                            threads: int = 1) -> MonteCarloEstimate:
+def simulate_estimator_risk(n: int, trials: int, seed: int,
+                            **run: int) -> MonteCarloEstimate:
     """Monte-Carlo E|theta - midpoint|, matching 1 / (2(n+2)).
 
     The two spacings beside theta split the width as Dirichlet(1, 1),
@@ -233,7 +232,7 @@ def simulate_estimator_risk(n: int, trials: int, seed: int, chunks: int = 64,
         trial += base - 2.0 * weight
         return trial
 
-    return mc_mean(sampler, trials, seed, chunks=chunks, threads=threads)
+    return mc_mean(sampler, trials, seed, **run)
 
 
 class SampleComplexity(NamedTuple):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk import mc
+from rdrisk import categorical, gaussian, mc
 from rdrisk.cli import MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
 from rdrisk.mc import MAX_THREADS, rng_stream
 
@@ -443,6 +443,10 @@ def test_mi_monte_carlo_zero_error(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "monte_carlo"
+    # the payload records what determines its bytes, in the header's order
+    assert list(payload) == ["value", "method", "stderr", "seed", "trials", "chunks",
+                             "sampler_version", "numpy"]
+    assert (payload["seed"], payload["trials"], payload["chunks"]) == (2, 100000, 64)
     assert payload["sampler_version"] == 12
     assert payload["numpy"] == np.__version__
     assert abs(payload["value"] - 0.5) < 3 * payload["stderr"]
@@ -696,6 +700,10 @@ def test_gaussian_parameters_exit_cleanly(capsys, command, d, sigma2):
 
 
 BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
+# A run the machine cannot hold: a sampler stage raises MemoryError, with
+# numpy's message, from a monkeypatch, so the test asks for no memory.
+OUT_OF_MEMORY = ("simulate", "--family", "categorical", "--gamma", "1,1", "--n", "5",
+                 "--trials", "1000")
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,10 +753,25 @@ BEYOND_FLOAT = "1" + "0" * 400  # an integer option no float can hold
      "--gamma", "1e200,1e200,1e-300", "--n", "1", "--trials", "200", "--chunks", "4"),
     ("simulate", "--family", "multinomial", "--d", "3", "--k", "100",
      "--gamma", "1.7e308,0.01,1e-308", "--n", "10", "--trials", "200", "--chunks", "4"),
+    # more than 2^40 trials, and more than 2^16 Gaussian test points, are
+    # rejected before a chunk's arrays pass numpy's index range
+    ("simulate", "--family", "zero-error", "--n", "5", "--trials", "1e30"),
+    ("compare", "--family", "zero-error", "--n", "5", "--trials", "1e30"),
+    ("mi", "--family", "zero-error", "--n", "5", "--method", "monte-carlo",
+     "--trials", "1e30"),
+    ("simulate", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "5",
+     "--trials", "200", "--test-points", "100000000000000"),
+    OUT_OF_MEMORY,
 ])
-def test_extreme_parameters_exit_with_one_message(capsys, argv):
+def test_extreme_parameters_exit_with_one_message(capsys, monkeypatch, argv):
     # an integer option beyond the float range is a usage error
     kind = "error" if BEYOND_FLOAT in "".join(argv) else "domain error"
+    if argv == OUT_OF_MEMORY:
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.33 GiB for an array with shape "
+                              "(2, 156250000) and data type float64")
+        monkeypatch.setattr(categorical, "sample_dirichlet", exhausted)
+        kind = "out of memory"
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -843,6 +866,9 @@ def test_bounds_where_partial_sums_overflow(capsys):
 EDGE_COMPONENTS = ("1e-308", "1e-300", "1e-20", "1e-6", "0.01", "0.5", "1", "3", "1e15",
                    "1e200", "1e308")
 EDGE_SIGMA2 = ("1", "1e-160", "1e-300", "5e-324")
+# just above the caps, which are checked before any chunk runs
+ABOVE_MAX_TRIALS = str(mc.MAX_TRIALS + 1)
+ABOVE_MAX_TEST_POINTS = str(gaussian.MAX_TEST_POINTS + 1)
 
 
 @st.composite
@@ -864,12 +890,15 @@ def command_lines(draw):
     if command == "bounds":
         argv += ["--n-grid", str(draw(st.integers(1, 10 ** 9))), "--p", p]
     elif command == "mi":
-        argv += ["--n", str(draw(st.integers(1, 10 ** 9))), "--trials", "1000",
+        argv += ["--n", str(draw(st.integers(1, 10 ** 9))),
+                 "--trials", draw(st.sampled_from(["1000", ABOVE_MAX_TRIALS])),
                  "--method", draw(st.sampled_from(["exact", "clarke-barron", "monte-carlo"]))]
     else:
         argv += ["--n-grid", str(draw(st.integers(1, 1000))), "--p", p,
-                 "--trials", draw(st.sampled_from(["100", "200"])), "--chunks", "4",
-                 "--test-points", "100"]
+                 "--trials", draw(st.sampled_from(["100", "1000", ABOVE_MAX_TRIALS])),
+                 "--chunks", "4"]
+        if family == "gaussian":
+            argv += ["--test-points", draw(st.sampled_from(["100", ABOVE_MAX_TEST_POINTS]))]
     return command, argv
 
 

@@ -96,6 +96,12 @@ def test_mc_mean_rejects_tiny_trials():
         mc_mean(lambda rng, m: np.zeros(m), trials=1, seed=0)
 
 
+def test_check_simulation_caps_trials_at_2_to_the_40():
+    mc.check_simulation(0, mc.MAX_TRIALS)
+    with pytest.raises(DomainError, match=r"<= 2\^40"):
+        mc.check_simulation(0, mc.MAX_TRIALS + 1)
+
+
 @pytest.mark.parametrize("trials,chunks", [(1000, 0), (1000, -3), (10, 11), (10, 64)])
 def test_mc_mean_rejects_chunks_outside_one_to_trials(trials, chunks):
     with pytest.raises(DomainError, match="chunks"):
