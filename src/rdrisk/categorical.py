@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
-from .mc import MonteCarloEstimate, check_simulation, mc_mean
+from .mc import MonteCarloEstimate, mc_mean
 from .rdcore import mi_clarke_barron, risk_lower_from_mi
 from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms,
-                      log_gamma_remainder, validate_loss_order)
+                      log_gamma_remainder, validate_loss_order, validate_sample_count)
 
 # numpy draws counts as int64, so no count above this can be drawn.
 INT64_MAX = 2 ** 63 - 1
@@ -89,8 +89,7 @@ def reference_risk_lower(n: int, prior: DirichletPrior, p: LossOrder) -> float:
     pipeline for asymmetric priors (reported, never asserted equal).
     """
     p = validate_loss_order(p)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    validate_sample_count(n, 1)
     m = prior.num_classes
     g0 = prior.gamma0
     half_exp = math.fsum(digamma(gi) for gi in prior.gamma[: m - 1]) \
@@ -124,8 +123,9 @@ def kamath_bounds(n: int, m: int, kappa: float) -> KamathBounds:
     """
     if kappa < 1.0:
         raise DomainError(f"reference bounds require kappa >= 1, got {kappa}")
-    if n < 1 or m < 2:
-        raise DomainError("need n >= 1 and M >= 2")
+    validate_sample_count(n, 1)
+    if m < 2:
+        raise DomainError(f"class count must be >= 2, got {m}")
     lead = math.sqrt(2.0 * (m - 1) / (math.pi * n))
     slack = 4.0 * math.sqrt(m) * (m - 1) ** 0.25 / n ** 0.75
     # divided before multiplying by m: m (1 - m kappa) overflows at large kappa
@@ -244,7 +244,7 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     inner loss of the drawn counts.  Every p but 2 draws the counts, so
     they need n <= INT64_MAX.
     """
-    check_simulation(n, trials)
+    validate_sample_count(n)
     p = validate_loss_order(p)
     if p != 2.0 and n > INT64_MAX:
         raise DomainError(f"n must be <= 2^63 - 1 to draw the counts at p != 2, got {n}")

@@ -96,7 +96,7 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
 
 
 def _parse_trials(text: str) -> int:
-    """--trials, a whole number such as '1e5'; the simulator checks its range."""
+    """--trials, a whole number such as '1e5'; mc_mean checks its range."""
     try:
         count = float(text)
     except ValueError:

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
-from .mc import MonteCarloEstimate, check_simulation, mc_mean
+from .mc import MonteCarloEstimate, mc_mean
 from .rdcore import risk_lower_from_mi
-from .specfun import Nats, digamma, expit, log_gamma, log_gamma_remainder
+from .specfun import Nats, digamma, expit, log_gamma, log_gamma_remainder, validate_sample_count
 
 
 def _check_params(d: int, sigma2: float) -> None:
@@ -68,16 +68,14 @@ def entropy_lower_nu(d: int, sigma2: float) -> float:
 
 def mutual_information_exact(n: int, d: int, sigma2: float) -> Nats:
     """Exact I(Z^n; theta) = (d/2) ln(1 + n / (d sigma2)); 0 at n = 0."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     _check_params(d, sigma2)
     return (d / 2.0) * _log_snr(n, d, sigma2, math.log1p)
 
 
 def mutual_information_cb(n: int, d: int, sigma2: float) -> Nats:
     """Asymptotic I(Z^n; theta) = (d/2) ln(n / (d sigma2))."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    validate_sample_count(n, 1)
     _check_params(d, sigma2)
     return (d / 2.0) * _log_snr(n, d, sigma2, math.log)
 
@@ -104,8 +102,7 @@ def bayes_risk_lower_l1(n: int, d: int, sigma2: float) -> L1RiskBound:
     pipeline inverts the rate-distortion bound at the exact mutual
     information and carries an extra factor 1/2.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     nu = entropy_lower_nu(d, sigma2)
     printed = math.sqrt(sigma2 * d / (sigma2 * d + n)) * math.exp(nu - 1.0)
     pipeline = risk_lower_from_mi(mutual_information_exact(n, d, sigma2), d * nu, d, 2, 1.0)
@@ -143,7 +140,7 @@ ANTITHETIC_PAIRS = 8  # most antithetic uniforms per chi-square
 MAX_MEMBERS = 50  # most (r, b) members per Gaussian trial
 RING_POINTS = 5  # test points per ring of a member's polar grid, about
 # Most test points per trial.  A trial's point arrays take at most 1.25 T
-# points with the pad points of its rings, so under mc.MAX_TRIALS a chunk's
+# points with the pad points of its rings, so at up to 2^40 trials a chunk's
 # three blocks of (point, trial) floats hold under 2^61 elements, and an
 # oversize run fails as a MemoryError, not as a ValueError of the shape.
 MAX_TEST_POINTS = 2 ** 16
@@ -316,7 +313,7 @@ def simulate_bayes_risk(n: int, d: int, sigma2: float, trials: int,
     at a tenth of the cost of numpy's hypot.
     """
     _check_params(d, sigma2)
-    check_simulation(n, trials)
+    validate_sample_count(n)
     if not 100 <= test_points <= MAX_TEST_POINTS:
         raise DomainError(f"test_points must be in [100, 2^16], got {test_points}")
     # 1 - c n and c sqrt(n), with c = 1 / (sigma2 d + n)

@@ -20,10 +20,10 @@ from ._numpy import np
 from .categorical import (INT64_MAX, DirichletPrior, complements, posterior_entropy,
                           sample_dirichlet, sample_multinomial)
 from .errors import DomainError
-from .mc import MonteCarloEstimate, check_simulation, mc_mean
+from .mc import MonteCarloEstimate, mc_mean
 from .rdcore import mi_clarke_barron, risk_lower_from_mi
 from .specfun import (LossOrder, Nats, checked_fsum, digamma, entropy_terms,
-                      log_beta_multivariate)
+                      log_beta_multivariate, validate_sample_count)
 
 
 class MultinomialFamily:
@@ -104,8 +104,7 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
     where only log B(gamma) typechecks; this closes the bracket at the end
     and reads log B.  Reporting only; the pipeline value is authoritative.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    validate_sample_count(n, 1)
     g = family.prior.gamma
     g0 = family.prior.gamma0
     d, k = family.d, family.k
@@ -129,7 +128,7 @@ CONTROL_WEIGHT = 0.4
 def _regression_in_place(log_theta: np.ndarray, log_psi: np.ndarray, k: int) -> np.ndarray:
     # W = 1 / (1 + (theta / psi)^k), written over log_theta.  A component
     # that is exactly 0 (tiny concentrations) has log -inf, so W is exactly
-    # 0 or 1; theta and psi are never 0 together.
+    # 0 or 1; theta and psi are never 0 together, but their estimates can be.
     log_theta -= log_psi
     log_theta *= k
     np.exp(log_theta, out=log_theta)
@@ -160,6 +159,9 @@ def _loss_and_control(theta: np.ndarray, psi: np.ndarray, n1: np.ndarray, n2: np
         psi_hat = np.add(agg1[:, :last], g, out=b)
         psi_hat /= s1[:, None]
         w_hat = _regression_in_place(np.log(theta_hat, out=a), np.log(psi_hat, out=b), k)
+        # both estimates underflow to 0 only at counts 0, where their ratio is s1 / s2
+        lost = np.isnan(w_hat)
+        w_hat[lost] = 1.0 / (1.0 + np.broadcast_to((s1 / s2)[:, None], lost.shape)[lost] ** k)
         loss = 2.0 * np.abs(np.subtract(w, w_hat, out=b), out=b).max(axis=1)
         # q_i^2 / (2k)^2 = (W_i (1 - W_i))^2; the factor (2k)^2 is applied to
         # the row sums
@@ -233,7 +235,7 @@ def simulate_interpolation_risk(n: int, family: MultinomialFamily, trials: int,
     chunk's own draws: a coefficient that depends on the counts breaks that
     identity and biases the mean.
     """
-    check_simulation(n, trials)
+    validate_sample_count(n)
     # k itself is checked too: at n = 0 the product passes whatever k is,
     # and k * n1 then overflows numpy's int64 in the sampler
     if max(family.k, family.k * n) > INT64_MAX:

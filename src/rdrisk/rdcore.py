@@ -19,7 +19,8 @@ import math
 from ._numpy import np
 from .errors import DomainError
 from .mc import MonteCarloEstimate
-from .specfun import LossOrder, Nats, cp_constant, log_gamma, validate_loss_order
+from .specfun import (LossOrder, Nats, cp_constant, log_gamma, validate_loss_order,
+                      validate_sample_count)
 
 
 def rd_lower_pointwise(h_ws: Nats, d_star: int, m: int, p: LossOrder,
@@ -61,8 +62,7 @@ def mi_clarke_barron(n: int, dim: int, mean_log_sqrt_det: float, entropy: Nats) 
     the prior's ``mean_log_sqrt_det`` and ``entropy``.  The o(1) remainder is
     dropped; consumers label the value asymptotic.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    validate_sample_count(n, 1)
     for name, value in (("mean_log_sqrt_det", mean_log_sqrt_det), ("entropy", entropy)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite")

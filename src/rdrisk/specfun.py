@@ -94,6 +94,12 @@ def validate_loss_order(p: LossOrder) -> float:
     return p
 
 
+def validate_sample_count(n: int, least: int = 0) -> None:
+    """Reject a sample count ``n`` below ``least``."""
+    if n < least:
+        raise DomainError(f"n must be >= {least}, got {n}")
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:

@@ -23,14 +23,13 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
-from .mc import MonteCarloEstimate, check_simulation, mc_mean
-from .specfun import EULER_GAMMA, Nats, digamma_secant_at_2, harmonic
+from .mc import MonteCarloEstimate, mc_mean
+from .specfun import EULER_GAMMA, Nats, digamma_secant_at_2, harmonic, validate_sample_count
 
 
 def mutual_information_exact(n: int) -> Nats:
     """I(Z^n; theta) = H_{n+1} - 1 exactly; grows like ln n + (gamma - 1)."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     return harmonic(n + 1) - 1.0
 
 
@@ -76,7 +75,7 @@ def mi_monte_carlo(n: int, trials: int, seed: int, **run: int) -> MonteCarloEsti
     costs O(1) in n.  A zero width gives an infinite trial, which fails
     the run with DomainError.
     """
-    check_simulation(n, trials, min_trials=1000)
+    validate_sample_count(n)
 
     def sampler(rng, count):
         return -0.5 * np.log(_interval_widths(rng, n, count)).sum(axis=0)
@@ -92,8 +91,7 @@ def risk_lower_l1(n: int, mi: Nats | None = None) -> float:
     1e6, 1e7, 1e9 and both benchmark log grids).  A caller that already has
     I passes it as ``mi`` to skip the harmonic sum.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     if mi is None:
         mi = mutual_information_exact(n)
     return math.exp(-(mi + 1.0)) / 2.0
@@ -108,8 +106,7 @@ def estimator_risk_exact(n: int) -> float:
     factor (n+2)/(2(n+1)) -> 2.  Kept as primary for reproducing the
     published sample-complexity constants.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     return 1.0 / (4.0 * (n + 1))
 
 
@@ -122,8 +119,7 @@ def estimator_risk_rederived(n: int) -> float:
     1 / (2(n+2)) and L1 = 1 / (n+2).  This is what
     simulate_estimator_risk converges to.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    validate_sample_count(n)
     return 1.0 / (2.0 * (n + 2))
 
 
@@ -201,7 +197,7 @@ def simulate_estimator_risk(n: int, trials: int, seed: int,
     estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
-    check_simulation(n, trials, min_trials=1000)
+    validate_sample_count(n)
     # With L = ln U, L' = ln(1 - U), y = L / (n + 1) and x = expm1(y), a trial
     # is base - slope (x + x') - b (L + L' + 2)
     # = base - 2b - slope (x + x' + ratio (y + y')), ratio = b (n + 1) / slope.

@@ -865,10 +865,21 @@ def test_bounds_where_partial_sums_overflow(capsys):
 # these, so tiny and huge components meet at M, d >= 3
 EDGE_COMPONENTS = ("1e-308", "1e-300", "1e-20", "1e-6", "0.01", "0.5", "1", "3", "1e15",
                    "1e200", "1e308")
-EDGE_SIGMA2 = ("1", "1e-160", "1e-300", "5e-324")
+EDGE_SIGMA2 = ("1e-160", "1e-300", "5e-324")
 # just above the caps, which are checked before any chunk runs
 ABOVE_MAX_TRIALS = str(mc.MAX_TRIALS + 1)
+ABOVE_MAX_CHUNKS = str(mc.MAX_CHUNKS + 1)
 ABOVE_MAX_TEST_POINTS = str(gaussian.MAX_TEST_POINTS + 1)
+# (--trials, --chunks) of a Monte-Carlo run: the fewest trials, more, and
+# each cap + 1
+RUNS = (("100", "4"), ("1000", "4"), (ABOVE_MAX_TRIALS, "4"),
+        (ABOVE_MAX_CHUNKS, ABOVE_MAX_CHUNKS))
+
+
+def often(draw, usual, edges):
+    """``usual`` in about two draws of three, else one of ``edges``, so that
+    a line with several options still often passes them all."""
+    return draw(st.sampled_from(edges)) if draw(st.integers(0, 2)) == 2 else usual
 
 
 @st.composite
@@ -885,18 +896,19 @@ def command_lines(draw):
             argv += ["--d", str(m), "--k", str(draw(st.integers(1, 10 ** 6)))]
     elif family == "gaussian":
         argv += ["--d", draw(st.sampled_from(["1", "3"])),
-                 "--sigma2", draw(st.sampled_from(EDGE_SIGMA2))]
-    p = draw(st.sampled_from(["1", "2", "inf"]))
+                 "--sigma2", often(draw, "1", EDGE_SIGMA2)]
+    # 1 is the only order that every family simulates
+    p = often(draw, "1", ("2", "inf"))
     if command == "bounds":
         argv += ["--n-grid", str(draw(st.integers(1, 10 ** 9))), "--p", p]
-    elif command == "mi":
+        return command, argv
+    trials, chunks = draw(st.sampled_from(RUNS))
+    argv += ["--trials", trials, "--chunks", chunks]
+    if command == "mi":
         argv += ["--n", str(draw(st.integers(1, 10 ** 9))),
-                 "--trials", draw(st.sampled_from(["1000", ABOVE_MAX_TRIALS])),
                  "--method", draw(st.sampled_from(["exact", "clarke-barron", "monte-carlo"]))]
     else:
-        argv += ["--n-grid", str(draw(st.integers(1, 1000))), "--p", p,
-                 "--trials", draw(st.sampled_from(["100", "1000", ABOVE_MAX_TRIALS])),
-                 "--chunks", "4"]
+        argv += ["--n-grid", str(draw(st.integers(1, 1000))), "--p", p]
         if family == "gaussian":
             argv += ["--test-points", draw(st.sampled_from(["100", ABOVE_MAX_TEST_POINTS]))]
     return command, argv
@@ -964,6 +976,17 @@ def test_header_key_order(capsys, family, command):
     if command == "simulate":
         common += ["seed", "trials", "chunks", "sampler_version", "numpy"]
     assert keys == common + (HEADER_KEYS if command == "simulate" else BOUNDS_HEADER_KEYS)[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+def test_every_family_simulates_from_100_trials(capsys, family):
+    argv = ["simulate", "--family", family, *FAMILY_ARGS[family], "--n", "5", "--chunks", "4"]
+    if family == "gaussian":
+        argv += ["--test-points", "100"]
+    code, out, err = run_cli(capsys, *argv, "--trials", "100")
+    assert (code, err) == (0, "") and "\n# trials=100\n" in out
+    assert run_cli(capsys, *argv, "--trials", "99") == (
+        1, "", "rdrisk: domain error: trials must be >= 100, got 99\n")
 
 
 # Attributes of each family module that the per-layer trace (bench/layers.py)

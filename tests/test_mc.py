@@ -83,7 +83,7 @@ def test_mc_mean_exact_trial_count():
     assert len(seen) == 10
 
 
-@pytest.mark.parametrize("trials,chunks", [(1000, 1), (10, 10)])
+@pytest.mark.parametrize("trials,chunks", [(1000, 1), (100, 100)])
 def test_mc_mean_accepts_chunks_at_the_edges(trials, chunks):
     seen = []
     mc_mean(lambda rng, m: seen.append(m) or np.zeros(m), trials=trials, seed=0,
@@ -92,17 +92,50 @@ def test_mc_mean_accepts_chunks_at_the_edges(trials, chunks):
 
 
 def test_mc_mean_rejects_tiny_trials():
-    with pytest.raises(DomainError):
-        mc_mean(lambda rng, m: np.zeros(m), trials=1, seed=0)
+    calls = []
+    with pytest.raises(DomainError, match="^trials must be >= 100, got 99$"):
+        mc_mean(lambda rng, m: calls.append(m) or np.zeros(m), trials=99, seed=0, chunks=1)
+    assert calls == []
 
 
-def test_check_simulation_caps_trials_at_2_to_the_40():
-    mc.check_simulation(0, mc.MAX_TRIALS)
+def test_mc_mean_caps_trials_at_2_to_the_40(monkeypatch):
+    # the cap is checked before any chunk runs: numpy could not even shape
+    # one chunk of 10^30 trials
+    calls = []
+
+    def sampler(rng, m):
+        calls.append(m)
+        return np.zeros(m)
+
+    for trials in (10 ** 30, mc.MAX_TRIALS + 1):
+        with pytest.raises(DomainError, match=rf"^trials must be <= 2\^40, got {trials}$"):
+            mc_mean(sampler, trials, 0)
+    assert calls == []
+    monkeypatch.setattr(mc, "MAX_TRIALS", 1000)
+    assert mc_mean(sampler, 1000, 0).trials == 1000
     with pytest.raises(DomainError, match=r"<= 2\^40"):
-        mc.check_simulation(0, mc.MAX_TRIALS + 1)
+        mc_mean(sampler, 1001, 0)
 
 
-@pytest.mark.parametrize("trials,chunks", [(1000, 0), (1000, -3), (10, 11), (10, 64)])
+def test_mc_mean_caps_chunks_at_2_to_the_16(monkeypatch):
+    calls = []
+
+    def sampler(rng, m):
+        calls.append(m)
+        return np.zeros(m)
+
+    above = mc.MAX_CHUNKS + 1
+    with pytest.raises(DomainError, match=rf"^chunks must be <= 2\^16, got {above}$"):
+        mc_mean(sampler, above, 0, chunks=above)
+    assert calls == []
+    monkeypatch.setattr(mc, "MAX_CHUNKS", 8)
+    mc_mean(sampler, 1000, 0, chunks=8)
+    assert len(calls) == 8
+    with pytest.raises(DomainError, match="chunks must be <= 2"):
+        mc_mean(sampler, 1000, 0, chunks=9)
+
+
+@pytest.mark.parametrize("trials,chunks", [(1000, 0), (1000, -3), (100, 101), (100, 1000)])
 def test_mc_mean_rejects_chunks_outside_one_to_trials(trials, chunks):
     with pytest.raises(DomainError, match="chunks"):
         mc_mean(lambda rng, m: np.zeros(m), trials=trials, seed=0, chunks=chunks)

@@ -432,7 +432,11 @@ def test_simulator_agrees_with_the_plug_in_model_at_lower_variance(d, n):
 @pytest.mark.parametrize("d,k,gamma,n", [(3, 2, (1.0, 1e-17, 1e-17), 10),
                                          (2, 3, (1.0, 1.0), (2 ** 63 - 1) // 3),
                                          (2, 2 ** 61, (1.0, 1.0), 3),
-                                         (3, 1, (0.01, 0.01, 0.01), 50)])
+                                         (3, 1, (0.01, 0.01, 0.01), 50),
+                                         # both class estimates of the 1e-300
+                                         # component underflow to 0
+                                         (5, 1, (1e200, 3.0, 1e200, 1e-300, 1e200), 1),
+                                         (3, 1, (1e300, 1e-300, 1.0), 10)])
 def test_simulator_trials_stay_finite_at_extremes(d, k, gamma, n):
     # mc_mean rejects a non-finite trial, so a run that returns is finite
     est = simulate_interpolation_risk(n, fam(d, k, gamma), trials=1000, seed=510)

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from rdrisk import categorical, gaussian, multinomial, rdcore, zero_error
 from rdrisk.errors import DomainError
 from rdrisk.gaussian import interpolation_scale
 from rdrisk.specfun import (_HARMONIC_EXACT_MAX, EULER_GAMMA, checked_fsum, cp_constant,
@@ -164,6 +165,38 @@ def test_validate_loss_order():
     assert math.isinf(validate_loss_order(math.inf))
     with pytest.raises(DomainError):
         validate_loss_order(0.99)
+
+
+UNIFORM2 = categorical.DirichletPrior((1.0, 1.0))
+BINARY = multinomial.MultinomialFamily(2, 1, UNIFORM2)
+# Each public function that takes a sample count n, the arguments after n,
+# and the least n it takes.
+SAMPLE_COUNT_CHECKS = [
+    (categorical.reference_risk_lower, (UNIFORM2, 1.0), 1),
+    (categorical.kamath_bounds, (2, 1.0), 1),
+    (categorical.simulate_bayes_risk, (UNIFORM2, 1.0, 1000, 0), 0),
+    (gaussian.mutual_information_exact, (2, 1.0), 0),
+    (gaussian.mutual_information_cb, (2, 1.0), 1),
+    (gaussian.bayes_risk_lower_l1, (2, 1.0), 0),
+    (gaussian.simulate_bayes_risk, (2, 1.0, 1000, 100, 0), 0),
+    (multinomial.reference_risk_lower, (BINARY,), 1),
+    (multinomial.simulate_interpolation_risk, (BINARY, 1000, 0), 0),
+    (rdcore.mi_clarke_barron, (1, 0.0, 0.0), 1),
+    (zero_error.mutual_information_exact, (), 0),
+    (zero_error.risk_lower_l1, (), 0),
+    (zero_error.estimator_risk_exact, (), 0),
+    (zero_error.estimator_risk_rederived, (), 0),
+    (zero_error.simulate_estimator_risk, (1000, 0), 0),
+    (zero_error.mi_monte_carlo, (1000, 0), 0),
+]
+
+
+@pytest.mark.parametrize("fn,args,least", SAMPLE_COUNT_CHECKS,
+                         ids=[f"{fn.__module__[7:]}.{fn.__name__}"
+                              for fn, _, _ in SAMPLE_COUNT_CHECKS])
+def test_every_sample_count_check_shares_one_message(fn, args, least):
+    with pytest.raises(DomainError, match=rf"^n must be >= {least}, got {least - 1}$"):
+        fn(least - 1, *args)
 
 
 @pytest.mark.parametrize("name,fn,exact", [
