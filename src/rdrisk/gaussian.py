@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
-from .mc import MonteCarloEstimate, mc_mean
+from .mc import MonteCarloEstimate, antithetic_log_uniforms, mc_mean
 from .rdcore import risk_lower_from_mi
 from .specfun import Nats, digamma, expit, log_gamma, log_gamma_remainder, validate_sample_count
 
@@ -158,17 +158,11 @@ def antithetic_chi2(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     the rest of its degrees (an odd one, and all past 2 ANTITHETIC_PAIRS)
     on its own, one degree as a squared normal and more as one chi-square
     draw, so the marginals stay exact and the cost does not grow with d.
-    numpy's uniforms are k 2^-53 with 0 <= k < 2^53, so 1 - U and
-    U + 2^-53 are exact, never 0, and uniform on the same grid
-    {j 2^-53 : 1 <= j <= 2^53}: member 1 takes ln(U + 2^-53) in place of
-    ln U, which keeps a uniform of exactly 0 finite and silent.
+    Member 1 takes ln(U + 2^-53) in place of ln U, which keeps a uniform of
+    exactly 0 finite and silent (see mc.antithetic_log_uniforms).
     """
     k0, k1 = min(d // 2, ANTITHETIC_PAIRS), min((d - 1) // 2, ANTITHETIC_PAIRS)
-    u = rng.random(size=(k0 + k1, count))
-    logs = np.empty((2, k0 + k1, count))
-    np.subtract(1.0, u, out=logs[0])
-    np.add(u, 2.0 ** -53, out=logs[1])
-    np.log(logs, out=logs)
+    logs = antithetic_log_uniforms(rng, (k0 + k1, count))
     chi2 = np.empty((2, 2, count))
     np.add.reduce(logs[:, :k0], axis=1, out=chi2[0])
     np.add.reduce(logs[:, k0:], axis=1, out=chi2[1])

@@ -142,7 +142,7 @@ def digamma(x: float) -> float:
         raise DomainError(f"digamma requires x > 0, got {x}")
     x = float(x)
     if x <= _DIGAMMA_SHIFT and x.is_integer():
-        return math.fsum(1.0 / i for i in range(1, int(x))) - EULER_GAMMA
+        return harmonic(int(x) - 1) - EULER_GAMMA
     terms = []
     while x < _DIGAMMA_SHIFT:
         terms.append(-1.0 / x)

@@ -11,9 +11,8 @@ E[-ln width], and a Monte-Carlo trial averages it over an antithetic pair
 of widths.  The estimator's risk is E[width] / 4, since theta sits at a
 uniform place in the interval whatever its width; E2 integrates out of
 that in closed form, so an estimator trial draws E1 alone, as an
-antithetic pair, and subtracts a control variate of exact mean 0 built
-from the same two logarithms: ln U + ln(1 - U) + 2, at a weight that is a
-closed-form function of n.
+antithetic pair, and subtracts a control variate of mean 0 built from
+the same two logarithms, at a weight that is a closed-form function of n.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError
-from .mc import MonteCarloEstimate, mc_mean
+from .mc import MonteCarloEstimate, antithetic_log_uniforms, mc_mean
 from .specfun import EULER_GAMMA, Nats, digamma_secant_at_2, harmonic, validate_sample_count
 
 
@@ -42,23 +41,17 @@ def _interval_widths(rng: np.random.Generator, n: int, count: int) -> np.ndarray
     next to theta: its width is Beta(2, n) (1 at n = 0), the law of the
     second smallest of n + 1 uniforms.  Renyi's representation of
     exponential order statistics writes that as
-    W = 1 - exp(-(E1 / (n + 1) + E2 / n)) with E = -ln U, which falls in
-    both uniforms.  Row 0 is W at (U1, U2) and row 1 is W at
-    (1 - U1, 1 - U2): each is exactly Beta(2, n), the two are negatively
-    correlated, and the pairs are i.i.d.  U = 0 (probability 2^-53) gives
-    E = inf and width 1, without a warning.
+    W = 1 - exp(-(E1 / (n + 1) + E2 / n)) with E = -ln V for a uniform V,
+    which falls in both uniforms.  Row r is W at member r of the antithetic
+    pairs of mc.antithetic_log_uniforms: each is exactly Beta(2, n), the two
+    are negatively correlated, and the pairs are i.i.d.
     """
     if n == 0:
         return np.ones((2, count))
-    # neg_e[member, j] is -E_j of that pair member.  numpy's uniforms are
-    # multiples of 2^-53, so 1 - U is exact.  The steps write in place and
-    # are few: at small chunks on two worker threads, the time grew with
-    # the number of numpy calls more than with the arithmetic.
-    neg_e = np.empty((2, 2, count))
-    rng.random(out=neg_e[0])
-    np.subtract(1.0, neg_e[0], out=neg_e[1])
-    with np.errstate(divide="ignore"):
-        np.log(neg_e, out=neg_e)
+    # neg_e[member, j] is -E_j of that pair member.  The steps write in
+    # place and are few: at small chunks on two worker threads, the time
+    # grew with the number of numpy calls more than with the arithmetic.
+    neg_e = antithetic_log_uniforms(rng, (2, count))
     neg_e /= np.array([[n + 1], [n]], dtype=float)
     widths = np.add(neg_e[:, 0], neg_e[:, 1])
     np.expm1(widths, out=widths)
@@ -137,16 +130,17 @@ CONTROL_MAX_N = 2 ** 24
 # = 2 + 2 (1 - pi^2/6) for a uniform U.
 _CONTROL_VARIANCE = 4.0 - math.pi ** 2 / 3.0
 
-# The control's value of ln U at U = 0, -ln(2 pi 2^53), at which its mean
-# over numpy's grid of uniforms k 2^-53 is 2e-33 (Stirling's series for
-# ln (2^53)!); any other value v shifts that mean by
-# (v + ln(2 pi 2^53)) 2^-53.
-_LOG_ZERO_UNIFORM = -math.log(2.0 * math.pi) - 53.0 * math.log(2.0)
+# delta = (ln(2 pi) + 53 ln 2) 2^-53: on the grid of
+# mc.antithetic_log_uniforms, E[ln V] = -1 + delta / 2 (Stirling's series for
+# ln (2^53)!), so the control ln V + ln V' + 2 - delta has mean 0 there, to
+# 2e-31 with delta rounded to a float.
+_GRID_DELTA = math.ldexp(math.log(2.0 * math.pi) + 53.0 * math.log(2.0), -53)
 
 
 def control_weight(n) -> float:
     """The weight b(n) = Cov(trial, c) / Var(c) of the estimator trial's
-    control c = ln U + ln(1 - U) + 2, exactly, as a function of n alone.
+    control c = ln V + ln V' + 2 - delta, as a function of n alone; it is
+    exact for the continuous pair (U, 1 - U), which (V, V') is to 2^-53.
 
     The uncontrolled trial is base - slope (U^a - 1 + (1 - U)^a - 1) with
     a = 1/(n + 1) and slope = n / (8 (n + 1)).  Cov(U^a, ln U) = a/(a + 1)^2
@@ -176,12 +170,14 @@ def simulate_estimator_risk(n: int, trials: int, seed: int,
     E[exp(-E2 / n)] = n / (n + 1), so
     E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1)), two terms that
     are never negative and so cancel nothing at any n.  The uncontrolled
-    trial is the mean of E[W | E1] / 4 at E1 = -ln U and at its antithetic
-    E1' = -ln(1 - U), so it draws one uniform in O(1) time whatever n is.
+    trial is the mean of E[W | E1] / 4 at E1 = -ln V and at its antithetic
+    E1' = -ln V', one pair (V, V') of mc.antithetic_log_uniforms, so it
+    draws one uniform in O(1) time whatever n is.
 
-    A trial subtracts b (ln U + ln(1 - U) + 2) from it, with
-    b = control_weight(n).  E[-ln U] = 1 exactly, so the control has mean 0
-    and the estimate stays unbiased; b is the variance-minimising weight,
+    A trial subtracts b (ln V + ln V' + 2 - delta) from it, with
+    b = control_weight(n).  E[ln V] = -1 + delta / 2 on the uniforms' grid
+    (see _GRID_DELTA), so the control has mean 0 and the estimate stays
+    unbiased; b is the variance-minimising weight,
     a function of n alone and never fitted to the draws.  The control
     reuses the trial's two logarithms.  Against the uncontrolled trial on
     the same draws its variance is 13x smaller at n = 1, 1.4e4x at
@@ -189,43 +185,31 @@ def simulate_estimator_risk(n: int, trials: int, seed: int,
     1.1x the cost; above CONTROL_MAX_N, where b = 0, the trial is the
     uncontrolled one.
 
-    At n = 0 every trial returns 1/4 exactly.  U = 0 (E1 = inf,
-    probability 2^-53) gives a finite trial without a warning: its
-    uncontrolled part is (1 + 1/(n+1)) / 8, and the control takes
-    ln U = -ln(2 pi 2^53) there, which makes its mean over numpy's grid of
-    uniforms k 2^-53 zero to 2e-33.  The result converges to
+    At n = 0 every trial returns 1/4 exactly.  The result converges to
     estimator_risk_rederived(n), not to the published
     estimator_risk_exact(n).
     """
     validate_sample_count(n)
-    # With L = ln U, L' = ln(1 - U), y = L / (n + 1) and x = expm1(y), a trial
-    # is base - slope (x + x') - b (L + L' + 2)
-    # = base - 2b - slope (x + x' + ratio (y + y')), ratio = b (n + 1) / slope.
+    # With L = ln V, L' = ln V', y = L / (n + 1) and x = expm1(y), a trial
+    # is base - slope (x + x') - b (L + L' + 2 - delta)
+    # = base - (2 - delta) b - slope (x + x' + ratio (y + y')),
+    # ratio = b (n + 1) / slope.
     base, slope = 0.25 / (n + 1), 0.125 * (n / (n + 1))
     weight = control_weight(n)
     # At weight 0 (n = 0, where slope is 0, and above CONTROL_MAX_N) the
     # control is +-0, and adding it leaves the uncontrolled trial's bytes.
     ratio = weight * (n + 1) / slope if weight else 0.0
-    floor = _LOG_ZERO_UNIFORM / (n + 1)
 
     def sampler(rng, count):
-        # x[0] at U and x[1] at 1 - U (exact: numpy's uniforms are
-        # multiples of 2^-53)
-        x = np.empty((2, count))
-        rng.random(out=x[0])
-        np.subtract(1.0, x[0], out=x[1])
-        with np.errstate(divide="ignore"):
-            np.log(x, out=x)
+        x = antithetic_log_uniforms(rng, (count,))
         x /= float(n + 1)
-        # y + y', with y = -inf (U = 0) lifted to the control's floor
         control = np.add(x[0], x[1])
-        np.maximum(control, floor, out=control)
         control *= ratio
         np.expm1(x, out=x)
         trial = np.add(x[0], x[1])
         trial += control
         trial *= -slope
-        trial += base - 2.0 * weight
+        trial += base - (2.0 - _GRID_DELTA) * weight
         return trial
 
     return mc_mean(sampler, trials, seed, **run)

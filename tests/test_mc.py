@@ -32,6 +32,35 @@ def test_rng_stream_distinct_seeds_differ():
     assert a != b
 
 
+def test_antithetic_log_uniforms_pair_one_uniform_on_one_grid():
+    # numpy's uniforms are U = k 2^-53 with 0 <= k < 2^53; the members are
+    # exactly the logs of the grid points j 2^-53 with j = 2^53 - k and
+    # j = k + 1, both in [1, 2^53], from one U
+    u = rng_stream(770, 0).random((3, 1000))
+    logs = mc.antithetic_log_uniforms(rng_stream(770, 0), (3, 1000))
+    assert logs.shape == (2, 3, 1000)
+    k = u * 2.0 ** 53
+    assert (k == np.floor(k)).all()
+    j = np.stack([2.0 ** 53 - k, k + 1.0])
+    assert ((1.0 <= j) & (j <= 2.0 ** 53)).all()
+    assert (logs == np.log(j * 2.0 ** -53)).all()
+
+
+class EdgeUniforms:
+    """Generator stand-in whose uniforms are 0 and 1 - 2^-53, the two ends."""
+
+    def random(self, size):
+        return np.array([0.0, 1.0 - 2.0 ** -53]).reshape(size)
+
+
+def test_antithetic_log_uniforms_are_finite_at_both_ends():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = mc.antithetic_log_uniforms(EdgeUniforms(), (2,))
+    log_grid = np.log(2.0 ** -53)
+    assert (logs == [[0.0, log_grid], [log_grid, 0.0]]).all()
+
+
 def test_mc_mean_constant_sampler():
     est = mc_mean(lambda rng, m: np.full(m, 3.25), trials=1000, seed=0)
     assert est.mean == 3.25

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from rdrisk.errors import DomainError
-from rdrisk.mc import mc_mean, rng_stream
+from rdrisk.mc import antithetic_log_uniforms, mc_mean, rng_stream
 from rdrisk.rdcore import rd_lower_pointwise
 from rdrisk.specfun import EULER_GAMMA, harmonic
 from rdrisk import zero_error
@@ -22,6 +22,10 @@ from rdrisk.zero_error import (CONTROL_MAX_N, _interval_widths, control_weight,
 # re-derived one, from maximizing the entropy at moment D^p / 2, is the
 # same bound at entropy (ln 2) / p.
 THRESHOLD = (1, 2)
+
+# The estimator control's shift, 2 (1 + E[ln V]) for V uniform on the grid
+# j 2^-53, 1 <= j <= 2^53, of the uniform pairs
+DELTA = (math.log(2.0 * math.pi) + 53.0 * math.log(2.0)) * 2.0 ** -53
 
 
 def test_mutual_information_exact_values():
@@ -45,22 +49,23 @@ def test_mi_monte_carlo_matches_exact():
         mi_monte_carlo(1, trials=10, seed=0)
 
 
-class ZeroedUniforms:
-    """Generator stand-in: real uniforms with the entries at ``zeros`` set to 0."""
+class PinnedUniforms:
+    """Generator stand-in: real uniforms with the entries at ``pins`` set to
+    ``value``."""
 
-    def __init__(self, rng, zeros):
-        self.rng, self.zeros, self.calls = rng, zeros, []
+    def __init__(self, rng, pins, value=0.0):
+        self.rng, self.pins, self.value, self.calls = rng, pins, value, []
 
-    def random(self, size=None, out=None):
-        u = self.rng.random(size, out=out)
-        for index in self.zeros:
-            u[index] = 0.0
+    def random(self, size=None):
+        u = self.rng.random(size)
+        for index in self.pins:
+            u[index] = self.value
         self.calls.append(u.shape)
         return u
 
 
-def zeroed_streams(monkeypatch, zeros):
-    """Make chunk 0 of every mc_mean run draw through ZeroedUniforms."""
+def pinned_streams(monkeypatch, pins, value=0.0):
+    """Make chunk 0 of every mc_mean run draw through PinnedUniforms."""
     import rdrisk.mc as mc
 
     real, stubs = mc.rng_stream, []
@@ -68,7 +73,7 @@ def zeroed_streams(monkeypatch, zeros):
     def stream(seed, stream_id):
         rng = real(seed, stream_id)
         if stream_id == 0:
-            rng = ZeroedUniforms(rng, zeros)
+            rng = PinnedUniforms(rng, pins, value)
             stubs.append(rng)
         return rng
 
@@ -77,42 +82,53 @@ def zeroed_streams(monkeypatch, zeros):
 
 
 def test_mi_monte_carlo_zero_width_raises(monkeypatch):
-    # U1 = U2 = 0 makes the antithetic width of trial 0 exactly 0, so
-    # -ln 0 = inf; the run must fail, not redraw.
-    stubs = zeroed_streams(monkeypatch, [(0, 0), (1, 0)])
+    # U1 = U2 = 0 gives member 0 of trial 0 the uniforms 1 - U = 1 twice,
+    # so E1 = E2 = 0, its width is exactly 0 and -ln 0 = inf; the run must
+    # fail, not redraw.
+    stubs = pinned_streams(monkeypatch, [(0, 0), (1, 0)])
     with np.errstate(divide="ignore"), \
             pytest.raises(DomainError, match="non-finite values in chunk 0"):
         mi_monte_carlo(10, trials=1000, seed=1)
     assert [stub.calls for stub in stubs] == [[(2, 16)]]
 
 
-@pytest.mark.parametrize("simulate, zeros, draws", [
+@pytest.mark.parametrize("simulate, pins, draws", [
     pytest.param(simulate_estimator_risk, [(0,)], (1000,), id="simulate_estimator_risk"),
     pytest.param(mi_monte_carlo, [(0, 0), (1, 1)], (2, 1000), id="mi_monte_carlo")])
-def test_zero_uniform_gives_width_one_without_warning(monkeypatch, simulate, zeros, draws):
-    # U = 0 gives E = -ln 0 = inf, so its width is 1 and its antithetic
-    # partner's E is 0: every trial stays finite, and log(0) stays silent.
-    # The MI draws (U1, U2) for each trial and the estimator one U, whose
-    # E[W | E1 = inf] is 1 as well; the estimator's control takes
-    # ln 0 = -ln(2 pi 2^53) there.
-    widths = _interval_widths(ZeroedUniforms(rng_stream(730, 0), [(0, 0), (1, 1)]), 10, 1000)
-    assert widths[0, 0] == widths[0, 1] == 1.0
-    assert np.isfinite(widths).all() and (widths > 0.0).all()
-    stubs = zeroed_streams(monkeypatch, zeros)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        est = simulate(10, trials=1000, seed=731, chunks=1)
-    assert [stub.calls for stub in stubs] == [[draws]]
-    assert math.isfinite(est.mean) and est.stderr > 0.0
-    if simulate is simulate_estimator_risk:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trials = drawn_estimator_trials(
-                monkeypatch, 10, ZeroedUniforms(rng_stream(731, 0), zeros), 1000)
-        log_zero = -math.log(2.0 * math.pi * 2.0 ** 53)
-        assert trials[0] == pytest.approx((1.0 + 1.0 / 11.0) / 8.0
-                                          - control_weight(10) * (log_zero + 2.0), rel=1e-15)
-        assert est.mean == trials.mean()
+def test_edge_uniforms_give_finite_trials_without_warning(monkeypatch, simulate, pins, draws):
+    # U = 0 and U = 1 - 2^-53, the two ends of numpy's uniforms, enter a
+    # pair as V = 1 in one member and 2^-53 in the other, so E = -ln V is 0 in one and 53 ln 2 in the
+    # other: every width lies in (0, 1), every trial stays finite, and no
+    # log warns.  The MI draws (U1, U2) for each trial and the estimator
+    # one U.
+    u = rng_stream(730, 0).random((2, 1000))
+    for member, value in enumerate((0.0, 1.0 - 2.0 ** -53)):
+        widths = _interval_widths(PinnedUniforms(rng_stream(730, 0), [(0, 0), (1, 1)], value),
+                                  10, 1000)
+        assert np.isfinite(widths).all() and (widths > 0.0).all() and (widths < 1.0).all()
+        # E1 = 0 in this member of trial 0, so its width is 1 - exp(-E2 / n)
+        v2 = (1.0 - u[1, 0], u[1, 0] + 2.0 ** -53)[member]
+        assert widths[member, 0] == -np.expm1(np.log(v2) / 10)
+        with monkeypatch.context() as patch:
+            stubs = pinned_streams(patch, pins, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = simulate(10, trials=1000, seed=731, chunks=1)
+        assert [stub.calls for stub in stubs] == [[draws]]
+        assert math.isfinite(est.mean) and est.stderr > 0.0
+        if simulate is simulate_estimator_risk:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trials = drawn_estimator_trials(
+                    monkeypatch, 10, PinnedUniforms(rng_stream(731, 0), pins, value), 1000)
+            # E[W | E1] / 4 at E1 = 0 and 53 ln 2, less the control at
+            # ln V + ln V' = -53 ln 2: the same trial at either end, whose
+            # members swap
+            log_grid = -53.0 * math.log(2.0)
+            assert trials[0] == pytest.approx(
+                0.25 / 11.0 - 0.125 * (10.0 / 11.0) * math.expm1(log_grid / 11.0)
+                - control_weight(10) * (log_grid + 2.0 - DELTA), rel=1e-14)
+            assert est.mean == trials.mean()
 
 
 def test_mi_monte_carlo_stderr_scales():
@@ -243,16 +259,20 @@ def test_simulator_matches_rederived_law(n):
         assert abs(est.mean - estimator_risk_rederived(n)) < 3 * est.stderr
 
 
+def antithetic_logs(u):
+    """ln V and ln V' of the pair (V, V') = (1 - U, U + 2^-53) at uniforms ``u``."""
+    return np.log(np.stack([1.0 - u, u + 2.0 ** -53]))
+
+
 def controlled_trials(u, n):
     """Estimator trials at uniforms ``u``, written out from their definition,
     and the largest of their terms: the mean of E[W | E1] / 4 at
-    E1 = -ln U and at E1 = -ln(1 - U), where
+    E1 = -ln V and at E1 = -ln V', where
     E[W | E1] = 1/(n+1) - (n/(n+1)) expm1(-E1 / (n + 1)), less
-    control_weight(n) (ln U + ln(1 - U) + 2)."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.stack([u, 1.0 - u]))
+    control_weight(n) (ln V + ln V' + 2 - delta)."""
+    logs = antithetic_logs(u)
     x = np.expm1(logs / float(n + 1))
-    control = np.maximum(logs.sum(axis=0), -math.log(2.0 * math.pi * 2.0 ** 53)) + 2.0
+    control = logs.sum(axis=0) + 2.0 - DELTA
     terms = np.stack([np.full_like(u, 0.25 / (n + 1)), -0.125 * (n / (n + 1)) * x[0],
                       -0.125 * (n / (n + 1)) * x[1], -control_weight(n) * control])
     return terms.sum(axis=0), np.abs(terms).max(axis=0)
@@ -269,11 +289,9 @@ def drawn_estimator_trials(monkeypatch, n, rng, count):
 
 
 def uncontrolled_trials(u, n):
-    """The estimator trials at uniforms ``u`` without the control (sampler
-    version 11), written out: the mean of E[W | E1] / 4 at E1 = -ln U and
-    at E1 = -ln(1 - U)."""
-    with np.errstate(divide="ignore"):
-        x = np.expm1(np.log(np.stack([u, 1.0 - u])) / float(n + 1))
+    """The estimator trials at uniforms ``u`` without the control, written
+    out: the mean of E[W | E1] / 4 at E1 = -ln V and at E1 = -ln V'."""
+    x = np.expm1(antithetic_logs(u) / float(n + 1))
     return 0.25 / (n + 1) - 0.125 * (n / (n + 1)) * (x[0] + x[1])
 
 
@@ -328,18 +346,17 @@ def test_control_weight_is_zero_at_n_0_and_above_the_cutoff(n):
 
 def test_control_has_mean_zero():
     # on draws, within 4 stderr of 0 ...
-    u = rng_stream(760, 0).random(10 ** 6)
-    control = np.log(u) + np.log1p(-u) + 2.0
+    control = antithetic_log_uniforms(rng_stream(760, 0), (10 ** 6,)).sum(axis=0) + 2.0 - DELTA
     assert abs(control.mean()) < 4 * control.std(ddof=1) / math.sqrt(control.size)
-    # ... and over numpy's whole grid of uniforms k 2^-53, k < 2^53, with
-    # ln 0 taken as -ln(2 pi 2^53): sum_k ln(k/N) + sum_k ln(1 - k/N) by
-    # ln Gamma, which leaves 2e-33
+    # ... and over the whole grid j 2^-53, 1 <= j <= 2^53, on which both
+    # members are uniform: E[ln V] = (ln N! - N ln N) / N at N = 2^53 by
+    # ln Gamma, which leaves 2e-33 at the exact delta and 2e-31 at the
+    # float one that the sampler uses
+    assert zero_error._GRID_DELTA == DELTA
     with mpmath.workdps(60):
         grid = mpmath.mpf(2) ** 53
-        total = (mpmath.loggamma(grid) - (grid - 1) * mpmath.log(grid)
-                 + mpmath.loggamma(grid + 1) - grid * mpmath.log(grid)
-                 - mpmath.log(2 * mpmath.pi * grid))
-        assert abs(total / grid + 2) < 1e-32
+        mean_log = (mpmath.loggamma(grid + 1) - grid * mpmath.log(grid)) / grid
+        assert abs(2 * mean_log + 2 - mpmath.mpf(DELTA)) < 1e-30
 
 
 @pytest.mark.parametrize("n", [2 ** 63 - 1, 1e300])
