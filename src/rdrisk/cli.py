@@ -16,14 +16,34 @@ import sys
 from . import __version__
 from .errors import DomainError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at start-up
+if TYPE_CHECKING:
+    import json
+
+    from . import categorical, gaussian, knn, mc, multinomial, zero_error
+else:
+    class _Module:
+        """Module ``name``, imported on the first attribute read.  Every read
+        goes to ``sys.modules[name]`` and nothing is copied, so wrappers
+        installed on the module later see every call."""
+
+        def __init__(self, name):
+            self._name = name
+
+        def __getattr__(self, attr):
+            __import__(self._name)
+            return getattr(sys.modules[self._name], attr)
+
+    json = _Module("json")
+    categorical, gaussian, knn, mc, multinomial, zero_error = (
+        _Module(f"{__package__}.{name}")
+        for name in ("categorical", "gaussian", "knn", "mc", "multinomial", "zero_error"))
+
 COLUMNS = ("n", "rd_lower_risk", "printed_bound", "simulated_mean",
            "simulated_stderr", "mi", "reference_lower", "reference_upper")
 
 # Largest COUNT of a 'start:stop:COUNTlog' grid; parsing costs O(COUNT).
 MAX_GRID_COUNT = 10_000
-
-# Family header keys that describe the simulation, so bounds omits them.
-_SIMULATION_KEYS = ("test_points", "simulated_units")
 
 
 class UsageError(Exception):
@@ -128,21 +148,20 @@ class _Family:
     library calls check the option values.  A family provides ``header()``
     (its metadata keys), ``bound_row(row, n, p)``, ``simulate(n, p, run)``
     and ``mi(method, n, run)``, ``run`` being the simulator keywords of
-    ``_run``.  Each method imports its family's module itself, so a call
-    loads only the modules of the family it names, and ``--version`` none.
-    Family functions are looked up on their module at call time, so
-    wrappers installed on the module see every call.
+    ``_run``; ``mi`` returns a number or an ``mc.MonteCarloEstimate``.
+    Family functions are read through the module stand-ins at call time,
+    so a call loads only the modules of the family it names.
     """
 
     options: tuple[str, ...] = ()  # the family options it takes, all required
     optional: tuple[str, ...] = ()  # the family options it also takes, with a default
-    l1_only = False  # bounds exist for p = 1 only
+    l1_only: tuple[str, ...] = ()  # the commands whose rows exist at p = 1 only
+    simulation_keys: tuple[str, ...] = ()  # header keys that bounds omits
     compare_column = "rd_lower_risk"  # the bound compare checks
     simulated_scale = 1.0  # puts the simulated value on the bound's scale
     mi_methods: tuple[str, ...] = ("clarke-barron",)  # the first is the default
 
     def __init__(self, args):
-        self.name = args.family
         _require(args, self.options, self.optional)
 
 
@@ -150,8 +169,6 @@ class _Categorical(_Family):
     options = ("gamma",)
 
     def __init__(self, args):
-        from . import categorical
-
         super().__init__(args)
         self.prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
 
@@ -162,8 +179,6 @@ class _Categorical(_Family):
                                   "published closed form (equal at p=1,inf)"}
 
     def bound_row(self, row, n, p):
-        from . import categorical
-
         row["rd_lower_risk"] = categorical.bayes_risk_lower(n, self.prior, p)
         if p in (1.0, 2.0) or math.isinf(p):
             row["printed_bound"] = categorical.reference_risk_lower(n, self.prior, p)
@@ -174,30 +189,22 @@ class _Categorical(_Family):
             row["reference_lower"], row["reference_upper"] = ref.lower, ref.upper
 
     def simulate(self, n, p, run):
-        from . import categorical
-
         return categorical.simulate_bayes_risk(n, self.prior, p, **run)
 
     def mi(self, method, n, run):
-        from . import categorical
-
-        return {"value": categorical.mutual_information(n, self.prior),
-                "method": "clarke_barron"}
+        return categorical.mutual_information(n, self.prior)
 
 
 class _Multinomial(_Family):
     options = ("d", "k", "gamma")
+    l1_only = ("simulate", "compare")  # its simulator measures the L1 loss
 
     def __init__(self, args):
-        from . import categorical, multinomial
-
         super().__init__(args)
         prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
         self.model = multinomial.MultinomialFamily(d=args.d, k=args.k, prior=prior)
 
     def header(self) -> dict:
-        from . import multinomial
-
         header = {"gamma": ",".join(repr(g) for g in self.model.prior.gamma),
                   "d": self.model.d, "k": self.model.k,
                   "mi_method": "clarke_barron_asymptotic",
@@ -215,32 +222,23 @@ class _Multinomial(_Family):
         return {**header, "entropy_lower_printed": printed}
 
     def bound_row(self, row, n, p):
-        from . import multinomial
-
         row["rd_lower_risk"] = multinomial.xbayes_risk_lower(n, self.model, p)
         if p == 1.0:
             row["printed_bound"] = multinomial.reference_risk_lower(n, self.model)
         row["mi"] = multinomial.mutual_information(n, self.model)
 
     def simulate(self, n, p, run):
-        from . import multinomial
-
-        if p != 1.0:
-            raise UsageError(f"the {self.name} simulator measures the L1 "
-                             "interpolation-point loss; use --p 1")
         return multinomial.simulate_interpolation_risk(n, self.model, **run)
 
     def mi(self, method, n, run):
-        from . import multinomial
-
-        return {"value": multinomial.mutual_information(n, self.model),
-                "method": "clarke_barron"}
+        return multinomial.mutual_information(n, self.model)
 
 
 class _Gaussian(_Family):
     options = ("d", "sigma2")
     optional = ("test_points",)
-    l1_only = True
+    l1_only = ("bounds", "simulate", "compare")
+    simulation_keys = ("test_points",)
     compare_column = "printed_bound"
     mi_methods = ("exact", "clarke-barron")
 
@@ -256,31 +254,24 @@ class _Gaussian(_Family):
                                   "rd_lower_risk=pipeline (printed/2)"}
 
     def bound_row(self, row, n, p):
-        from . import gaussian
-
         bound = gaussian.bayes_risk_lower_l1(n, self.d, self.sigma2)
         row["rd_lower_risk"] = bound.pipeline
         row["printed_bound"] = bound.printed
         row["mi"] = gaussian.mutual_information_exact(n, self.d, self.sigma2)
 
     def simulate(self, n, p, run):
-        from . import gaussian
-
         return gaussian.simulate_bayes_risk(n, self.d, self.sigma2,
                                             test_points=self.test_points, **run)
 
     def mi(self, method, n, run):
-        from . import gaussian
-
         if method == "exact":
-            value = gaussian.mutual_information_exact(n, self.d, self.sigma2)
-            return {"value": value, "method": "exact"}
-        value = gaussian.mutual_information_cb(n, self.d, self.sigma2)
-        return {"value": value, "method": "clarke_barron"}
+            return gaussian.mutual_information_exact(n, self.d, self.sigma2)
+        return gaussian.mutual_information_cb(n, self.d, self.sigma2)
 
 
 class _ZeroError(_Family):
-    l1_only = True
+    l1_only = ("bounds", "simulate", "compare")
+    simulation_keys = ("simulated_units",)
     simulated_scale = 2.0  # the simulator reports E|theta - thetahat|
     mi_methods = ("exact", "monte-carlo")
 
@@ -291,25 +282,17 @@ class _ZeroError(_Family):
                                    "width, 1/(n+2); published variant 1/(2(n+1))"}
 
     def bound_row(self, row, n, p):
-        from . import zero_error
-
         row["mi"] = zero_error.mutual_information_exact(n)
         row["rd_lower_risk"] = zero_error.risk_lower_l1(n, row["mi"])
         row["reference_upper"] = 2.0 * zero_error.estimator_risk_rederived(n)
 
     def simulate(self, n, p, run):
-        from . import zero_error
-
         return zero_error.simulate_estimator_risk(n, **run)
 
     def mi(self, method, n, run):
-        from . import mc, zero_error
-
         if method == "exact":
-            return {"value": zero_error.mutual_information_exact(n), "method": "exact"}
-        est = zero_error.mi_monte_carlo(n, **run)
-        return {"value": est.mean, "method": "monte_carlo", "stderr": est.stderr,
-                **mc.provenance(run["trials"], run["seed"], run["chunks"])}
+            return zero_error.mutual_information_exact(n)
+        return zero_error.mi_monte_carlo(n, **run)
 
 
 FAMILIES = {"categorical": _Categorical, "multinomial": _Multinomial,
@@ -325,8 +308,6 @@ def _fmt_cell(value) -> str:
 
 
 def _json(doc) -> str:
-    import json  # only JSON output needs it
-
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -361,10 +342,11 @@ def _cmd_curve(args) -> int:
     n_grid = _parse_n_grid(args.n_grid)
     simulating = args.command != "bounds"
     family = FAMILIES[args.family](args)
-    if family.l1_only and p != 1.0:
-        raise UsageError(f"the {args.family} family provides L1 bounds only")
+    if p != 1.0 and args.command in family.l1_only:
+        raise UsageError(f"{args.command} --family {args.family} supports the L1 loss "
+                         "only; use --p 1")
     header = {key: value for key, value in family.header().items()
-              if simulating or key not in _SIMULATION_KEYS}
+              if simulating or key not in family.simulation_keys}
 
     run = _run(args) if simulating else None
     rows = []
@@ -380,8 +362,6 @@ def _cmd_curve(args) -> int:
             "family": args.family, "p": "inf" if math.isinf(p) else p,
             "n_grid": ",".join(str(n) for n in n_grid)}
     if simulating:
-        from . import mc
-
         meta.update(mc.provenance(args.trials, args.seed, args.chunks))
     meta.update(header)
     if args.command != "compare":
@@ -410,14 +390,17 @@ def _cmd_mi(args) -> int:
     method = args.method or family.mi_methods[0]
     if method not in family.mi_methods:
         raise UsageError(f"{args.family} mi supports {' or '.join(family.mi_methods)}")
-    payload = family.mi(method, args.n, _run(args))
+    result = family.mi(method, args.n, _run(args))
+    payload = {"value": result, "method": method.replace("-", "_")}
+    if isinstance(result, mc.MonteCarloEstimate):
+        # value keeps its place; what determines the bytes follows method
+        payload.update(value=result.mean, stderr=result.stderr,
+                       **mc.provenance(args.trials, args.seed, args.chunks))
     _write(_json(payload), args.output)
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    from . import knn  # only entropy uses it; other commands skip its import
-
     try:
         samples = knn.load_samples_csv(args.input, header=args.header)
     except OSError as exc:

@@ -123,16 +123,28 @@ def _merge(a, b, exponent):
     return n, mean, m2
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a DomainError names option ``name`` unless
+    ``value`` is a whole number (1e5 is, 1000.9, inf and nan are not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        pass
+    raise DomainError(f"{name} must be a whole number, got {value}")
+
+
 def mc_mean(sampler: Sampler, trials: int, seed: int,
             chunks: int = 64, threads: int = 1) -> MonteCarloEstimate:
     """Mean/stderr of ``sampler`` over exactly ``trials`` draws.
 
     ``sampler(rng, count)`` must return a 1-D array of ``count`` values and
-    must depend only on the generator handed to it.  ``trials`` must lie in
-    [MIN_TRIALS, MAX_TRIALS], ``chunks`` in [1, trials] and at most
-    MAX_CHUNKS, ``threads`` in [1, MAX_THREADS] and ``seed`` must be >= 0,
-    all checked before any chunk runs.  Chunk 0 runs on the calling thread
-    and is timed; when ``threads`` > 1 and it took longer than
+    must depend only on the generator handed to it.  ``trials``, ``chunks``,
+    ``threads`` and ``seed`` must be whole numbers (1e5 is one); ``trials``
+    must lie in [MIN_TRIALS, MAX_TRIALS], ``chunks`` in [1, trials] and at
+    most MAX_CHUNKS, ``threads`` in [1, MAX_THREADS] and ``seed`` must be
+    >= 0, all checked before any chunk runs.  Chunk 0 runs on the calling
+    thread and is timed; when ``threads`` > 1 and it took longer than
     POOL_MIN_CHUNK_S, the other chunks run on a pool of up to
     min(``threads``, ``chunks`` - 1) threads while the calling thread
     waits, else on the calling thread alone.  The timing decides only where
@@ -148,7 +160,8 @@ def mc_mean(sampler: Sampler, trials: int, seed: int,
     magnitudes.  A chunk of equal values has that value as its mean and no
     spread, so a constant sampler has stderr 0.
     """
-    trials, chunks, threads, seed = int(trials), int(chunks), int(threads), int(seed)
+    trials, chunks, threads, seed = map(_whole, ("trials", "chunks", "threads", "seed"),
+                                        (trials, chunks, threads, seed))
     if trials < MIN_TRIALS:
         raise DomainError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if trials > MAX_TRIALS:

@@ -432,7 +432,6 @@ def test_mi_exact_gaussian(capsys):
                            "--sigma2", "1", "--n", "100", "--method", "exact")
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "exact"
     assert payload["value"] == pytest.approx(math.log(51.0), rel=1e-14)
 
 
@@ -442,10 +441,6 @@ def test_mi_monte_carlo_zero_error(capsys):
                            "--seed", "2")
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "monte_carlo"
-    # the payload records what determines its bytes, in the header's order
-    assert list(payload) == ["value", "method", "stderr", "seed", "trials", "chunks",
-                             "sampler_version", "numpy"]
     assert (payload["seed"], payload["trials"], payload["chunks"]) == (2, 100000, 64)
     assert payload["sampler_version"] == 13
     assert payload["numpy"] == np.__version__
@@ -980,6 +975,28 @@ def test_header_key_order(capsys, family, command):
     if command == "simulate":
         common += ["seed", "trials", "chunks", "sampler_version", "numpy"]
     assert keys == common + (HEADER_KEYS if command == "simulate" else BOUNDS_HEADER_KEYS)[family]
+
+
+# The mi payload by --method: its keys in order and its "method" string.  A
+# Monte-Carlo payload records what determines its bytes, in the header's order.
+MI_PAYLOADS = {
+    "exact": (["value", "method"], "exact"),
+    "clarke-barron": (["value", "method"], "clarke_barron"),
+    "monte-carlo": (["value", "method", "stderr", "seed", "trials", "chunks",
+                     "sampler_version", "numpy"], "monte_carlo"),
+}
+
+
+@pytest.mark.parametrize("family,method", [(family, method) for family in sorted(FAMILY_ARGS)
+                                           for method in FAMILIES[family].mi_methods])
+def test_mi_payload_keys(capsys, family, method):
+    code, out, _ = run_cli(capsys, "mi", "--family", family, *FAMILY_ARGS[family],
+                           "--n", "10", "--method", method, "--trials", "1000")
+    assert code == 0
+    payload = json.loads(out)
+    keys, name = MI_PAYLOADS[method]
+    assert list(payload) == keys
+    assert payload["method"] == name
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))

@@ -357,7 +357,10 @@ class ZeroUniforms:
         self.rng = rng
 
     def random(self, size=None, out=None):
-        return np.zeros(size) if out is None else np.multiply(out, 0.0, out=out)
+        if out is None:
+            return np.zeros(size)
+        out.fill(0.0)
+        return out
 
     def __getattr__(self, name):
         return getattr(self.rng, name)

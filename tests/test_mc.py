@@ -181,6 +181,23 @@ def test_mc_mean_rejects_bad_threads_and_seed_before_sampling(option, value):
     assert calls == []
 
 
+@pytest.mark.parametrize("option,value,shown", [
+    ("trials", 1000.9, "1000.9"), ("trials", math.inf, "inf"), ("trials", math.nan, "nan"),
+    ("chunks", 4.7, "4.7"), ("threads", 1.5, "1.5"), ("seed", 0.5, "0.5")])
+def test_mc_mean_rejects_run_options_that_are_not_whole(option, value, shown):
+    # never truncated: 1000.9 trials in 4.7 chunks is not run as 1000 in 4
+    calls = []
+    kwargs = {"trials": 1000, "seed": 0, "chunks": 4, "threads": 1, option: value}
+    with pytest.raises(DomainError, match=rf"^{option} must be a whole number, got {shown}$"):
+        mc_mean(lambda rng, m: calls.append(m) or np.zeros(m), **kwargs)
+    assert calls == []
+
+
+def test_mc_mean_accepts_whole_floats():
+    est = mc_mean(lambda rng, m: np.zeros(m), trials=1e5, seed=0.0, chunks=4.0, threads=1.0)
+    assert est.trials == 100_000 and type(est.trials) is int
+
+
 def test_mc_mean_starts_no_more_threads_than_chunks(monkeypatch):
     # chunk 0 runs on the calling thread, which then waits on the pool:
     # with the pool forced on, it starts at most min(threads, chunks - 1)
