@@ -262,17 +262,19 @@ def simulate_bayes_risk(n: int, prior: DirichletPrior, p: LossOrder,
     def sampler(rng, count):
         theta = sample_dirichlet(gamma, rng, size=count)
         if p == 2.0:
-            # bias^2 + n theta (1 - theta), in place; theta is not needed after
-            bias, spread = np.empty((2, *theta.shape))
-            np.multiply(theta, g0, out=bias)
-            bias -= gamma
-            bias *= bias
-            np.subtract(1.0, theta, out=spread)
-            theta *= n
-            theta *= spread
-            bias += theta
-            total = bias.sum(axis=1)
-            return np.ldexp(np.ldexp(total, -exponent) / (mantissa * mantissa), -exponent)
+            # bias^2 + n theta (1 - theta), in place; theta is not needed after.
+            # A loss beyond the float range is inf, which mc_mean rejects.
+            with np.errstate(over="ignore"):
+                bias, spread = np.empty((2, *theta.shape))
+                np.multiply(theta, g0, out=bias)
+                bias -= gamma
+                bias *= bias
+                np.subtract(1.0, theta, out=spread)
+                theta *= n
+                theta *= spread
+                bias += theta
+                total = bias.sum(axis=1)
+                return np.ldexp(np.ldexp(total, -exponent) / (mantissa * mantissa), -exponent)
         counts = sample_multinomial(n, theta, rng)
         if not posterior_mad:
             return inner_loss(p, theta, (gamma[None, :] + counts) / s)

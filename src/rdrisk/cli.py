@@ -140,6 +140,16 @@ def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> No
             raise UsageError(f"--{flag} does not apply to the {args.family} family")
 
 
+def _reported(form, *args):
+    """A published form, reported beside the pipeline: ``form(*args)``, or
+    None (an empty cell, null in JSON) where the library rejects the
+    arguments, as where the form is not defined at p or leaves the float range."""
+    try:
+        return form(*args)
+    except DomainError:
+        return None
+
+
 class _Family:
     """One data model's CLI contract.
 
@@ -180,13 +190,12 @@ class _Categorical(_Family):
 
     def bound_row(self, row, n, p):
         row["rd_lower_risk"] = categorical.bayes_risk_lower(n, self.prior, p)
-        if p in (1.0, 2.0) or math.isinf(p):
-            row["printed_bound"] = categorical.reference_risk_lower(n, self.prior, p)
+        row["printed_bound"] = _reported(categorical.reference_risk_lower, n, self.prior, p)
         row["mi"] = categorical.mutual_information(n, self.prior)
         g = self.prior.gamma
-        if p == 1.0 and len(set(g)) == 1 and g[0] >= 1.0:
-            ref = categorical.kamath_bounds(n, len(g), g[0])
-            row["reference_lower"], row["reference_upper"] = ref.lower, ref.upper
+        if p == 1.0 and len(set(g)) == 1:
+            ref = _reported(categorical.kamath_bounds, n, len(g), g[0])
+            row["reference_lower"], row["reference_upper"] = ref or (None, None)
 
     def simulate(self, n, p, run):
         return categorical.simulate_bayes_risk(n, self.prior, p, **run)
@@ -211,20 +220,17 @@ class _Multinomial(_Family):
                   "bound_variants": "rd_lower_risk=pipeline; printed_bound=published "
                                     "closed form (unbalanced bracket read best-effort)",
                   "entropy_lower": repr(multinomial.entropy_lower(self.model))}
-        # the published form is reported only, so where it overflows the
-        # float range it is left empty and the pipeline columns still print
-        try:
-            printed = repr(multinomial.reference_entropy_lower_printed(self.model))
-        except DomainError:
-            return {**header, "entropy_lower_printed": None,
-                    "note": "entropy_lower_printed is not printed: the published form "
-                            "overflows the float range"}
-        return {**header, "entropy_lower_printed": printed}
+        printed = _reported(multinomial.reference_entropy_lower_printed, self.model)
+        if printed is not None:
+            return {**header, "entropy_lower_printed": repr(printed)}
+        return {**header, "entropy_lower_printed": None,
+                "note": "entropy_lower_printed is not printed: the published form "
+                        "overflows the float range"}
 
     def bound_row(self, row, n, p):
         row["rd_lower_risk"] = multinomial.xbayes_risk_lower(n, self.model, p)
         if p == 1.0:
-            row["printed_bound"] = multinomial.reference_risk_lower(n, self.model)
+            row["printed_bound"] = _reported(multinomial.reference_risk_lower, n, self.model)
         row["mi"] = multinomial.mutual_information(n, self.model)
 
     def simulate(self, n, p, run):

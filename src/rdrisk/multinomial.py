@@ -111,13 +111,17 @@ def reference_risk_lower(n: int, family: MultinomialFamily) -> float:
     expo = -log_beta_multivariate(g) / (d - 1) \
         + (1.0 - g0 + (d - g0) / (d - 1)) * digamma(g0) \
         + (g[d - 1] - 1.0) / (d - 1) * digamma(g[d - 1]) \
-        + math.fsum((k - 0.5) * digamma(gi) + (g0 + gi + 2.0 - k) * digamma(ri)
-                    for gi, ri in zip(g[: d - 1], complements(g))) / (d - 1)
+        + checked_fsum((k - 0.5) * digamma(gi) + (g0 + gi + 2.0 - k) * digamma(ri)
+                       for gi, ri in zip(g[: d - 1], complements(g))) / (d - 1)
     try:
-        scale = math.exp(expo)
+        bound = k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) \
+            * math.exp(expo)
     except OverflowError:
-        raise DomainError("the published X-Bayes bound overflows the float range") from None
-    return k * 2.0 ** (-(2.0 + k) / k) * math.sqrt(2.0 * math.pi * math.e / n) * scale
+        bound = math.inf
+    # a term that overflowed makes expo +-inf or nan (inf - inf)
+    if not (math.isfinite(expo) and math.isfinite(bound)):
+        raise DomainError("the published X-Bayes bound overflows the float range")
+    return bound
 
 
 # A trial subtracts CONTROL_WEIGHT (C - EC) / (sqrt(EC) (1 + EC)) from its

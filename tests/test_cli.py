@@ -15,16 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk import categorical, gaussian, mc
+from rdrisk import categorical, gaussian, mc, multinomial
 from rdrisk.cli import FAMILIES, MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
+from rdrisk.errors import DomainError
 from rdrisk.mc import MAX_THREADS, rng_stream
-
-# main must turn every warning into its one-line message: a stray warning
-# is an error here, as it is on the stderr of the installed script.  The
-# DeprecationWarning of libcst, which Hypothesis imports to write the patch
-# for a failing example, is not rdrisk's, and as an error it would stop
-# the session.
-pytestmark = pytest.mark.filterwarnings("error", "ignore::DeprecationWarning:libcst")
 
 
 def run_cli(capsys, *argv):
@@ -716,17 +710,16 @@ OUT_OF_MEMORY = ("simulate", "--family", "categorical", "--gamma", "1,1", "--n",
     # (1e-308, 1e-308, 1e-308), the multinomial mutual information there at
     # k = 1, and at k = 3 the multinomial entropy bound of the header, which
     # the pipeline uses;
-    # the published X-Bayes bound, printed_bound, overflows at 5e307 (its
-    # sum) and at (1e155, 2, 3e158) (its exp)
+    # a p = 2 loss beyond the float range: (g0 theta - gamma)^2 overflows
     ("bounds", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("mi", "--family", "categorical", "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "3", "--k", "1",
      "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
-    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "5e307,5e307",
-     "--n", "10"),
+    ("simulate", "--family", "categorical", "--gamma", "1e307,1e200,1e-20,1e308,1e307",
+     "--p", "2", "--n", "1", "--trials", "200", "--chunks", "2"),
     ("bounds", "--family", "categorical", "--gamma", "1e-320,1e-320", "--n", "10"),
-    ("bounds", "--family", "multinomial", "--d", "3", "--k", "2", "--gamma", "1e155,2,3e158",
-     "--n", "1"),
+    ("mi", "--family", "multinomial", "--d", "3", "--k", "1",
+     "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     ("bounds", "--family", "multinomial", "--d", "3", "--k", "3",
      "--gamma", "1e-308,1e-308,1e-308", "--n", "10"),
     # integer options beyond the float range
@@ -773,27 +766,47 @@ def test_extreme_parameters_exit_with_one_message(capsys, monkeypatch, argv):
     assert err.startswith(f"rdrisk: {kind}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,printed", [
     # m (1 - m kappa) in the reference lower bound overflows at 5e307
-    ("bounds", "--family", "categorical", "--gamma", "5e307,5e307", "--n", "10"),
+    (("bounds", "--family", "categorical", "--gamma", "5e307,5e307", "--n", "10"), True),
     # the entropy bound's ln B and psi terms grow like gamma ln gamma and
     # cancel here; summed plainly they gave a bound of 9.2e5
-    ("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e15,1e15",
-     "--n", "10"),
+    (("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e15,1e15",
+      "--n", "10"), True),
     # k n = 2^63 - 2: the control variate rests on count variances near 1e-19
-    ("simulate", "--family", "multinomial", "--d", "2", "--k", "3", "--gamma", "1,1",
-     "--n", "3074457345618258602", "--trials", "1000"),
+    (("simulate", "--family", "multinomial", "--d", "2", "--k", "3", "--gamma", "1,1",
+      "--n", "3074457345618258602", "--trials", "1000"), True),
     # the chi-square draws pair at most 8 uniforms and draw the rest per member
-    ("simulate", "--family", "gaussian", "--d", "1000000000000", "--sigma2", "1", "--n", "10",
-     "--trials", "200", "--test-points", "100"),
+    (("simulate", "--family", "gaussian", "--d", "1000000000000", "--sigma2", "1",
+      "--n", "10", "--trials", "200", "--test-points", "100"), True),
+    # the published X-Bayes bound, printed_bound, leaves the float range in
+    # its ln B at 5e307 and (1e305, 1e306), in its psi sum at (1, 1e305,
+    # 1e305) and at 1e305 among small components, and in its exp at
+    # (1e155, 2, 3e158) and at (0.01, 1e-6), k = 7; its cell is empty
+    (("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "5e307,5e307",
+      "--n", "10"), False),
+    (("bounds", "--family", "multinomial", "--d", "3", "--k", "2", "--gamma", "1e155,2,3e158",
+      "--n", "1"), False),
+    (("bounds", "--family", "multinomial", "--d", "2", "--k", "7", "--gamma", "0.01,1e-6",
+      "--n", "10"), False),
+    (("bounds", "--family", "multinomial", "--d", "5", "--k", "7",
+      "--gamma", "0.01,1e305,0.5,0.01,0.5", "--n", "10"), False),
+    (("bounds", "--family", "multinomial", "--d", "3", "--k", "1", "--gamma", "1,1e305,1e305",
+      "--n", "10"), False),
+    (("compare", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1e305,1e306",
+      "--n", "10", "--trials", "1000", "--chunks", "4"), False),
 ], ids=["categorical-huge-kappa", "multinomial-1e15", "multinomial-k-n-max",
-        "gaussian-huge-d"])
-def test_extreme_parameters_print_finite_rows(capsys, argv):
+        "gaussian-huge-d", "multinomial-printed-5e307", "multinomial-printed-1e155",
+        "multinomial-printed-exp", "multinomial-printed-psi-sum", "multinomial-printed-psi-term",
+        "multinomial-printed-compare"])
+def test_extreme_parameters_print_finite_rows(capsys, argv, printed):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and err == ""
+    assert code == 0
+    assert err == ("compare: 0 violation(s) across 1 row(s)\n" if argv[0] == "compare" else "")
     row = parse_csv(out)[1][0]
     assert all(math.isfinite(float(cell)) for cell in row.values() if cell)
     assert 0.0 <= float(row["rd_lower_risk"]) < 1.0
+    assert bool(row["printed_bound"]) == printed
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -816,6 +829,62 @@ def test_bounds_print_where_the_published_entropy_overflows(capsys, fmt):
     assert meta["note"].startswith("entropy_lower_printed is not printed")
     assert float(meta["entropy_lower"]) == pytest.approx(-1e300, rel=1e-12)
     assert row["rd_lower_risk"] == 0.0 and math.isfinite(row["mi"])
+
+
+CATEGORICAL_ARGS = ("bounds", "--family", "categorical", "--gamma", "2,2", "--n-grid", "10,100")
+MULTINOMIAL_ARGS = ("bounds", "--family", "multinomial", "--d", "3", "--k", "2",
+                    "--gamma", "1,1,1", "--n-grid", "10,100")
+
+
+def rejects(*args):
+    raise DomainError("rejected")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("module,name,argv,keys", [
+    (categorical, "reference_risk_lower", CATEGORICAL_ARGS, ("printed_bound",)),
+    (categorical, "kamath_bounds", CATEGORICAL_ARGS, ("reference_lower", "reference_upper")),
+    (multinomial, "reference_risk_lower", MULTINOMIAL_ARGS, ("printed_bound",)),
+    (multinomial, "reference_entropy_lower_printed", MULTINOMIAL_ARGS,
+     ("entropy_lower_printed",)),
+], ids=["categorical-printed", "categorical-kamath", "multinomial-printed",
+        "multinomial-entropy-printed"])
+def test_rejected_published_form_leaves_its_cells_empty(capsys, monkeypatch, fmt, module,
+                                                         name, argv, keys):
+    # a published form is reported only: where its library function rejects
+    # the arguments its cells (or header key) are empty, and all else prints
+    def read(out):
+        if fmt == "csv":
+            return parse_csv(out)
+        payload = json.loads(out)
+        return payload["metadata"], payload["rows"]
+
+    meta, rows = read(run_cli(capsys, *argv, "--format", fmt)[1])
+    monkeypatch.setattr(module, name, rejects)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    empty = "" if fmt == "csv" else None
+    for key in keys:
+        for record in [meta] if key == "entropy_lower_printed" else rows:
+            assert record[key] != empty
+            record[key] = empty
+    got_meta, got_rows = read(out)
+    if "entropy_lower_printed" in keys:
+        assert got_meta.pop("note").startswith("entropy_lower_printed is not printed")
+    assert list(got_meta.items()) == list(meta.items())
+    assert [list(row.items()) for row in got_rows] == [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (categorical, "bayes_risk_lower", CATEGORICAL_ARGS),
+    (multinomial, "xbayes_risk_lower", MULTINOMIAL_ARGS),
+], ids=["categorical", "multinomial"])
+def test_rejected_pipeline_bound_exits_with_one_message(capsys, monkeypatch, module, name,
+                                                        argv):
+    monkeypatch.setattr(module, name, rejects)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "rdrisk: domain error: rejected\n"
 
 
 @pytest.mark.parametrize("p", ["1", "2", "inf"])
@@ -859,7 +928,7 @@ def test_bounds_where_partial_sums_overflow(capsys):
 # categorical and multinomial priors draw each component on its own from
 # these, so tiny and huge components meet at M, d >= 3
 EDGE_COMPONENTS = ("1e-308", "1e-300", "1e-20", "1e-6", "0.01", "0.5", "1", "3", "1e15",
-                   "1e200", "1e308")
+                   "1e200", "1e305", "1e307", "1e308")
 EDGE_SIGMA2 = ("1e-160", "1e-300", "5e-324")
 # just above the caps, which are checked before any chunk runs
 ABOVE_MAX_TRIALS = str(mc.MAX_TRIALS + 1)

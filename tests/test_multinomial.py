@@ -285,6 +285,17 @@ def test_reference_risk_lower_runs_and_decays():
     assert v400 == pytest.approx(v100 / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma,k", [((0.01, 1e305, 0.5, 0.01, 0.5), 7),
+                                     ((1.0, 1e305, 1e305), 1)])
+def test_reference_risk_lower_where_its_sum_overflows(gamma, k):
+    # the psi terms reach 7.0e307 and 2.1e308, so their sum leaves the float
+    # range, though the exponent (mpmath: -3.5e307, -6.9e304) does not: a
+    # DomainError, where a plain fsum raised OverflowError at the first and
+    # gave a nan bound (inf - inf) at the second
+    with pytest.raises(DomainError):
+        reference_risk_lower(10, fam(len(gamma), k, gamma))
+
+
 def test_simulator_dominates_bound():
     for n in (50, 200, 1000):
         est = simulate_interpolation_risk(n, FAM211, trials=2000, seed=503)
