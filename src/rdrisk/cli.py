@@ -56,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str) -> float:
+    """--p: a numeral, or inf spelled out; the library checks p >= 1."""
     t = text.strip().lower()
     if t.removeprefix("+") in ("inf", "infinity", "oo"):
         return math.inf
@@ -63,13 +64,21 @@ def _parse_p(text: str) -> float:
         p = float(t)
     except ValueError:
         raise UsageError(f"invalid loss order: {text!r}") from None
-    if not 1.0 <= p < math.inf:
-        raise UsageError(f"loss order must be a finite number >= 1 or inf, got {text!r}")
+    if p == math.inf:
+        raise UsageError(f"loss order {text!r} overflows the float range; write inf")
     return p
 
 
+def _parse_list(text: str, kind, what: str) -> list:
+    """Comma-separated values, each converted by ``kind``; an empty field is an error."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"invalid {what}: {text!r}") from None
+
+
 def _parse_n_grid(text: str) -> list[int]:
-    """Explicit list '10,100,1000' or geometric 'start:stop:COUNTlog'."""
+    """Explicit list '10,100,1000' or geometric 'start:stop:COUNTlog'; the library checks n."""
     t = text.strip()
     if ":" in t:
         parts = t.split(":")
@@ -89,15 +98,10 @@ def _parse_n_grid(text: str) -> list[int]:
         ratio = (stop / start) ** (1.0 / max(count - 1, 1))
         inner = (round(min(max(start * ratio ** i, start), stop)) for i in range(1, count - 1))
         return sorted({start, *inner, stop if count > 1 else start})
-    try:
-        values = [int(v) for v in t.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"invalid n grid: {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise UsageError("n values must be positive integers")
+    values = _parse_list(t, int, "n grid")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError("n values must be strictly increasing")
-    _check_float_range("n", values[-1])
+    _check_float_range("n", max(values[0], values[-1], key=abs))
     return values
 
 
@@ -107,23 +111,17 @@ def _check_float_range(name: str, value: int) -> None:
         raise UsageError(f"--{name} must be within the float range (about 1.8e308)")
 
 
-def _parse_gamma(text: str) -> tuple[float, ...]:
-    try:
-        gamma = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"invalid gamma vector: {text!r}") from None
-    return gamma
+def _parse_gamma(text: str) -> list[float]:
+    return _parse_list(text, float, "gamma vector")
 
 
-def _parse_trials(text: str) -> int:
-    """--trials, a whole number such as '1e5'; mc_mean checks its range."""
+def _parse_trials(text: str) -> int | float:
+    """--trials, a count such as '1e5'; mc_mean checks that it is whole and in range."""
     try:
         count = float(text)
     except ValueError:
         raise UsageError(f"invalid --trials: {text!r}") from None
-    if not count.is_integer():
-        raise UsageError(f"--trials must be a whole number, got {text!r}")
-    return int(count)
+    return int(count) if count.is_integer() else count
 
 
 def _require(args, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -180,7 +178,7 @@ class _Categorical(_Family):
 
     def __init__(self, args):
         super().__init__(args)
-        self.prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
+        self.prior = categorical.DirichletPrior(args.gamma)
 
     def header(self) -> dict:
         return {"gamma": ",".join(repr(g) for g in self.prior.gamma),
@@ -210,7 +208,7 @@ class _Multinomial(_Family):
 
     def __init__(self, args):
         super().__init__(args)
-        prior = categorical.DirichletPrior(_parse_gamma(args.gamma))
+        prior = categorical.DirichletPrior(args.gamma)
         self.model = multinomial.MultinomialFamily(d=args.d, k=args.k, prior=prior)
 
     def header(self) -> dict:
@@ -344,8 +342,7 @@ def _run(args) -> dict:
 
 def _cmd_curve(args) -> int:
     """bounds, simulate and compare: one row per n of the grid."""
-    p = _parse_p(args.p)
-    n_grid = _parse_n_grid(args.n_grid)
+    p, n_grid = args.p, args.n_grid
     simulating = args.command != "bounds"
     family = FAMILIES[args.family](args)
     if p != 1.0 and args.command in family.l1_only:
@@ -414,9 +411,9 @@ def _cmd_entropy(args) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot parse {args.input!r} as numeric CSV "
                          f"(use --header to skip a header row): {exc}") from exc
-    est = knn.knn_entropy_detail(samples, k=int(args.k))
+    est = knn.knn_entropy_detail(samples, k=args.k)
     payload = {"value": est.mean, "method": "knn", "stderr": est.stderr,
-               "samples": est.trials, "k": int(args.k),
+               "samples": est.trials, "k": args.k,
                "metric": "max-norm, eps = 2 x k-th neighbor distance"}
     _write(_json(payload), args.output)
     return 0
@@ -424,7 +421,7 @@ def _cmd_entropy(args) -> int:
 
 def _add_family_options(sub) -> None:
     sub.add_argument("--family", required=True, choices=FAMILIES)
-    sub.add_argument("--gamma", help="comma-separated Dirichlet concentration")
+    sub.add_argument("--gamma", type=_parse_gamma, help="comma-separated Dirichlet concentration")
     sub.add_argument("--d", type=int, help="category count / feature dimension")
     sub.add_argument("--k", type=int, help="trials per multinomial observation")
     sub.add_argument("--sigma2", type=float, help="Gaussian noise variance")
@@ -434,11 +431,11 @@ def _add_family_options(sub) -> None:
 
 def _add_curve_options(sub) -> None:
     _add_family_options(sub)
-    sub.add_argument("--p", default="1", help="loss order >= 1 or 'inf'")
+    sub.add_argument("--p", type=_parse_p, default="1", help="loss order >= 1 or 'inf'")
     grid = sub.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--n-grid",
+    grid.add_argument("--n-grid", type=_parse_n_grid,
                       help="'10,100,1000' or geometric 'start:stop:COUNTlog'")
-    grid.add_argument("--n", dest="n_grid", metavar="N",
+    grid.add_argument("--n", dest="n_grid", metavar="N", type=_parse_n_grid,
                       help="single sample count (shorthand for --n-grid N)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.set_defaults(func=_cmd_curve)

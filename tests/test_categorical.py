@@ -213,6 +213,8 @@ def test_kamath_bounds_structure():
         0.0377111102697249530739220464913, rel=1e-12)
     with pytest.raises(DomainError):
         kamath_bounds(100, 2, 0.5)
+    with pytest.raises(DomainError, match="^class count must be >= 2, got 1$"):
+        kamath_bounds(10, 1, 1.0)
 
 
 def test_kamath_pair_is_vacuous_at_1x100():

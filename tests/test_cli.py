@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdrisk
-from rdrisk import categorical, gaussian, mc, multinomial
+from rdrisk import categorical, gaussian, mc, multinomial, zero_error
 from rdrisk.cli import FAMILIES, MAX_GRID_COUNT, UsageError, _parse_n_grid, _parse_p, main
 from rdrisk.errors import DomainError
 from rdrisk.mc import MAX_THREADS, rng_stream
@@ -45,9 +45,8 @@ def test_parse_p():
     assert _parse_p("2.5") == 2.5
     assert math.isinf(_parse_p("inf"))
     assert math.isinf(_parse_p("+inf"))
-    from rdrisk.cli import UsageError
-
-    for text in ("0.3", "two", "1e400"):
+    # the text rules only: p >= 1 is the library's (test_parse_p_property)
+    for text in ("two", "1e400"):
         with pytest.raises(UsageError):
             _parse_p(text)
 
@@ -55,17 +54,14 @@ def test_parse_p():
 def test_parse_n_grid():
     assert _parse_n_grid("100") == [100]
     assert _parse_n_grid("10,100,1000") == [10, 100, 1000]
+    # the library checks each n against its family's least n
+    assert _parse_n_grid("-5,0,5") == [-5, 0, 5]
     grid = _parse_n_grid("1:1000:10log")
     assert grid[0] == 1 and grid[-1] == 1000
     assert all(b > a for a, b in zip(grid, grid[1:]))
-    from rdrisk.cli import UsageError
-
-    with pytest.raises(UsageError):
-        _parse_n_grid("100,10")
-    with pytest.raises(UsageError):
-        _parse_n_grid("0,5")
-    with pytest.raises(UsageError):
-        _parse_n_grid("1:100:xlog")
+    for text in ("100,10", "1,,2", "1,2,", "", "1:100:xlog"):
+        with pytest.raises(UsageError):
+            _parse_n_grid(text)
 
 
 def test_bounds_categorical_fixture(capsys):
@@ -170,8 +166,15 @@ def test_rejects_non_finite_gamma(capsys, argv, gamma):
     (("bounds", "--family", "categorical", "--gamma", "1", "--n", "10"), ">= 2 positive"),
     (("bounds", "--family", "multinomial", "--d", "3", "--k", "1", "--gamma", "1,1",
       "--n", "10"), "d=3 components, got 2"),
+    # every field of a list must convert: an empty one is not skipped
+    (("bounds", "--family", "categorical", "--gamma", "1,,1", "--n", "10"),
+     "invalid gamma vector"),
+    (("bounds", "--family", "categorical", "--gamma", "1,1,", "--n", "10"),
+     "invalid gamma vector"),
+    (("bounds", "--family", "zero-error", "--n-grid", "10,,100"), "invalid n grid"),
 ], ids=["grid-spec", "grid-start-after-stop", "grid-list", "gamma-text", "trials-text",
-        "entropy-text", "gamma-one-component", "multinomial-gamma-length"])
+        "entropy-text", "gamma-one-component", "multinomial-gamma-length",
+        "gamma-empty-field", "gamma-trailing-comma", "grid-empty-field"])
 def test_rejects_malformed_input(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "words.csv").write_text("a,b\nc,d\n")
@@ -179,6 +182,19 @@ def test_rejects_malformed_input(capsys, monkeypatch, tmp_path, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith("rdrisk: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--family", "zero-error", "--n", "10"),
+    ("mi", "--family", "zero-error", "--n", "10"),
+    ("entropy", "--input", "samples.csv", "--k", "1"),
+], ids=["bounds", "mi", "entropy"])
+def test_unwritable_output_exits_with_one_message(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "samples.csv").write_text("".join(f"{i}\n" for i in range(10)))
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("rdrisk: i/o error: [Errno 2] ") and err.count("\n") == 1
 
 
 def test_bounds_usage_error_unknown_flag(capsys):
@@ -470,6 +486,86 @@ def test_mi_at_n_zero_and_below(capsys, argv, n):
     assert payload["value"] == 0.0 and payload.get("stderr", 0.0) == 0.0
 
 
+N_ZERO_FAMILIES = {
+    "zero-error": ("--family", "zero-error"),
+    "gaussian": ("--family", "gaussian", "--d", "2", "--sigma2", "1"),
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "compare"])
+@pytest.mark.parametrize("family", sorted(N_ZERO_FAMILIES))
+def test_curves_at_n_zero(capsys, command, family):
+    # with no samples I(Z^0; theta) = 0 and the bound is the prior's own
+    # rate-distortion floor; the library defines the row, so the CLI prints it
+    argv = [command, *N_ZERO_FAMILIES[family], "--n-grid", "0,10"]
+    if command != "bounds":
+        argv += ["--trials", "1000"] + (["--test-points", "100"] if family == "gaussian" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row["n"] for row in rows] == ["0", "10"]
+    row = rows[0]
+    assert float(row["mi"]) == 0.0
+    if family == "zero-error":
+        assert float(row["rd_lower_risk"]) == zero_error.risk_lower_l1(0) == \
+            pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
+        assert float(row["reference_upper"]) == 0.5
+        if command != "bounds":
+            # every zero-error width is 1 at n = 0: the midpoint misses theta by 1/4
+            assert (float(row["simulated_mean"]), float(row["simulated_stderr"])) == (0.25, 0.0)
+    else:
+        bound = gaussian.bayes_risk_lower_l1(0, 2, 1.0)
+        assert float(row["rd_lower_risk"]) == bound.pipeline
+        assert float(row["printed_bound"]) == bound.printed
+    if command == "compare":
+        assert err.endswith("compare: 0 violation(s) across 2 row(s)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bounds", "--family", "categorical", "--gamma", "1,1", "--n-grid", "0,10"),
+     "n must be >= 1, got 0"),
+    (("simulate", "--family", "categorical", "--gamma", "1,1", "--n-grid", "0,10",
+      "--trials", "1000"), "n must be >= 1, got 0"),
+    (("bounds", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1,1",
+      "--n-grid", "0,10"), "n must be >= 1, got 0"),
+    (("compare", "--family", "multinomial", "--d", "2", "--k", "1", "--gamma", "1,1",
+      "--n-grid", "0,10", "--trials", "1000"), "n must be >= 1, got 0"),
+    (("bounds", "--family", "categorical", "--gamma", "1,1", "--n-grid=-5,10"),
+     "n must be >= 1, got -5"),
+    (("bounds", "--family", "zero-error", "--n-grid=-5,10"), "n must be >= 0, got -5"),
+    (("simulate", "--family", "zero-error", "--n-grid=-5,10", "--trials", "1000"),
+     "n must be >= 0, got -5"),
+    (("bounds", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n-grid=-5,10"),
+     "n must be >= 0, got -5"),
+], ids=["bounds-categorical-0", "simulate-categorical-0", "bounds-multinomial-0",
+        "compare-multinomial-0", "bounds-categorical-neg", "bounds-zero-error-neg",
+        "simulate-zero-error-neg", "bounds-gaussian-neg"])
+def test_n_below_the_family_least(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"rdrisk: domain error: {message}\n")
+
+
+@pytest.mark.parametrize("trials", ["1000.5", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "zero-error", "--n", "5"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "5"),
+    ("mi", "--family", "gaussian", "--d", "2", "--sigma2", "1", "--n", "5",
+     "--method", "clarke-barron"),
+    ("mi", "--family", "categorical", "--gamma", "1,1", "--n", "5"),
+], ids=["zero-error-exact", "gaussian-exact", "gaussian-clarke-barron", "categorical"])
+def test_mi_without_simulation_ignores_trials(capsys, argv, trials):
+    # mc_mean checks --trials, so a call that simulates nothing never reads it
+    assert run_cli(capsys, *argv, "--trials", trials) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("trials", ["1000.5", "inf"])
+@pytest.mark.parametrize("command", sorted(MC_COMMANDS))
+def test_simulation_rejects_trials_that_are_not_whole(capsys, command, trials):
+    code, out, err = run_cli(capsys, *MC_COMMANDS[command], "--trials", trials)
+    assert (code, out) == (1, "")
+    assert err == f"rdrisk: domain error: trials must be a whole number, got {trials}\n"
+
+
 def test_mi_rejects_exact_for_categorical(capsys):
     code, _, err = run_cli(capsys, "mi", "--family", "categorical",
                            "--gamma", "1,1", "--n", "10", "--method", "exact")
@@ -617,10 +713,18 @@ def test_multinomial_compare_zero_components_warn_nothing():
 @given(st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                  st.text(alphabet="0123456789.-+eEinfaINFoO ", max_size=8)))
 def test_parse_p_property(text):
-    try:
-        p = _parse_p(text)
-    except UsageError:
+    # _parse_p reads the text and the library checks p >= 1: a run either
+    # exits 1 with one message or reports a p that is inf or a float >= 1
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bounds", "--family", "categorical", "--gamma", "1,1", "--n", "10",
+                     f"--p={text}"])
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("rdrisk: ") and err.getvalue().count("\n") == 1
         return
+    assert code == 0 and err.getvalue() == ""
+    p = float(parse_csv(out.getvalue())[0]["p"])
     assert p >= 1.0  # never nan, never below 1
     if math.isfinite(p):
         assert p == float(text)
@@ -639,8 +743,9 @@ def test_parse_n_grid_log_property(start, span, count):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-5, 10**9), min_size=1, max_size=20))
 def test_parse_n_grid_list_property(values):
+    # any sign: the least n is the library's (test_n_below_the_family_least)
     text = ",".join(str(v) for v in values)
-    if all(v >= 1 for v in values) and all(b > a for a, b in zip(values, values[1:])):
+    if all(b > a for a, b in zip(values, values[1:])):
         assert _parse_n_grid(text) == values
     else:
         with pytest.raises(UsageError):

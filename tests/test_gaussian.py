@@ -192,6 +192,11 @@ def test_entropy_lower_below_knn(d, s2):
     assert d * entropy_lower_nu(d, s2) <= est.mean + 3 * est.stderr
 
 
+def test_sample_regression_values_needs_a_draw():
+    with pytest.raises(DomainError, match="^need at least one draw$"):
+        sample_regression_values(2, 1.0, 0, rng_stream(605, 0))
+
+
 def test_simulator_n0_prior_only():
     # theta_hat = 0 makes What = 1/2; the L1 loss 2 E|W - 1/2| is positive
     est = simulate_bayes_risk(0, 1, 1.0, trials=2000, test_points=400, seed=604)

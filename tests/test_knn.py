@@ -74,6 +74,11 @@ def test_input_validation():
         knn_entropy(np.arange(4.0), k=4)
     with pytest.raises(DomainError):
         knn_entropy(np.arange(10.0), k=0)
+    # more than k+1 samples, but fewer than d+2
+    with pytest.raises(DomainError, match=r"^need at least d\+2=5 samples, got 4$"):
+        knn_entropy(np.eye(4, 3), k=1)
+    with pytest.raises(DomainError, match="^samples must be 1-D or 2-D, got ndim=3$"):
+        knn_entropy(np.zeros((10, 2, 2)), k=1)
 
 
 def test_detail_stderr_scaling():

@@ -190,6 +190,10 @@ def test_ratio_map_shapes_and_jacobian_positive():
     assert np.all(ratio_log_jacobian(w) > 0.0)
     with pytest.raises(DomainError):
         posterior_entropy_change_of_var(np.empty((0, 1, 1)), 0.0)
+    with pytest.raises(DomainError, match="^need at least 2 samples$"):
+        posterior_entropy_change_of_var(w[:1], 0.0)
+    with pytest.raises(DomainError, match=r"^w_samples must have shape \(N, d_star, M-1\)$"):
+        ratio_coordinates(np.zeros((2, 2, 2, 2)))
 
 
 def test_generalized_gaussian_entropy_known():
